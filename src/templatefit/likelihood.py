@@ -272,50 +272,67 @@ class CostFunction:
         bins = np.flatnonzero(self._active)[self._slot_bin]
         return bins, self._slot_comp.copy()
 
-    def __call__(self, params) -> float:
+    def _checked(self, params) -> np.ndarray:
         p = np.asarray(params, dtype=np.float64)
         if p.shape != (self.nparams,):
             raise ValueError(f"expected {self.nparams} parameters, got shape {p.shape}")
+        return p
+
+    def __call__(self, params) -> float:
+        p = self._checked(params)
         K = self.model.ncomponents
         if not np.all(np.isfinite(p)) or np.any(p[:K] < 0.0):
             return math.inf
         if self.method is Method.EXACT:
             if np.any(p[K:] <= 0.0):
                 return math.inf
-            return self._eval_exact(p)
-        if self.method is Method.CONWAY:
-            return self._eval_conway(p)
-        return self._eval_approx(p)
+            terms, slot = self._exact(p)
+            q = float(np.sum(terms))
+            q += 2.0 * float(self._a_slots @ slot)
+        elif self.method is Method.CONWAY:
+            live, _, terms = self._conway(p)
+            if live is None:
+                q = float(np.sum(terms))
+            elif np.any(self._n[~live] > 0.0):
+                # dead bins carry no factor; with observed content the model is impossible
+                return math.inf
+            else:
+                q = float(np.sum(np.where(live, terms, 0.0)))
+        else:
+            _, terms, slot = self._approx(p)
+            q = float(np.sum(terms))
+            q += 2.0 * float(self._a_eff @ slot)
+        return max(0.0, q)
 
-    # --- method-specific evaluation ------------------------------------------
-    # component sums use multiply + reduce instead of a BLAS matvec: IEEE
+    # --- per-bin kernels, one per method --------------------------------------
+    # each returns the per-bin factors and cost terms over the active bins;
+    # __call__ and diagnostics differ only in how they reduce them.
+    # Component sums use multiply + reduce instead of a BLAS matvec: IEEE
     # addition is commutative, so relabeling components permutes operands
     # without changing any bit of the result (exact for two components)
 
-    def _mu0(self, y: np.ndarray) -> np.ndarray:
-        return ((y / self._norms)[:, None] * self._a).sum(axis=0)
-
-    def _eval_approx(self, y: np.ndarray) -> float:
-        mu0 = self._mu0(y)
+    def _approx(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Factor ``(n + a)/(mu0 + a)``, data terms, and ``beta - 1 - ln beta`` per bin."""
+        mu0 = ((y / self._norms)[:, None] * self._a).sum(axis=0)
         if self.weighted:
             mu0 = self._s * mu0
         a = self._a_eff
         beta = (self._n + a) / (mu0 + a)
-        q = float(np.sum(_qp_terms(self._n, beta * mu0, self._nlogn)))
-        q += 2.0 * float(a @ (beta - 1.0 - np.log(beta)))
-        return max(0.0, q)
+        terms = _qp_terms(self._n, beta * mu0, self._nlogn)
+        return beta, terms, beta - 1.0 - np.log(beta)
 
-    def _eval_conway(self, y: np.ndarray) -> float:
+    def _conway(self, y: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+        """Live-bin mask (``None`` when all bins are live), factor, data + penalty terms.
+
+        Dead bins, without expectation, get variance 1 so their entries stay
+        finite; callers mask them out.
+        """
         scale = y / self._norms
         mu0_raw = (scale[:, None] * self._a).sum(axis=0)
-        live = mu0_raw > 0.0
-        all_live = bool(np.all(live))
-        if not all_live:
-            # dead bins carry no factor; with observed content the model is impossible
-            if np.any(self._n[~live] > 0.0):
-                return math.inf
         vnum = ((scale * scale)[:, None] * self._v).sum(axis=0)
-        if all_live:
+        live = mu0_raw > 0.0
+        if np.all(live):
+            live = None
             var = vnum / (mu0_raw * mu0_raw)
         else:
             mu0g = np.where(live, mu0_raw, 1.0)
@@ -323,25 +340,20 @@ class CostFunction:
         mu0 = self._s * mu0_raw if self.weighted else mu0_raw
         b = var * mu0 - 1.0
         disc = np.sqrt(b * b + 4.0 * var * self._n)
-        beta = np.where(b > 0.0, 2.0 * var * self._n / (b + disc), 0.5 * (disc - b))
-        terms = _qp_terms(self._n, beta * mu0, self._nlogn)
-        pen = (beta - 1.0) ** 2 / var
-        if all_live:
-            q = float(np.sum(terms + pen))
-        else:
-            q = float(np.sum(np.where(live, terms + pen, 0.0)))
-        return max(0.0, q)
+        # the guarded denominator keeps the discarded branch away from 0/0
+        pos = b > 0.0
+        beta = np.where(pos, 2.0 * var * self._n / np.where(pos, b + disc, 1.0), 0.5 * (disc - b))
+        terms = _qp_terms(self._n, beta * mu0, self._nlogn) + (beta - 1.0) ** 2 / var
+        return live, beta, terms
 
-    def _eval_exact(self, p: np.ndarray) -> float:
+    def _exact(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Data terms per active bin and ``beta - 1 - ln beta`` per amplitude slot."""
         K = self.model.ncomponents
-        y = p[:K]
         betas = p[K:]
         B = np.ones_like(self._a)
         B[self._slot_comp, self._slot_bin] = betas
-        mu = ((y / self._norms)[:, None] * (self._a * B)).sum(axis=0)
-        q = float(np.sum(_qp_terms(self._n, mu, self._nlogn)))
-        q += 2.0 * float(self._a_slots @ (betas - 1.0 - np.log(betas)))
-        return max(0.0, q)
+        mu = ((p[:K] / self._norms)[:, None] * (self._a * B)).sum(axis=0)
+        return _qp_terms(self._n, mu, self._nlogn), betas - 1.0 - np.log(betas)
 
     # --- diagnostics ----------------------------------------------------------
 
@@ -350,49 +362,27 @@ class CostFunction:
 
         The contributions sum to ``self(params)``.
         """
-        p = np.asarray(params, dtype=np.float64)
-        if p.shape != (self.nparams,):
-            raise ValueError(f"expected {self.nparams} parameters, got shape {p.shape}")
+        p = self._checked(params)
         K = self.model.ncomponents
         nbins = self.model.nbins
         contrib = np.zeros(nbins)
         if self.method is Method.EXACT:
+            terms, slot = self._exact(p)
+            np.add.at(terms, self._slot_bin, np.maximum(0.0, 2.0 * self._a_slots * slot))
+            contrib[self._active] = terms
             beta_full = np.full((nbins, K), np.nan)
-            B = np.ones_like(self._a)
-            B[self._slot_comp, self._slot_bin] = p[K:]
-            mu = ((p[:K] / self._norms)[:, None] * (self._a * B)).sum(axis=0)
-            terms = _qp_terms(self._n, mu, self._nlogn)
-            slot_terms = 2.0 * self._a_slots * (p[K:] - 1.0 - np.log(p[K:]))
-            per_bin = terms.copy()
-            np.add.at(per_bin, self._slot_bin, np.maximum(0.0, slot_terms))
-            contrib[self._active] = per_bin
-            rows = np.flatnonzero(self._active)[self._slot_bin]
-            beta_full[rows, self._slot_comp] = p[K:]
+            beta_full[self.exact_slots()] = p[K:]
             return BetaDiagnostics(beta=beta_full, contributions=contrib)
 
-        beta_full = np.full(nbins, np.nan)
-        y = p[:K]
-        if self.method is Method.APPROX:
-            mu0 = self._s * self._mu0(y) if self.weighted else self._mu0(y)
-            a = self._a_eff
-            beta = (self._n + a) / (mu0 + a)
-            terms = _qp_terms(self._n, beta * mu0, self._nlogn)
-            terms += np.maximum(0.0, 2.0 * a * (beta - 1.0 - np.log(beta)))
+        if self.method is Method.CONWAY:
+            live, beta, terms = self._conway(p)
+            if live is not None:
+                terms = np.where(live, terms, np.where(self._n > 0.0, np.inf, 0.0))
+                beta = np.where(live, beta, np.nan)
         else:
-            scale = y / self._norms
-            mu0_raw = (scale[:, None] * self._a).sum(axis=0)
-            live = mu0_raw > 0.0
-            vnum = ((scale * scale)[:, None] * self._v).sum(axis=0)
-            mu0g = np.where(live, mu0_raw, 1.0)
-            var = np.where(live, vnum / (mu0g * mu0g), 1.0)
-            mu0 = self._s * mu0_raw if self.weighted else mu0_raw
-            b = var * mu0 - 1.0
-            disc = np.sqrt(b * b + 4.0 * var * self._n)
-            beta = np.where(b > 0.0, 2.0 * var * self._n / (b + disc), 0.5 * (disc - b))
-            terms = _qp_terms(self._n, beta * mu0, self._nlogn) + (beta - 1.0) ** 2 / var
-            dead_obs = ~live & (self._n > 0.0)
-            terms = np.where(live, terms, np.where(dead_obs, np.inf, 0.0))
-            beta = np.where(live, beta, np.nan)
+            beta, terms, slot = self._approx(p)
+            terms = terms + np.maximum(0.0, 2.0 * self._a_eff * slot)
+        beta_full = np.full(nbins, np.nan)
         beta_full[self._active] = beta
         contrib[self._active] = terms
         return BetaDiagnostics(beta=beta_full, contributions=contrib)
@@ -409,32 +399,32 @@ def _validated_yields(model: TemplateModel, yields) -> np.ndarray:
     return y
 
 
-def q_approx(model: TemplateModel, yields) -> tuple[float, BetaDiagnostics]:
-    """Symmetric-approximation cost and per-bin diagnostics at the given yields."""
-    cost = CostFunction(Method.APPROX, model)
+def _profiled(
+    method: Method, model: TemplateModel, yields, weighted: bool = False
+) -> tuple[float, BetaDiagnostics]:
+    cost = CostFunction(method, model, weighted=weighted)
     y = _validated_yields(model, yields)
     return cost(y), cost.diagnostics(y)
+
+
+def q_approx(model: TemplateModel, yields) -> tuple[float, BetaDiagnostics]:
+    """Symmetric-approximation cost and per-bin diagnostics at the given yields."""
+    return _profiled(Method.APPROX, model, yields)
 
 
 def q_conway(model: TemplateModel, yields) -> tuple[float, BetaDiagnostics]:
     """Conway cost and per-bin diagnostics at the given yields."""
-    cost = CostFunction(Method.CONWAY, model)
-    y = _validated_yields(model, yields)
-    return cost(y), cost.diagnostics(y)
+    return _profiled(Method.CONWAY, model, yields)
 
 
 def q_approx_weighted(model: TemplateModel, yields) -> tuple[float, BetaDiagnostics]:
     """Weighted symmetric-approximation cost using effective counts."""
-    cost = CostFunction(Method.APPROX, model, weighted=True)
-    y = _validated_yields(model, yields)
-    return cost(y), cost.diagnostics(y)
+    return _profiled(Method.APPROX, model, yields, weighted=True)
 
 
 def q_conway_weighted(model: TemplateModel, yields) -> tuple[float, BetaDiagnostics]:
     """Weighted Conway cost using effective counts and weight-based variances."""
-    cost = CostFunction(Method.CONWAY, model, weighted=True)
-    y = _validated_yields(model, yields)
-    return cost(y), cost.diagnostics(y)
+    return _profiled(Method.CONWAY, model, yields, weighted=True)
 
 
 def q_exact(model: TemplateModel, yields, betas) -> float:

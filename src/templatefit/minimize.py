@@ -238,14 +238,12 @@ def minimize(
     if fx > best_f:
         x, fx = best_x, best_f
 
-    cov_full = _covariance(f, x)
     K = cost.model.ncomponents
-    if cov_full is None:
-        covariance = None
+    covariance = _covariance(f, x, fx, K)
+    if covariance is None:
         errors = None
         converged = False
     else:
-        covariance = np.ascontiguousarray(cov_full[:K, :K])
         errors = np.sqrt(np.diag(covariance))
     return FitResult(
         yields=x[:K].copy(),
@@ -267,12 +265,11 @@ def _initial_inverse_diag(f, x, f0, lower) -> np.ndarray:
     return np.where(good, 1.0 / np.where(good, d2, 1.0), 1.0)
 
 
-def _hessian(f, x: np.ndarray) -> np.ndarray:
+def _hessian(f, x: np.ndarray, f0: float) -> np.ndarray:
     n = x.size
     h = np.empty(n)
     for i in range(n):
         h[i] = _HESS_STEP * max(1.0, abs(x[i]))
-    f0 = f(x)
     H = np.empty((n, n))
     for i in range(n):
         xp = x.copy()
@@ -300,8 +297,12 @@ def _hessian(f, x: np.ndarray) -> np.ndarray:
     return H
 
 
-def _covariance(f, x: np.ndarray) -> np.ndarray | None:
-    H = _hessian(f, x)
+def _covariance(f, x: np.ndarray, f0: float, K: int) -> np.ndarray | None:
+    """Yield block of twice the inverse Hessian at ``x``, where ``f(x) == f0``.
+
+    ``None`` when the Hessian is not positive definite.
+    """
+    H = _hessian(f, x, f0)
     if not np.all(np.isfinite(H)):
         return None
     H = 0.5 * (H + H.T)  # symmetric by construction up to roundoff
@@ -310,7 +311,7 @@ def _covariance(f, x: np.ndarray) -> np.ndarray | None:
     except np.linalg.LinAlgError:
         return None
     cov = 2.0 * np.linalg.inv(H)
-    return 0.5 * (cov + cov.T)
+    return np.ascontiguousarray((0.5 * (cov + cov.T))[:K, :K])
 
 
 def hesse(cost: CostFunction, at) -> np.ndarray | None:
@@ -324,11 +325,7 @@ def hesse(cost: CostFunction, at) -> np.ndarray | None:
     x = np.asarray(at, dtype=np.float64)
     if x.shape != (cost.nparams,):
         raise ValueError(f"expected {cost.nparams} parameters, got shape {x.shape}")
-    cov = _covariance(cost, x)
-    if cov is None:
-        return None
-    K = cost.model.ncomponents
-    return np.ascontiguousarray(cov[:K, :K])
+    return _covariance(cost, x, cost(x), cost.model.ncomponents)
 
 
 def gof(result: FitResult) -> float:

@@ -100,7 +100,8 @@ def _fit_task(args) -> list[PullRecord]:
     for m in methods:
         try:
             result = fit(model, m)
-        except Exception:
+        except (ValueError, ArithmeticError):
+            # numeric failures (LinAlgError is a ValueError); anything else is a bug
             records.append(_failed(m, n_mc, toy_index))
             continue
         est = float(result.yields[0])

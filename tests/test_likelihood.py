@@ -7,6 +7,7 @@ the variance formula.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -286,6 +287,20 @@ class TestQConway:
         rng = np.random.default_rng(3)
         m = make_model(rng.poisson(20, 7), [rng.poisson(5, 7) + 1, rng.poisson(3, 7)])
         q, diag = q_conway(m, [50.0, 20.0])
+        assert q == pytest.approx(diag.contributions.sum(), rel=1e-13)
+
+    def test_empty_bin_root_without_fp_warning(self):
+        # bin 0 has no data and V*mu0 < 1: the root branch that is not
+        # selected there would divide 0/0
+        m = make_model([0, 5, 9], [[40, 2, 3]])
+        cost = CostFunction(Method.CONWAY, m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = cost([20.0])
+            diag = cost.diagnostics([20.0])
+        assert math.isfinite(q)
+        # with n = 0 the root is 1 - V*mu0, here V = 1/40 and mu0 = 20 * 40/45
+        assert diag.beta[0] == pytest.approx(1.0 - (20.0 * 40 / 45) / 40, rel=1e-12)
         assert q == pytest.approx(diag.contributions.sum(), rel=1e-13)
 
 

@@ -192,6 +192,27 @@ class TestHesse:
         res = minimize(cost)
         np.testing.assert_array_equal(res.covariance, res.covariance.T)
 
+    def test_fit_covariance_is_hesse_at_minimum(self):
+        # the fit reuses the cost at its minimum instead of evaluating it again
+        class _Recording(CostFunction):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.points = []
+
+            def __call__(self, params):
+                self.points.append(tuple(params))
+                return super().__call__(params)
+
+        cfg = tf.ToyConfig(seed=4)
+        model = tf.to_model(cfg, tf.draw(cfg, tf.rng_stream(4, 0)))
+        cost = _Recording(Method.APPROX, model)
+        res = minimize(cost)
+        assert res.n_evaluations == len(cost.points)
+        assert cost.points.count(tuple(res.yields)) == 1
+        cov = hesse(cost, res.yields)
+        np.testing.assert_array_equal(res.covariance, cov)
+        assert cov.flags.c_contiguous
+
     def test_not_positive_definite_returns_none(self):
         class _Saddle:
             nparams = 2

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import templatefit as tf
+import templatefit.study as study
 from templatefit import PullRecord, ToyConfig, bench, run_study, summarize
 from templatefit.study import RECORDS_HEADER, SUMMARY_HEADER, records_to_csv, stats_to_csv
 
@@ -66,6 +67,23 @@ class TestRunStudy:
         assert len(records) == 6
         assert all(not r.converged for r in records)
         assert all(math.isnan(r.pull) for r in records)
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug inside the fit")
+
+        monkeypatch.setattr(study, "fit", broken)
+        with pytest.raises(TypeError, match="bug inside the fit"):
+            run_study(ToyConfig(seed=3), [100], 1, ["approx"])
+
+    def test_numeric_errors_recorded_as_not_converged(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("cost is not finite at the start point")
+
+        monkeypatch.setattr(study, "fit", failing)
+        records = run_study(ToyConfig(seed=3), [100], 2, ["approx", "conway"])
+        assert len(records) == 4
+        assert all(not r.converged and math.isnan(r.pull) for r in records)
 
     def test_bad_inputs(self):
         cfg = ToyConfig(seed=1)
