@@ -63,6 +63,8 @@ __all__ = [
 # keeps log(xi) finite while allowing effectively-zero amplitudes
 BETA_FLOOR = 1e-10
 
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
 
 class Method(enum.Enum):
     """Cost function variants selectable by name."""
@@ -174,6 +176,13 @@ def _qp_terms(n: np.ndarray, mu: np.ndarray, nlogn: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, 2.0 * (mu - n - t + nlogn))
 
 
+def _dot(slot: np.ndarray, weights: np.ndarray):
+    # weights . slot along the last axis; one 1xS by S product per vector
+    # runs the same BLAS dot as ``weights @ slot``, a stacked (m, S) @ (S,)
+    # product does not (it differs in the last bits)
+    return (slot[..., None, :] @ weights)[..., 0]
+
+
 class CostFunction:
     """Maps a parameter vector to the chi-square-like statistic Q.
 
@@ -181,6 +190,10 @@ class CostFunction:
     factor per (bin, component) slot with nonzero template content is
     appended, ordered bin-major; slots without template content carry no
     parameter and their amplitude is fixed to zero.
+
+    Calling it with an ``(m, nparams)`` stack evaluates every row at once
+    and returns ``m`` values, each bit-identical to the call on that row
+    alone; finite-difference stencils use this to save per-call overhead.
 
     Evaluation mutates no state, so a single instance may be called
     concurrently from several workers.  Out-of-domain parameter vectors
@@ -248,6 +261,10 @@ class CostFunction:
             self.nparams = K + self._slot_bin.size
         else:
             self.nparams = K
+        # smallest value inside the domain per parameter: yields may be zero,
+        # amplitude factors must be positive
+        self._domain_lo = np.zeros(self.nparams)
+        self._domain_lo[K:] = np.nextafter(0.0, 1.0)
 
         for arr in (self._s, self._n, self._a_eff, self._nlogn):
             arr.flags.writeable = False
@@ -278,34 +295,60 @@ class CostFunction:
             raise ValueError(f"expected {self.nparams} parameters, got shape {p.shape}")
         return p
 
-    def __call__(self, params) -> float:
-        p = self._checked(params)
-        K = self.model.ncomponents
-        if not np.all(np.isfinite(p)) or np.any(p[:K] < 0.0):
+    def _outside(self, p: np.ndarray) -> np.ndarray:
+        """Which parameter vectors along the last axis lie outside the domain."""
+        # NaN fails both comparisons
+        return ~((p >= self._domain_lo) & (p <= _FLOAT_MAX)).all(axis=-1)
+
+    def __call__(self, params):
+        """Cost of one parameter vector, or of every row of an ``(m, nparams)`` stack.
+
+        A vector gives a ``float``; a stack gives ``m`` values, each equal bit
+        for bit to the cost of its row alone.
+        """
+        p = np.asarray(params, dtype=np.float64)
+        if p.ndim == 2 and p.shape[1] == self.nparams:
+            return self._stacked(p)
+        p = self._checked(p)
+        if self._outside(p):
             return math.inf
+        return max(0.0, float(self._total(p)))
+
+    def _stacked(self, p: np.ndarray) -> np.ndarray:
+        bad = self._outside(p)
+        any_bad = bad.any()
+        if any_bad:
+            # a row inside the domain stands in for the rejected ones, so the
+            # kernels raise no floating-point warnings on their behalf
+            p = np.where(bad[:, None], 1.0, p)
+        q = self._total(p)
+        # max(0.0, q) per row: NaN and -0.0 give +0.0 (SIMD np.fmax keeps -0.0)
+        q = np.where(q > 0.0, q, 0.0)
+        if any_bad:
+            q[bad] = math.inf
+        return q
+
+    def _total(self, p: np.ndarray):
+        """Unclipped cost of each parameter vector along the last axis of ``p``.
+
+        Every vector must lie inside the domain.
+        """
         if self.method is Method.EXACT:
-            if np.any(p[K:] <= 0.0):
-                return math.inf
             terms, slot = self._exact(p)
-            q = float(np.sum(terms))
-            q += 2.0 * float(self._a_slots @ slot)
-        elif self.method is Method.CONWAY:
+            return terms.sum(axis=-1) + 2.0 * _dot(slot, self._a_slots)
+        if self.method is Method.CONWAY:
             live, _, terms = self._conway(p)
             if live is None:
-                q = float(np.sum(terms))
-            elif np.any(self._n[~live] > 0.0):
-                # dead bins carry no factor; with observed content the model is impossible
-                return math.inf
-            else:
-                q = float(np.sum(np.where(live, terms, 0.0)))
-        else:
-            _, terms, slot = self._approx(p)
-            q = float(np.sum(terms))
-            q += 2.0 * float(self._a_eff @ slot)
-        return max(0.0, q)
+                return terms.sum(axis=-1)
+            q = np.where(live, terms, 0.0).sum(axis=-1)
+            # dead bins carry no factor; with observed content the model is impossible
+            return np.where((~live & (self._n > 0.0)).any(axis=-1), math.inf, q)
+        _, terms, slot = self._approx(p)
+        return terms.sum(axis=-1) + 2.0 * _dot(slot, self._a_eff)
 
     # --- per-bin kernels, one per method --------------------------------------
-    # each returns the per-bin factors and cost terms over the active bins;
+    # each returns the per-bin factors and cost terms over the active bins,
+    # for one parameter vector or, along leading axes, for a stack of them;
     # __call__ and diagnostics differ only in how they reduce them.
     # Component sums use multiply + reduce instead of a BLAS matvec: IEEE
     # addition is commutative, so relabeling components permutes operands
@@ -313,7 +356,7 @@ class CostFunction:
 
     def _approx(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Factor ``(n + a)/(mu0 + a)``, data terms, and ``beta - 1 - ln beta`` per bin."""
-        mu0 = ((y / self._norms)[:, None] * self._a).sum(axis=0)
+        mu0 = ((y / self._norms)[..., :, None] * self._a).sum(axis=-2)
         if self.weighted:
             mu0 = self._s * mu0
         a = self._a_eff
@@ -328,8 +371,8 @@ class CostFunction:
         finite; callers mask them out.
         """
         scale = y / self._norms
-        mu0_raw = (scale[:, None] * self._a).sum(axis=0)
-        vnum = ((scale * scale)[:, None] * self._v).sum(axis=0)
+        mu0_raw = (scale[..., :, None] * self._a).sum(axis=-2)
+        vnum = ((scale * scale)[..., :, None] * self._v).sum(axis=-2)
         live = mu0_raw > 0.0
         if np.all(live):
             live = None
@@ -349,10 +392,10 @@ class CostFunction:
     def _exact(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Data terms per active bin and ``beta - 1 - ln beta`` per amplitude slot."""
         K = self.model.ncomponents
-        betas = p[K:]
-        B = np.ones_like(self._a)
-        B[self._slot_comp, self._slot_bin] = betas
-        mu = ((p[:K] / self._norms)[:, None] * (self._a * B)).sum(axis=0)
+        betas = p[..., K:]
+        B = np.ones(p.shape[:-1] + self._a.shape)
+        B[..., self._slot_comp, self._slot_bin] = betas
+        mu = ((p[..., :K] / self._norms)[..., :, None] * (self._a * B)).sum(axis=-2)
         return _qp_terms(self._n, mu, self._nlogn), betas - 1.0 - np.log(betas)
 
     # --- diagnostics ----------------------------------------------------------
@@ -360,9 +403,17 @@ class CostFunction:
     def diagnostics(self, params) -> BetaDiagnostics:
         """Per-bin scale factors and cost contributions at ``params``.
 
-        The contributions sum to ``self(params)``.
+        The contributions sum to ``self(params)``.  Raises ``ValueError``
+        outside the domain (negative or non-finite entries, nonpositive
+        amplitude factors), where the cost is ``+inf`` and no per-bin
+        factor exists.
         """
         p = self._checked(params)
+        if self._outside(p):
+            raise ValueError(
+                "parameters outside the domain: yields must be finite and nonnegative, "
+                "amplitude factors finite and positive"
+            )
         K = self.model.ncomponents
         nbins = self.model.nbins
         contrib = np.zeros(nbins)

@@ -10,11 +10,24 @@ because the cost is minus twice a log-likelihood ratio); for the exact
 method the Hessian spans yields and amplitude factors and the yield block
 of the full inverse is returned, so the template uncertainty propagates
 into the yield errors.
+
+Each finite-difference stencil (gradient, initial curvature, covariance
+Hessian) collects its points first and evaluates them in stacked
+``cost(X)`` calls of at most 2^14 per-bin elements (rows x components x
+active bins).  The Hessian, with 2n^2 points, is built one such chunk at a
+time; the start value shares one stack with the first curvature and
+gradient stencils.  Every stacked value equals the single-point call bit
+for bit and every point counts as one evaluation, so fits, their
+evaluation counts and the ``max_calls`` budget are those of one call per
+point.  Callables that are not a :class:`CostFunction` (as ``hesse``
+accepts) are evaluated one point at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +44,10 @@ _HESS_STEP = _EPS ** (1.0 / 3.0)    # central-difference Hessian step scale
 DEFAULT_GTOL = 1e-4
 DEFAULT_FTOL = 1e-6
 DEFAULT_MAX_CALLS = 100_000
+
+# a stacked cost call holds at most this many per-bin elements (rows x
+# components x active bins), which bounds the size of its temporaries
+_STACK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -56,55 +73,99 @@ class FitResult:
 
 
 class _Counted:
-    """Call counter around a cost function, with a budget."""
+    """Call counter around a cost function, with a budget.
 
-    def __init__(self, fn, max_calls: int):
+    ``stack`` evaluates the rows of a stencil matrix: a
+    :class:`CostFunction` in stacked calls of at most ``rows`` rows, any
+    other callable one row at a time.  Each row counts as one evaluation.
+    """
+
+    def __init__(self, fn, max_calls: float = math.inf):
         self._fn = fn
         self.calls = 0
         self.max_calls = max_calls
+        self.rows = 1
+        if isinstance(fn, CostFunction):
+            per_row = fn.model.ncomponents * fn.nbins_active
+            self.rows = max(1, _STACK_ELEMENTS // max(1, per_row))
 
     def __call__(self, x: np.ndarray) -> float:
         self.calls += 1
         return self._fn(x)
+
+    def stack(self, X: np.ndarray) -> np.ndarray:
+        if self.rows == 1:
+            return np.array([self(x) for x in X])
+        self.calls += len(X)
+        return np.concatenate([self._fn(X[i : i + self.rows]) for i in range(0, len(X), self.rows)])
 
     @property
     def exhausted(self) -> bool:
         return self.calls >= self.max_calls
 
 
-def _gradient(f, x: np.ndarray, f0: float, lower: np.ndarray) -> np.ndarray:
-    """Central-difference gradient, one-sided where the bound is too close."""
-    g = np.empty(x.size)
+def _evaluate(f: _Counted, rows: list) -> Iterator[float]:
+    """Values at the stencil points ``rows``, in order."""
+    return iter(f.stack(np.array(rows)).tolist())
+
+
+def _gradient_rows(x: np.ndarray, lower: np.ndarray) -> tuple[list, list]:
+    """Points of the gradient stencil at ``x``, and the step and kind of each quotient."""
+    rows, steps = [], []
     for i in range(x.size):
         h = _GRAD_STEP * max(1.0, abs(x[i]))
         xp = x.copy()
         xp[i] = x[i] + h
         h = xp[i] - x[i]  # kill representation error in the step
-        if x[i] - h >= lower[i]:
+        rows.append(xp)
+        central = x[i] - h >= lower[i]
+        if central:
             xm = x.copy()
             xm[i] = x[i] - h
-            g[i] = (f(xp) - f(xm)) / (2.0 * h)
-        else:
-            g[i] = (f(xp) - f0) / h
+            rows.append(xm)
+        steps.append((h, central))
+    return rows, steps
+
+
+def _gradient_of(values: Iterator[float], steps: list, f0: float) -> np.ndarray:
+    """Central-difference gradient, one-sided where the bound is too close."""
+    g = np.empty(len(steps))
+    for i, (h, central) in enumerate(steps):
+        fp = next(values)
+        g[i] = (fp - next(values)) / (2.0 * h) if central else (fp - f0) / h
     return g
 
 
-def _curvature_diag(f, x: np.ndarray, f0: float, lower: np.ndarray) -> np.ndarray:
-    """Diagonal second derivatives for the initial quasi-Newton scaling."""
-    d = np.empty(x.size)
+def _gradient(f: _Counted, x: np.ndarray, f0: float, lower: np.ndarray) -> np.ndarray:
+    rows, steps = _gradient_rows(x, lower)
+    return _gradient_of(_evaluate(f, rows), steps, f0)
+
+
+def _curvature_rows(x: np.ndarray, lower: np.ndarray) -> tuple[list, list]:
+    """Points of the diagonal second-derivative stencil at ``x``, and their steps."""
+    rows, steps = [], []
     for i in range(x.size):
         h = _HESS_STEP * max(1.0, abs(x[i]))
         xp = x.copy()
         xp[i] = x[i] + h
         h = xp[i] - x[i]
-        if x[i] - h >= lower[i]:
-            xm = x.copy()
-            xm[i] = x[i] - h
-            d[i] = (f(xp) - 2.0 * f0 + f(xm)) / (h * h)
+        central = x[i] - h >= lower[i]
+        xo = x.copy()  # the other point: x - h, or x + 2h by the bound
+        xo[i] = x[i] - h if central else x[i] + 2.0 * h
+        rows += (xp, xo)
+        steps.append((h, central))
+    return rows, steps
+
+
+def _curvature_of(values: Iterator[float], steps: list, f0: float) -> np.ndarray:
+    """Diagonal second derivatives for the initial quasi-Newton scaling."""
+    d = np.empty(len(steps))
+    for i, (h, central) in enumerate(steps):
+        fp, fo = next(values), next(values)
+        if central:
+            d[i] = (fp - 2.0 * f0 + fo) / (h * h)
         else:
-            x2 = x.copy()
-            x2[i] = x[i] + 2.0 * h
-            d[i] = (f(x2) - 2.0 * f(xp) + f0) / (h * h)
+            d[i] = (fo - 2.0 * fp + f0) / (h * h)
     return d
 
 
@@ -163,13 +224,17 @@ def minimize(
         raise ValueError("start point must lie within the bounds")
 
     f = _Counted(cost, max_calls)
-    fx = f(x)
+    # the start value and the curvature and gradient stencils, in one stack
+    curvature_rows, curvature_steps = _curvature_rows(x, lower)
+    gradient_rows, gradient_steps = _gradient_rows(x, lower)
+    values = _evaluate(f, [x, *curvature_rows, *gradient_rows])
+    fx = next(values)
     if not math.isfinite(fx):
         raise ValueError("cost is not finite at the start point")
 
-    hinv0 = _initial_inverse_diag(f, x, fx, lower)
+    hinv0 = _initial_inverse_diag(_curvature_of(values, curvature_steps, fx))
     hinv = np.diag(hinv0)
-    g = _gradient(f, x, fx, lower)
+    g = _gradient_of(values, gradient_steps, fx)
     best_x, best_f = x.copy(), fx
     df = None
     restarted = False
@@ -257,28 +322,32 @@ def minimize(
     )
 
 
-def _initial_inverse_diag(f, x, f0, lower) -> np.ndarray:
+def _initial_inverse_diag(d2: np.ndarray) -> np.ndarray:
     # diagonal inverse-curvature scaling; yields and amplitude factors live
     # on very different scales, so a unit matrix would stall the first steps
-    d2 = _curvature_diag(f, x, f0, lower)
     good = np.isfinite(d2) & (d2 > 0.0)
     return np.where(good, 1.0 / np.where(good, d2, 1.0), 1.0)
 
 
-def _hessian(f, x: np.ndarray, f0: float) -> np.ndarray:
+def _hessian(f: _Counted, x: np.ndarray, f0: float) -> np.ndarray:
     n = x.size
     h = np.empty(n)
     for i in range(n):
         h[i] = _HESS_STEP * max(1.0, abs(x[i]))
     H = np.empty((n, n))
-    for i in range(n):
-        xp = x.copy()
-        xp[i] += h[i]
-        xm = x.copy()
-        xm[i] -= h[i]
-        H[i, i] = (f(xp) - 2.0 * f0 + f(xm)) / (h[i] * h[i])
-    for i in range(n):
-        for j in range(i + 1, n):
+    # two points per diagonal entry, four corners per pair i < j; the rows
+    # are built one chunk of entries at a time
+    entries = itertools.chain(((i, i) for i in range(n)), itertools.combinations(range(n), 2))
+    while chunk := list(itertools.islice(entries, max(1, f.rows // 4))):
+        rows = []
+        for i, j in chunk:
+            if i == j:
+                xp = x.copy()
+                xp[i] += h[i]
+                xm = x.copy()
+                xm[i] -= h[i]
+                rows += (xp, xm)
+                continue
             xpp = x.copy()
             xpp[i] += h[i]
             xpp[j] += h[j]
@@ -291,13 +360,18 @@ def _hessian(f, x: np.ndarray, f0: float) -> np.ndarray:
             xmm = x.copy()
             xmm[i] -= h[i]
             xmm[j] -= h[j]
-            H[i, j] = H[j, i] = (f(xpp) - f(xpm) - f(xmp) + f(xmm)) / (
-                4.0 * h[i] * h[j]
-            )
+            rows += (xpp, xpm, xmp, xmm)
+        values = _evaluate(f, rows)
+        for i, j in chunk:
+            if i == j:
+                H[i, i] = (next(values) - 2.0 * f0 + next(values)) / (h[i] * h[i])
+                continue
+            fpp, fpm, fmp, fmm = next(values), next(values), next(values), next(values)
+            H[i, j] = H[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
     return H
 
 
-def _covariance(f, x: np.ndarray, f0: float, K: int) -> np.ndarray | None:
+def _covariance(f: _Counted, x: np.ndarray, f0: float, K: int) -> np.ndarray | None:
     """Yield block of twice the inverse Hessian at ``x``, where ``f(x) == f0``.
 
     ``None`` when the Hessian is not positive definite.
@@ -325,7 +399,8 @@ def hesse(cost: CostFunction, at) -> np.ndarray | None:
     x = np.asarray(at, dtype=np.float64)
     if x.shape != (cost.nparams,):
         raise ValueError(f"expected {cost.nparams} parameters, got shape {x.shape}")
-    return _covariance(cost, x, cost(x), cost.model.ncomponents)
+    f = _Counted(cost)
+    return _covariance(f, x, f(x), cost.model.ncomponents)
 
 
 def gof(result: FitResult) -> float:

@@ -392,6 +392,25 @@ class TestCostFunctionStructure:
         bad = np.array([10.0, 1.0, 0.0])
         assert ce(bad) == math.inf
 
+    @pytest.mark.parametrize("method", ["approx", "conway"])
+    def test_diagnostics_reject_points_outside_the_domain(self, method):
+        m = make_model([4, 9, 13], [[2, 8, 5], [6, 1, 9]])
+        cost = CostFunction(method, m)
+        for params in ([-3.0, 20.0], [np.nan, 20.0], [20.0, np.inf]):
+            assert cost(np.array(params)) == math.inf
+            with pytest.raises(ValueError, match="domain"):
+                cost.diagnostics(params)
+
+    def test_exact_diagnostics_reject_nonpositive_betas(self):
+        m = make_model([4, 9, 13], [[2, 8, 5], [6, 1, 9]])
+        cost = CostFunction(Method.EXACT, m)
+        for beta in (0.0, -0.5):
+            params = np.concatenate([[10.0, 20.0], np.ones(6)])
+            params[4] = beta
+            assert cost(params) == math.inf
+            with pytest.raises(ValueError, match="domain"):
+                cost.diagnostics(params)
+
     def test_shape_mismatch_raises(self):
         m = make_model([1, 2], [[1, 1]])
         cost = CostFunction(Method.APPROX, m)

@@ -200,7 +200,9 @@ class TestHesse:
                 self.points = []
 
             def __call__(self, params):
-                self.points.append(tuple(params))
+                # a stencil stacks its points into one call; record each row
+                rows = np.atleast_2d(params)
+                self.points.extend(tuple(row) for row in rows)
                 return super().__call__(params)
 
         cfg = tf.ToyConfig(seed=4)
