@@ -15,8 +15,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .histogram import model_from_dict
-from .likelihood import CostFunction, Method
-from .minimize import gof, minimize
+from .likelihood import Method
+from .minimize import fit, gof
 from .study import bench, records_to_csv, run_study, stats_to_csv, summarize
 from .toys import ToyConfig, draw, rng_stream, to_model
 
@@ -86,6 +86,8 @@ def _parse_methods(raw: str) -> list[str]:
     for n in names:
         if n not in _METHOD_NAMES:
             raise _CliError(f"unknown method {n!r}; choose from {', '.join(_METHOD_NAMES)}")
+    if len(set(names)) != len(names):
+        raise _CliError(f"duplicate methods in {raw!r}")
     return names
 
 
@@ -121,8 +123,7 @@ def _cmd_fit(args) -> int:
             "method 'exact' does not support weighted input (sumw2 differs from sumw)"
         )
     try:
-        cost = CostFunction(args.method, model, weighted=weighted)
-        result = minimize(cost)
+        result = fit(model, args.method, weighted=weighted)
     except ValueError as exc:
         raise _CliError(str(exc)) from None
     p_value = None
@@ -150,18 +151,12 @@ def _cmd_fit(args) -> int:
     return 0 if result.converged else 2
 
 
-def _toy_config(args) -> ToyConfig:
-    if args.input:
-        try:
-            config = ToyConfig.from_dict(_load_json(args.input))
-        except (ValueError, TypeError) as exc:
-            raise _CliError(f"bad toy config: {exc}") from None
-    else:
-        config = ToyConfig()
-    overrides = {"seed": args.seed}
-    if getattr(args, "bins", None) is not None:
-        overrides["nbins"] = args.bins
-    return replace(config, **overrides)
+def _toy_config(obj: dict, **overrides) -> ToyConfig:
+    """Toy config from its JSON object form, with flag values overriding it."""
+    try:
+        return replace(ToyConfig.from_dict(obj), **overrides)
+    except (ValueError, TypeError) as exc:
+        raise _CliError(f"bad toy config: {exc}") from None
 
 
 def _cmd_toy_study(args) -> int:
@@ -171,7 +166,10 @@ def _cmd_toy_study(args) -> int:
         raise _CliError("--n-toys must be at least 1")
     if args.jobs < 1:
         raise _CliError("--jobs must be at least 1")
-    config = _toy_config(args)
+    overrides = {"seed": args.seed}
+    if args.bins is not None:
+        overrides["nbins"] = args.bins
+    config = _toy_config(_load_json(args.input) if args.input else {}, **overrides)
     records = run_study(config, grid, args.n_toys, methods, jobs=args.jobs)
     stats = summarize(records)
 
@@ -194,7 +192,7 @@ def _cmd_bench(args) -> int:
     methods = _parse_methods(args.methods)
     if args.repetitions < 3:
         raise _CliError("--repetitions must be at least 3")
-    config = ToyConfig(nbins=args.bins, n_mc=args.n_mc, seed=args.seed)
+    config = _toy_config({}, nbins=args.bins, n_mc=args.n_mc, seed=args.seed)
     toy = draw(config, rng_stream(config.seed, 0))
     try:
         model = to_model(config, toy)

@@ -12,15 +12,14 @@ of the full inverse is returned, so the template uncertainty propagates
 into the yield errors.
 
 Each finite-difference stencil (gradient, initial curvature, covariance
-Hessian) collects its points first and evaluates them in stacked
-``cost(X)`` calls of at most 2^14 per-bin elements (rows x components x
-active bins).  The Hessian, with 2n^2 points, is built one such chunk at a
-time; the start value shares one stack with the first curvature and
-gradient stencils.  Every stacked value equals the single-point call bit
-for bit and every point counts as one evaluation, so fits, their
-evaluation counts and the ``max_calls`` budget are those of one call per
-point.  Callables that are not a :class:`CostFunction` (as ``hesse``
-accepts) are evaluated one point at a time.
+Hessian) is evaluated through one lazy evaluator that pulls its points in
+stacked ``cost(X)`` calls of at most 2^14 per-bin elements (rows x
+components x active bins).  The Hessian's 2n^2 points are generated as
+they are pulled, so its memory stays bounded by one such chunk; the start
+value shares one stack with the first curvature and gradient stencils.
+Every stacked value equals the single-point call bit for bit and every
+point counts as one evaluation, so fits, their evaluation counts and the
+``max_calls`` budget are those of one call per point.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ _GRAD_STEP = math.sqrt(_EPS)        # central-difference gradient step scale
 _HESS_STEP = _EPS ** (1.0 / 3.0)    # central-difference Hessian step scale
 
 DEFAULT_GTOL = 1e-4
-DEFAULT_FTOL = 1e-6
 DEFAULT_MAX_CALLS = 100_000
+_FTOL = 1e-6  # convergence threshold on the cost decrease between iterations
 
 # a stacked cost call holds at most this many per-bin elements (rows x
 # components x active bins), which bounds the size of its temporaries
@@ -75,38 +74,33 @@ class FitResult:
 class _Counted:
     """Call counter around a cost function, with a budget.
 
-    ``stack`` evaluates the rows of a stencil matrix: a
-    :class:`CostFunction` in stacked calls of at most ``rows`` rows, any
-    other callable one row at a time.  Each row counts as one evaluation.
+    ``values`` evaluates a stream of stencil points in stacked calls of at
+    most ``rows`` points; each point counts as one evaluation.
     """
 
-    def __init__(self, fn, max_calls: float = math.inf):
-        self._fn = fn
+    def __init__(self, cost: CostFunction, max_calls: float = math.inf):
+        self._cost = cost
         self.calls = 0
         self.max_calls = max_calls
-        self.rows = 1
-        if isinstance(fn, CostFunction):
-            per_row = fn.model.ncomponents * fn.nbins_active
-            self.rows = max(1, _STACK_ELEMENTS // max(1, per_row))
+        self.rows = max(1, _STACK_ELEMENTS // max(1, cost.model.ncomponents * cost.nbins_active))
 
     def __call__(self, x: np.ndarray) -> float:
         self.calls += 1
-        return self._fn(x)
+        return self._cost(x)
 
-    def stack(self, X: np.ndarray) -> np.ndarray:
-        if self.rows == 1:
-            return np.array([self(x) for x in X])
-        self.calls += len(X)
-        return np.concatenate([self._fn(X[i : i + self.rows]) for i in range(0, len(X), self.rows)])
+    def values(self, points) -> Iterator[float]:
+        """Values at ``points``, in order, drawing at most ``rows`` points per call."""
+        points = iter(points)
+        while chunk := list(itertools.islice(points, self.rows)):
+            if len(chunk) == 1:  # the vector call is cheaper than a one-row stack
+                yield self(chunk[0])
+                continue
+            self.calls += len(chunk)
+            yield from self._cost(np.array(chunk)).tolist()
 
     @property
     def exhausted(self) -> bool:
         return self.calls >= self.max_calls
-
-
-def _evaluate(f: _Counted, rows: list) -> Iterator[float]:
-    """Values at the stencil points ``rows``, in order."""
-    return iter(f.stack(np.array(rows)).tolist())
 
 
 def _gradient_rows(x: np.ndarray, lower: np.ndarray) -> tuple[list, list]:
@@ -138,7 +132,7 @@ def _gradient_of(values: Iterator[float], steps: list, f0: float) -> np.ndarray:
 
 def _gradient(f: _Counted, x: np.ndarray, f0: float, lower: np.ndarray) -> np.ndarray:
     rows, steps = _gradient_rows(x, lower)
-    return _gradient_of(_evaluate(f, rows), steps, f0)
+    return _gradient_of(f.values(rows), steps, f0)
 
 
 def _curvature_rows(x: np.ndarray, lower: np.ndarray) -> tuple[list, list]:
@@ -191,13 +185,11 @@ def default_start(cost: CostFunction) -> np.ndarray:
 def minimize(
     cost: CostFunction,
     start=None,
-    bounds=None,
     *,
     gtol: float = DEFAULT_GTOL,
-    ftol: float = DEFAULT_FTOL,
     max_calls: int = DEFAULT_MAX_CALLS,
 ) -> FitResult:
-    """Minimize a cost function over its bounded parameter space.
+    """Minimize a cost function over its parameter space, bounded below by its ``lower_bounds``.
 
     Parameters
     ----------
@@ -205,21 +197,17 @@ def minimize(
         The objective; must be finite at the start point.
     start : array_like, optional
         Start vector, defaults to :func:`default_start`.
-    bounds : array_like, optional
-        Per-parameter lower bounds, defaults to ``cost.lower_bounds``.
     gtol : float
-        Convergence threshold on the projected-gradient sup norm.
-    ftol : float
-        Convergence threshold on the cost decrease between iterations;
-        both thresholds must hold simultaneously.
+        Convergence threshold on the projected-gradient sup norm; the cost
+        decrease between iterations must also fall below 1e-6.
     max_calls : int
         Evaluation budget; when exhausted the best point seen so far is
         returned with ``converged=False``.
     """
     x = np.array(default_start(cost) if start is None else start, dtype=np.float64)
-    lower = np.array(cost.lower_bounds if bounds is None else bounds, dtype=np.float64)
-    if x.shape != (cost.nparams,) or lower.shape != (cost.nparams,):
-        raise ValueError(f"start and bounds must have {cost.nparams} entries")
+    lower = cost.lower_bounds
+    if x.shape != (cost.nparams,):
+        raise ValueError(f"start must have {cost.nparams} entries")
     if np.any(x < lower):
         raise ValueError("start point must lie within the bounds")
 
@@ -227,7 +215,7 @@ def minimize(
     # the start value and the curvature and gradient stencils, in one stack
     curvature_rows, curvature_steps = _curvature_rows(x, lower)
     gradient_rows, gradient_steps = _gradient_rows(x, lower)
-    values = _evaluate(f, [x, *curvature_rows, *gradient_rows])
+    values = f.values([x, *curvature_rows, *gradient_rows])
     fx = next(values)
     if not math.isfinite(fx):
         raise ValueError("cost is not finite at the start point")
@@ -242,7 +230,7 @@ def minimize(
 
     while not f.exhausted:
         pg = _pg_norm(x, g, lower)
-        if pg < gtol and (df is None or df < ftol):
+        if pg < gtol and (df is None or df < _FTOL):
             converged = True
             break
 
@@ -331,43 +319,31 @@ def _initial_inverse_diag(d2: np.ndarray) -> np.ndarray:
 
 def _hessian(f: _Counted, x: np.ndarray, f0: float) -> np.ndarray:
     n = x.size
-    h = np.empty(n)
-    for i in range(n):
-        h[i] = _HESS_STEP * max(1.0, abs(x[i]))
+    h = [_HESS_STEP * max(1.0, abs(xi)) for xi in x.tolist()]
+    signs = [(hi, -hi) for hi in h]  # xs[i] += -h equals xs[i] -= h bit for bit
+
+    def points():
+        # two points per diagonal entry, then four corners per pair i < j
+        for i in range(n):
+            for hi in signs[i]:
+                xs = x.copy()
+                xs[i] += hi
+                yield xs
+        for i, j in itertools.combinations(range(n), 2):
+            for hi in signs[i]:
+                for hj in signs[j]:
+                    xs = x.copy()
+                    xs[i] += hi
+                    xs[j] += hj
+                    yield xs
+
+    values = f.values(points())
     H = np.empty((n, n))
-    # two points per diagonal entry, four corners per pair i < j; the rows
-    # are built one chunk of entries at a time
-    entries = itertools.chain(((i, i) for i in range(n)), itertools.combinations(range(n), 2))
-    while chunk := list(itertools.islice(entries, max(1, f.rows // 4))):
-        rows = []
-        for i, j in chunk:
-            if i == j:
-                xp = x.copy()
-                xp[i] += h[i]
-                xm = x.copy()
-                xm[i] -= h[i]
-                rows += (xp, xm)
-                continue
-            xpp = x.copy()
-            xpp[i] += h[i]
-            xpp[j] += h[j]
-            xpm = x.copy()
-            xpm[i] += h[i]
-            xpm[j] -= h[j]
-            xmp = x.copy()
-            xmp[i] -= h[i]
-            xmp[j] += h[j]
-            xmm = x.copy()
-            xmm[i] -= h[i]
-            xmm[j] -= h[j]
-            rows += (xpp, xpm, xmp, xmm)
-        values = _evaluate(f, rows)
-        for i, j in chunk:
-            if i == j:
-                H[i, i] = (next(values) - 2.0 * f0 + next(values)) / (h[i] * h[i])
-                continue
-            fpp, fpm, fmp, fmm = next(values), next(values), next(values), next(values)
-            H[i, j] = H[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
+    for i in range(n):
+        H[i, i] = (next(values) - 2.0 * f0 + next(values)) / (h[i] * h[i])
+    for i, j in itertools.combinations(range(n), 2):
+        fpp, fpm, fmp, fmm = next(values), next(values), next(values), next(values)
+        H[i, j] = H[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
     return H
 
 
@@ -419,11 +395,7 @@ def fit(
     method: Method | str = Method.APPROX,
     *,
     weighted: bool = False,
-    start=None,
     gtol: float = DEFAULT_GTOL,
-    ftol: float = DEFAULT_FTOL,
-    max_calls: int = DEFAULT_MAX_CALLS,
 ) -> FitResult:
-    """One-call template fit: build the cost function and minimize it."""
-    cost = CostFunction(method, model, weighted=weighted)
-    return minimize(cost, start=start, gtol=gtol, ftol=ftol, max_calls=max_calls)
+    """One-call template fit: build the cost function and minimize it from the default start."""
+    return minimize(CostFunction(method, model, weighted=weighted), gtol=gtol)

@@ -202,23 +202,23 @@ def bench(
 ) -> dict[str, float]:
     """Median wall-clock seconds of one full fit (minimize plus covariance) per method.
 
-    All methods are timed on the identical model; warm-up fits are
-    discarded before timing.
+    All methods are timed on the identical model.  After ``warmup``
+    discarded rounds, each of the ``repetitions`` rounds times one fit per
+    method, so a slow phase of the host hits every method alike.
     """
     if repetitions < 3:
         raise ValueError(f"need at least 3 repetitions, got {repetitions}")
     methods = _normalize_methods(methods)
-    out = {}
-    for m in methods:
-        for _ in range(warmup):
+    for _ in range(warmup):
+        for m in methods:
             fit(model, m)
-        times = []
-        for _ in range(repetitions):
+    times = {m: [] for m in methods}
+    for _ in range(repetitions):
+        for m in methods:
             t0 = time.perf_counter()
             fit(model, m)
-            times.append(time.perf_counter() - t0)
-        out[m] = float(np.median(times))
-    return out
+            times[m].append(time.perf_counter() - t0)
+    return {m: float(np.median(t)) for m, t in times.items()}
 
 
 def _fmt(x: float) -> str:
@@ -226,42 +226,27 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _fmt(value)
+    return str(value)
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text of ``rows``, one column per attribute named in ``header``."""
+    names = header.split(",")
+    lines = [header]
+    lines += (",".join(_cell(getattr(row, name)) for name in names) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def records_to_csv(records) -> str:
     """Records CSV (text) with the canonical header and row order preserved."""
-    lines = [RECORDS_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                (
-                    r.method,
-                    str(r.n_mc),
-                    str(r.toy_index),
-                    _fmt(r.signal_estimate),
-                    _fmt(r.signal_error),
-                    _fmt(r.pull),
-                    _fmt(r.qmin),
-                    "true" if r.converged else "false",
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(RECORDS_HEADER, records)
 
 
 def stats_to_csv(stats) -> str:
     """Summary CSV (text), one row per (method, n_mc) group."""
-    lines = [SUMMARY_HEADER]
-    for s in stats:
-        lines.append(
-            ",".join(
-                (
-                    s.method,
-                    str(s.n_mc),
-                    str(s.n_converged),
-                    _fmt(s.mean_z),
-                    _fmt(s.sem_mean),
-                    _fmt(s.std_z),
-                    _fmt(s.sem_std),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(SUMMARY_HEADER, stats)

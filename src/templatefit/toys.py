@@ -18,7 +18,7 @@ backing library's own distribution samplers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -70,33 +70,12 @@ class ToyConfig:
 
     def to_dict(self) -> dict:
         """JSON-ready plain dict (field names as attribute names)."""
-        return {
-            "signal_yield": self.signal_yield,
-            "background_yield": self.background_yield,
-            "signal_mean": self.signal_mean,
-            "signal_sigma": self.signal_sigma,
-            "background_slope": self.background_slope,
-            "range": list(self.range),
-            "nbins": self.nbins,
-            "n_mc": self.n_mc,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "range": list(self.range)}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ToyConfig":
         """Build from the JSON object form; unknown keys are rejected."""
-        known = {
-            "signal_yield",
-            "background_yield",
-            "signal_mean",
-            "signal_sigma",
-            "background_slope",
-            "range",
-            "nbins",
-            "n_mc",
-            "seed",
-        }
-        extra = set(obj) - known
+        extra = set(obj) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown toy config fields: {sorted(extra)}")
         kwargs = dict(obj)

@@ -2,8 +2,8 @@
 
 The heavy toy ensembles are shared between criteria through module-scoped
 fixtures.  Run with ``pytest tests/test_acceptance.py -v -s`` to see the
-per-criterion lines as they complete; the full suite takes a few minutes
-on one core.
+per-criterion lines as they complete; the full suite (``pytest``) takes
+about 85 s on one core of a shared 2-vCPU x86-64 VM.
 """
 
 import time

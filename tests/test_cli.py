@@ -308,6 +308,21 @@ class TestBench:
         assert main(["bench", "--methods", "approx"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--seed", "1", "--bins", "0"],
+        ["bench", "--seed", "1", "--n-mc", "-3"],
+        ["toy-study", "--seed", "1", "--bins", "0", "--output", "x.csv"],
+        ["toy-study", "--seed", "1", "--methods", "approx,approx", "--output", "x.csv"],
+    ],
+)
+def test_bad_toy_input_is_a_one_line_error(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "templatefit", "--help"],

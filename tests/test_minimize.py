@@ -166,16 +166,11 @@ class TestDefaultStart:
 
 class TestHesse:
     def test_quadratic_cost(self):
-        class _Quad:
-            nparams = 1
-
-            class model:
-                ncomponents = 1
-
+        class _Quad(CostFunction):
             def __call__(self, x):
-                return (x[0] - 3.0) ** 2 / 7.0
+                return (np.asarray(x)[..., 0] - 3.0) ** 2 / 7.0
 
-        cov = hesse(_Quad(), np.array([3.0]))
+        cov = hesse(_Quad(Method.APPROX, make_model([5], [[5]])), np.array([3.0]))
         assert cov[0, 0] == pytest.approx(7.0, rel=1e-6)
 
     def test_pure_poisson_single_bin_variance(self):
@@ -216,16 +211,13 @@ class TestHesse:
         assert cov.flags.c_contiguous
 
     def test_not_positive_definite_returns_none(self):
-        class _Saddle:
-            nparams = 2
-
-            class model:
-                ncomponents = 2
-
+        class _Saddle(CostFunction):
             def __call__(self, x):
-                return x[0] ** 2 - x[1] ** 2
+                x = np.asarray(x)
+                return x[..., 0] ** 2 - x[..., 1] ** 2
 
-        assert hesse(_Saddle(), np.zeros(2)) is None
+        saddle = _Saddle(Method.APPROX, make_model([5, 5], [[5, 0], [0, 5]]))
+        assert hesse(saddle, np.zeros(2)) is None
 
     def test_exact_variance_close_to_approx_at_large_templates(self):
         cfg = tf.ToyConfig(seed=5, n_mc=10000)

@@ -100,12 +100,32 @@ def test_multi_chunk_stack_matches_single_calls(method, weighted):
     X = _rows(cost, 3 * f.rows + 5, seed=11)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        chunked = f.stack(X)
+        chunked = list(f.values(X))
         whole = cost(X)
         single = [cost(x) for x in X]
     assert f.calls == len(X)
     assert _hex(chunked) == _hex(single)
     assert _hex(whole) == _hex(single)
+
+
+def test_values_draw_at_most_one_chunk_ahead():
+    cost = _cost("approx", False)
+    f = _Counted(cost)
+    X = _rows(cost, 2 * f.rows + 1, seed=5)
+    drawn = []
+
+    def points():
+        for x in X:
+            drawn.append(x)
+            yield x
+
+    values = f.values(points())
+    assert drawn == [] and f.calls == 0
+    first = next(values)
+    assert len(drawn) == f.rows and f.calls == f.rows
+    rest = list(values)
+    assert len(drawn) == len(X) and f.calls == len(X)
+    assert _hex([first, *rest]) == _hex(cost(x) for x in X)
 
 
 @pytest.mark.parametrize("method,weighted", COSTS)

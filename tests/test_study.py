@@ -1,5 +1,6 @@
 """Ensemble runner: record bookkeeping, pull statistics, CSV determinism, timing."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -159,6 +160,10 @@ class TestCsv:
         assert ",nan," in line
         assert line.endswith("false")
 
+    def test_headers_are_the_field_names(self):
+        assert RECORDS_HEADER.split(",") == [f.name for f in dataclasses.fields(PullRecord)]
+        assert SUMMARY_HEADER.split(",") == [f.name for f in dataclasses.fields(study.PullStats)]
+
     def test_summary_format(self):
         recs = [synth_record(idx=i, pull=float(i)) for i in range(3)]
         text = stats_to_csv(summarize(recs))
@@ -174,6 +179,12 @@ class TestBench:
         times = bench(model, ["approx", "conway"], repetitions=3, warmup=1)
         assert set(times) == {"approx", "conway"}
         assert all(t > 0 for t in times.values())
+
+    def test_methods_timed_round_robin(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(study, "fit", lambda model, m: calls.append(m))
+        bench(None, ["approx", "conway"], repetitions=3, warmup=1)
+        assert calls == ["approx", "conway"] * 4
 
     def test_repetitions_validated(self):
         cfg = ToyConfig(seed=12, nbins=5)

@@ -1,5 +1,6 @@
 """Toy generation: shape integrals, sampler exactness, stream independence."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -42,6 +43,11 @@ class TestToyConfig:
     def test_dict_round_trip(self):
         cfg = ToyConfig(signal_yield=99.0, nbins=7, seed=11)
         assert ToyConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_dict_keys_in_field_order(self):
+        obj = ToyConfig().to_dict()
+        assert list(obj) == [f.name for f in dataclasses.fields(ToyConfig)]
+        assert obj["range"] == [0.0, 2.0]
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
