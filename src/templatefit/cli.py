@@ -141,6 +141,7 @@ def _cmd_fit(args) -> int:
         "ndof": int(result.ndof),
         "p_value": p_value,
         "converged": bool(result.converged),
+        "status": result.status,
         "n_evaluations": int(result.n_evaluations),
     }
     text = json.dumps(payload, indent=2) + "\n"

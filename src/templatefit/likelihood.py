@@ -195,6 +195,10 @@ class CostFunction:
     and returns ``m`` values, each bit-identical to the call on that row
     alone; finite-difference stencils use this to save per-call overhead.
 
+    For ``approx`` and ``conway``, whose per-bin factors are profiled in
+    closed form, :meth:`value_and_gradient` and :meth:`hessian` give the
+    exact derivatives in the yields from the same per-bin kernels.
+
     Evaluation mutates no state, so a single instance may be called
     concurrently from several workers.  Out-of-domain parameter vectors
     (negative yields, nonpositive amplitude factors, non-finite entries)
@@ -261,6 +265,9 @@ class CostFunction:
             self.nparams = K + self._slot_bin.size
         else:
             self.nparams = K
+            # dm/dy_k per bin, and d(sum_k v_k (y_k/M_k)^2)/dy_k / (2 y_k)
+            self._c = self._a / self._norms[:, None]
+            self._d = self._v / (self._norms * self._norms)[:, None]
         # smallest value inside the domain per parameter: yields may be zero,
         # amplitude factors must be positive
         self._domain_lo = np.zeros(self.nparams)
@@ -300,6 +307,19 @@ class CostFunction:
         # NaN fails both comparisons
         return ~((p >= self._domain_lo) & (p <= _FLOAT_MAX)).all(axis=-1)
 
+    def validate(self, params) -> np.ndarray:
+        """``params`` as a float vector; ``ValueError`` for another shape or outside the domain.
+
+        The one domain check of ``diagnostics``, the derivatives and ``hesse``.
+        """
+        p = self._checked(params)
+        if self._outside(p):
+            raise ValueError(
+                "parameters outside the domain: yields must be finite and nonnegative, "
+                "amplitude factors finite and positive"
+            )
+        return p
+
     def __call__(self, params):
         """Cost of one parameter vector, or of every row of an ``(m, nparams)`` stack.
 
@@ -337,35 +357,48 @@ class CostFunction:
             terms, slot = self._exact(p)
             return terms.sum(axis=-1) + 2.0 * _dot(slot, self._a_slots)
         if self.method is Method.CONWAY:
-            live, _, terms = self._conway(p)
-            if live is None:
-                return terms.sum(axis=-1)
-            q = np.where(live, terms, 0.0).sum(axis=-1)
-            # dead bins carry no factor; with observed content the model is impossible
-            return np.where((~live & (self._n > 0.0)).any(axis=-1), math.inf, q)
-        _, terms, slot = self._approx(p)
+            live, _, terms, _, _ = self._conway(p)
+            return self._conway_total(live, terms)
+        _, terms, slot, _ = self._approx(p)
+        return self._approx_total(terms, slot)
+
+    def _approx_total(self, terms: np.ndarray, slot: np.ndarray):
         return terms.sum(axis=-1) + 2.0 * _dot(slot, self._a_eff)
+
+    def _conway_total(self, live: np.ndarray | None, terms: np.ndarray):
+        if live is None:
+            return terms.sum(axis=-1)
+        q = np.where(live, terms, 0.0).sum(axis=-1)
+        # dead bins carry no factor; with observed content the model is impossible
+        return np.where((~live & (self._n > 0.0)).any(axis=-1), math.inf, q)
 
     # --- per-bin kernels, one per method --------------------------------------
     # each returns the per-bin factors and cost terms over the active bins,
     # for one parameter vector or, along leading axes, for a stack of them;
-    # __call__ and diagnostics differ only in how they reduce them.
+    # __call__, diagnostics and the derivatives differ only in how they
+    # reduce them.
     # Component sums use multiply + reduce instead of a BLAS matvec: IEEE
     # addition is commutative, so relabeling components permutes operands
     # without changing any bit of the result (exact for two components)
 
-    def _approx(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Factor ``(n + a)/(mu0 + a)``, data terms, and ``beta - 1 - ln beta`` per bin."""
-        mu0 = ((y / self._norms)[..., :, None] * self._a).sum(axis=-2)
-        if self.weighted:
-            mu0 = self._s * mu0
+    def _approx(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Factor ``(n + a)/(mu0 + a)``, data terms, ``beta - 1 - ln beta`` and ``m`` per bin.
+
+        ``m = sum_k y_k a_k / M_k`` is the expectation before the effective-count
+        scale ``s`` (``mu0 = s m``).
+        """
+        m = ((y / self._norms)[..., :, None] * self._a).sum(axis=-2)
+        mu0 = self._s * m if self.weighted else m
         a = self._a_eff
         beta = (self._n + a) / (mu0 + a)
         terms = _qp_terms(self._n, beta * mu0, self._nlogn)
-        return beta, terms, beta - 1.0 - np.log(beta)
+        return beta, terms, beta - 1.0 - np.log(beta), m
 
-    def _conway(self, y: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-        """Live-bin mask (``None`` when all bins are live), factor, data + penalty terms.
+    def _conway(
+        self, y: np.ndarray
+    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Live-bin mask (``None`` when all bins are live), factor, data + penalty terms,
+        ``m`` as in :meth:`_approx`, and the factor variance ``V`` per bin.
 
         Dead bins, without expectation, get variance 1 so their entries stay
         finite; callers mask them out.
@@ -387,7 +420,7 @@ class CostFunction:
         pos = b > 0.0
         beta = np.where(pos, 2.0 * var * self._n / np.where(pos, b + disc, 1.0), 0.5 * (disc - b))
         terms = _qp_terms(self._n, beta * mu0, self._nlogn) + (beta - 1.0) ** 2 / var
-        return live, beta, terms
+        return live, beta, terms, mu0_raw, var
 
     def _exact(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Data terms per active bin and ``beta - 1 - ln beta`` per amplitude slot."""
@@ -397,6 +430,91 @@ class CostFunction:
         B[..., self._slot_comp, self._slot_bin] = betas
         mu = ((p[..., :K] / self._norms)[..., :, None] * (self._a * B)).sum(axis=-2)
         return _qp_terms(self._n, mu, self._nlogn), betas - 1.0 - np.log(betas)
+
+    # --- closed-form derivatives of the profiled costs -------------------------
+    # Per bin, the cost L(y, beta) is minimal in the profiled beta, so the
+    # gradient is dL/dy at fixed beta (envelope theorem) and the profiled
+    # Hessian is L_yy - L_yb L_yb^T / L_bb.  With c_k = a_k/M_k, m = c.y and
+    # mu0 = s m, both methods share the data part dL/dm = 2 beta s - 2 n/m.
+    # Conway's penalty is (beta - 1)^2 P with P = 1/V = m^2/w and
+    # w = sum_k d_k y_k^2, d_k = v_k/M_k^2.
+
+    def _profile(self, params):
+        """One kernel pass for the derivatives: point, value, live mask, factor, m, V.
+
+        ``m`` is 1 where it vanishes: a finite value has ``n = 0`` there, so
+        ``n/m`` reads 0 and the bin is either dead (Conway, masked by the
+        caller) or has the smooth limit ``beta = 1`` (approx).
+        """
+        if self.method is Method.EXACT:
+            raise ValueError("the exact method has no closed-form derivatives")
+        y = self.validate(params)
+        if self.method is Method.CONWAY:
+            live, beta, terms, m, var = self._conway(y)
+            q = self._conway_total(live, terms)
+        else:
+            beta, terms, slot, m = self._approx(y)
+            live = var = None
+            q = self._approx_total(terms, slot)
+        return y, max(0.0, float(q)), live, beta, np.where(m > 0.0, m, 1.0), var
+
+    def value_and_gradient(self, params) -> tuple[float, np.ndarray]:
+        """Cost and its gradient in the yields, from one kernel pass.
+
+        The value equals ``self(params)`` bit for bit.  The gradient is NaN
+        where the value is infinite.  ``approx`` and ``conway`` only; raises
+        ``ValueError`` for ``exact`` and outside the domain.
+        """
+        y, value, live, beta, m, var = self._profile(params)
+        if value == math.inf:
+            return value, np.full(y.size, np.nan)
+        dm = 2.0 * beta * self._s - 2.0 * self._n / m
+        if self.method is Method.APPROX:
+            return value, self._c @ dm
+        t = beta - 1.0
+        r = t * t / (var * m)  # (beta-1)^2 P/m
+        dm = dm + 2.0 * r
+        dw = r / (var * m)  # (beta-1)^2 P/w
+        if live is not None:  # dead bins contribute nothing
+            dm = np.where(live, dm, 0.0)
+            dw = np.where(live, dw, 0.0)
+        return value, self._c @ dm - 2.0 * y * (self._d @ dw)
+
+    def hessian(self, params) -> np.ndarray:
+        """K x K Hessian of the profiled cost in the yields.
+
+        NaN where the cost is infinite.  ``approx`` and ``conway`` only;
+        raises ``ValueError`` for ``exact`` and outside the domain.
+        """
+        y, value, live, beta, m, var = self._profile(params)
+        if value == math.inf:
+            return np.full((y.size, y.size), np.nan)
+        c, n, s = self._c, self._n, self._s
+        if self.method is Method.APPROX:
+            # dbeta/dmu0 = -beta/(mu0 + a)
+            h = 2.0 * n / (m * m) - 2.0 * s * s * beta / (s * m + self._a_eff)
+            return (c * h) @ c.T
+        # Conway, with iw = 1/w = P/m^2 and the gradient of w, g = 2 d y:
+        # L_yy = (2n/m^2) c c^T + (beta-1)^2 grad^2 P
+        # L_yb = u c + v g,  u = 2s + 4(beta-1) P/m,  v = -2(beta-1) P/w
+        # L_bb = 2n/beta^2 + 2P; a factor held at 0 (n = 0) is not profiled
+        t = beta - 1.0
+        tt = t * t
+        P = 1.0 / var
+        iw = P / (m * m)
+        u = 2.0 * s + 4.0 * t * P / m
+        v = -2.0 * t * P * iw
+        free = beta > 0.0
+        bf = np.where(free, beta, 1.0)
+        inv_lbb = np.where(free, 1.0 / (2.0 * n / (bf * bf) + 2.0 * P), 0.0)
+        A = 2.0 * n / (m * m) + 2.0 * tt * iw - u * u * inv_lbb
+        B = -2.0 * tt * iw * P / m - u * v * inv_lbb
+        E = 2.0 * tt * P * iw * iw - v * v * inv_lbb
+        F = -2.0 * tt * P * iw
+        if live is not None:  # dead bins contribute nothing
+            A, B, E, F = (np.where(live, z, 0.0) for z in (A, B, E, F))
+        g = 2.0 * y[:, None] * self._d
+        return (c * A + g * B) @ c.T + (c * B + g * E) @ g.T + np.diag(self._d @ F)
 
     # --- diagnostics ----------------------------------------------------------
 
@@ -408,12 +526,7 @@ class CostFunction:
         amplitude factors), where the cost is ``+inf`` and no per-bin
         factor exists.
         """
-        p = self._checked(params)
-        if self._outside(p):
-            raise ValueError(
-                "parameters outside the domain: yields must be finite and nonnegative, "
-                "amplitude factors finite and positive"
-            )
+        p = self.validate(params)
         K = self.model.ncomponents
         nbins = self.model.nbins
         contrib = np.zeros(nbins)
@@ -426,12 +539,12 @@ class CostFunction:
             return BetaDiagnostics(beta=beta_full, contributions=contrib)
 
         if self.method is Method.CONWAY:
-            live, beta, terms = self._conway(p)
+            live, beta, terms, _, _ = self._conway(p)
             if live is not None:
                 terms = np.where(live, terms, np.where(self._n > 0.0, np.inf, 0.0))
                 beta = np.where(live, beta, np.nan)
         else:
-            beta, terms, slot = self._approx(p)
+            beta, terms, slot, _ = self._approx(p)
             terms = terms + np.maximum(0.0, 2.0 * self._a_eff * slot)
         beta_full = np.full(nbins, np.nan)
         beta_full[self._active] = beta

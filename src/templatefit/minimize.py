@@ -1,25 +1,35 @@
 """Bounded quasi-Newton minimization, Hessian covariance, and goodness of fit.
 
-The minimizer is a BFGS-class method with central finite-difference
-gradients, a projection onto the per-parameter lower bounds, and a single
-restart from a perturbed point when the line search stalls.  All the cost
-functions of this package are smooth in their parameters, so no
-derivative-free fallback is needed.  The covariance is twice the inverse
-of the central finite-difference Hessian at the minimum (the factor two
-because the cost is minus twice a log-likelihood ratio); for the exact
-method the Hessian spans yields and amplitude factors and the yield block
-of the full inverse is returned, so the template uncertainty propagates
-into the yield errors.
+The minimizer is a BFGS-class method with a projection onto the
+per-parameter lower bounds and a single restart from a perturbed point
+when the line search stalls.  All the cost functions of this package are
+smooth in their parameters, so no derivative-free fallback is needed.
+The covariance is twice the inverse of the Hessian at the minimum (the
+factor two because the cost is minus twice a log-likelihood ratio).  A
+minimum with a parameter on its lower bound has no covariance.
 
-Each finite-difference stencil (gradient, initial curvature, covariance
-Hessian) is evaluated through one lazy evaluator that pulls its points in
-stacked ``cost(X)`` calls of at most 2^14 per-bin elements (rows x
-components x active bins).  The Hessian's 2n^2 points are generated as
-they are pulled, so its memory stays bounded by one such chunk; the start
-value shares one stack with the first curvature and gradient stencils.
-Every stacked value equals the single-point call bit for bit and every
-point counts as one evaluation, so fits, their evaluation counts and the
-``max_calls`` budget are those of one call per point.
+Derivatives come from the cost itself where it has them in closed form.
+``approx`` and ``conway`` profile their per-bin factors analytically, so
+``CostFunction.value_and_gradient`` gives the value and the exact gradient
+in one kernel pass and ``CostFunction.hessian`` the exact K x K Hessian:
+every line-search trial is one such pass, whose gradient is kept when the
+trial is accepted, the initial inverse-curvature scaling is the inverse
+diagonal of the Hessian at the start, and each pass or Hessian counts as
+one evaluation.
+
+``exact`` fits its amplitude factors numerically and uses central
+finite differences: gradients, the initial diagonal curvature and the
+covariance Hessian, which spans yields and amplitude factors; the yield
+block of its full inverse is returned, so the template uncertainty
+propagates into the yield errors.  Each stencil is evaluated through one
+lazy evaluator that pulls its points in stacked ``cost(X)`` calls of at
+most 2^14 per-bin elements (rows x components x active bins).  The
+Hessian's 2n^2 points are generated as they are pulled, so its memory
+stays bounded by one such chunk; the start value shares one stack with the
+first curvature and gradient stencils.  Every stacked value equals the
+single-point call bit for bit and every point counts as one evaluation.
+
+Every fit reports why it stopped in ``FitResult.status``.
 """
 
 from __future__ import annotations
@@ -53,12 +63,17 @@ _STACK_ELEMENTS = 2**14
 class FitResult:
     """Outcome of one minimization.
 
-    ``yield_errors`` and ``covariance`` are ``None`` when the Hessian at
-    the minimum is not positive definite; such fits are reported as not
-    converged.  ``ndof`` counts the bins entering the cost minus the
-    number of yields.  ``betas`` holds the per-bin scale factors at the
-    minimum (profiled for the approximate methods, fitted for the exact
-    one).
+    ``status`` says why the fit stopped: ``converged``; ``on_bound`` when
+    the minimizer converged with a parameter on its lower bound;
+    ``hessian_not_pd`` when it converged but the Hessian there is not
+    positive definite; ``stalled`` when the line search failed after the
+    restart; ``budget`` when the evaluation budget ran out.  ``converged``
+    is true for status ``converged`` only.  ``yield_errors`` and
+    ``covariance`` are ``None`` on a bound and where the Hessian is not
+    positive definite.  ``ndof`` counts the bins entering the cost minus
+    the number of yields.  ``betas`` holds the per-bin scale factors at
+    the minimum (profiled for the approximate methods, fitted for the
+    exact one).
     """
 
     yields: np.ndarray
@@ -66,22 +81,30 @@ class FitResult:
     covariance: np.ndarray | None
     qmin: float
     ndof: int
-    converged: bool
+    status: str
     n_evaluations: int
     betas: BetaDiagnostics
 
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
+
 
 class _Counted:
-    """Call counter around a cost function, with a budget.
+    """Evaluation counter around a cost function, with a budget.
 
+    Costs with closed-form derivatives (``approx``, ``conway``) give the
+    value and gradient in one pass and their Hessian in another, each
+    counting as one evaluation.  ``exact`` uses finite-difference stencils:
     ``values`` evaluates a stream of stencil points in stacked calls of at
-    most ``rows`` points; each point counts as one evaluation.
+    most ``rows`` points, and each point counts as one evaluation.
     """
 
     def __init__(self, cost: CostFunction, max_calls: float = math.inf):
         self._cost = cost
         self.calls = 0
         self.max_calls = max_calls
+        self.closed_form = cost.method is not Method.EXACT
         self.rows = max(1, _STACK_ELEMENTS // max(1, cost.model.ncomponents * cost.nbins_active))
 
     def __call__(self, x: np.ndarray) -> float:
@@ -97,6 +120,39 @@ class _Counted:
                 continue
             self.calls += len(chunk)
             yield from self._cost(np.array(chunk)).tolist()
+
+    def start(self, x: np.ndarray, lower: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """Value, gradient and diagonal second derivatives at the start point."""
+        if self.closed_form:
+            fx, g = self.trial(x)
+            return fx, g, np.diag(self.hessian(x, fx))
+        # the start value and the curvature and gradient stencils, in one stack
+        curvature_rows, curvature_steps = _curvature_rows(x, lower)
+        gradient_rows, gradient_steps = _gradient_rows(x, lower)
+        values = self.values([x, *curvature_rows, *gradient_rows])
+        fx = next(values)
+        d2 = _curvature_of(values, curvature_steps, fx)
+        return fx, _gradient_of(values, gradient_steps, fx), d2
+
+    def trial(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
+        """Value at ``x`` and, for a closed-form cost, its gradient from the same pass.
+
+        The gradient is ``None`` for ``exact``: callers take the stencil
+        gradient once they accept the point.
+        """
+        if not self.closed_form:
+            return self(x), None
+        self.calls += 1
+        if not np.isfinite(x).all():  # a diverged step, outside the domain
+            return math.inf, np.full(x.size, math.nan)
+        return self._cost.value_and_gradient(x)
+
+    def hessian(self, x: np.ndarray, fx: float | None) -> np.ndarray:
+        """Hessian at ``x``, where the cost is ``fx`` (evaluated here when ``None``)."""
+        if not self.closed_form:
+            return _hessian(self, x, self(x) if fx is None else fx)
+        self.calls += 1
+        return self._cost.hessian(x)
 
     @property
     def exhausted(self) -> bool:
@@ -163,10 +219,14 @@ def _curvature_of(values: Iterator[float], steps: list, f0: float) -> np.ndarray
     return d
 
 
+def _at_bound(x: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Which parameters sit on their lower bound."""
+    return (x - lower) <= 1e-9 * np.maximum(1.0, np.abs(x))
+
+
 def _pg_norm(x: np.ndarray, g: np.ndarray, lower: np.ndarray) -> float:
     """Sup norm of the gradient with components pointing into active bounds removed."""
-    at_bound = (x - lower) <= 1e-9 * np.maximum(1.0, np.abs(x))
-    pg = np.where(at_bound & (g > 0.0), 0.0, g)
+    pg = np.where(_at_bound(x, lower) & (g > 0.0), 0.0, g)
     return float(np.max(np.abs(pg))) if pg.size else 0.0
 
 
@@ -198,40 +258,40 @@ def minimize(
     start : array_like, optional
         Start vector, defaults to :func:`default_start`.
     gtol : float
-        Convergence threshold on the projected-gradient sup norm; the cost
-        decrease between iterations must also fall below 1e-6.
+        Convergence threshold on the projected-gradient sup norm, positive;
+        the cost decrease between iterations must also fall below 1e-6.
     max_calls : int
-        Evaluation budget; when exhausted the best point seen so far is
-        returned with ``converged=False``.
+        Evaluation budget, at least 1; when exhausted the best point seen
+        so far is returned with status ``budget``.
     """
     x = np.array(default_start(cost) if start is None else start, dtype=np.float64)
     lower = cost.lower_bounds
     if x.shape != (cost.nparams,):
         raise ValueError(f"start must have {cost.nparams} entries")
+    if not np.isfinite(x).all():
+        raise ValueError("start point must be finite")
     if np.any(x < lower):
         raise ValueError("start point must lie within the bounds")
+    if not gtol > 0.0:
+        raise ValueError(f"gtol must be positive, got {gtol}")
+    if not max_calls >= 1:
+        raise ValueError(f"max_calls must be at least 1, got {max_calls}")
 
     f = _Counted(cost, max_calls)
-    # the start value and the curvature and gradient stencils, in one stack
-    curvature_rows, curvature_steps = _curvature_rows(x, lower)
-    gradient_rows, gradient_steps = _gradient_rows(x, lower)
-    values = f.values([x, *curvature_rows, *gradient_rows])
-    fx = next(values)
+    fx, g, d2 = f.start(x, lower)
     if not math.isfinite(fx):
         raise ValueError("cost is not finite at the start point")
-
-    hinv0 = _initial_inverse_diag(_curvature_of(values, curvature_steps, fx))
+    hinv0 = _initial_inverse_diag(d2)
     hinv = np.diag(hinv0)
-    g = _gradient_of(values, gradient_steps, fx)
     best_x, best_f = x.copy(), fx
     df = None
     restarted = False
-    converged = False
+    status = "budget"
 
     while not f.exhausted:
         pg = _pg_norm(x, g, lower)
         if pg < gtol and (df is None or df < _FTOL):
-            converged = True
+            status = "converged"
             break
 
         p = -(hinv @ g)
@@ -242,36 +302,39 @@ def minimize(
         accepted = False
         alpha = 1.0
         xt = x
-        ft = fx
+        ft, gt = fx, None
         for _ in range(50):
             xt = np.maximum(x + alpha * p, lower)
             dx = xt - x
             if not np.any(dx):
                 break
             gdx = float(g @ dx)
-            ft = f(xt)
+            ft, gt = f.trial(xt)
             if gdx < 0.0 and ft <= fx + 1e-4 * gdx:
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
             if pg < gtol:
-                converged = True
+                status = "converged"
                 break
             if not restarted:
                 # one restart from a deterministic nearby point
                 restarted = True
                 x = np.maximum(x + 1e-3 * np.maximum(1.0, np.abs(x)), lower)
-                fx = f(x)
-                g = _gradient(f, x, fx, lower)
+                fx, g = f.trial(x)
+                if g is None:
+                    g = _gradient(f, x, fx, lower)
                 hinv = np.diag(hinv0)
                 df = None
                 if fx < best_f:
                     best_x, best_f = x.copy(), fx
                 continue
+            status = "stalled"
             break
 
-        gt = _gradient(f, xt, ft, lower)
+        if gt is None:
+            gt = _gradient(f, xt, ft, lower)
         s = xt - x
         yv = gt - g
         sy = float(s @ yv)
@@ -292,19 +355,19 @@ def minimize(
         x, fx = best_x, best_f
 
     K = cost.model.ncomponents
-    covariance = _covariance(f, x, fx, K)
-    if covariance is None:
-        errors = None
-        converged = False
-    else:
-        errors = np.sqrt(np.diag(covariance))
+    on_bound = bool(_at_bound(x, lower).any())
+    covariance = None if on_bound else _covariance(f, x, fx, K)
+    if status == "converged" and on_bound:
+        status = "on_bound"
+    elif status == "converged" and covariance is None:
+        status = "hessian_not_pd"
     return FitResult(
         yields=x[:K].copy(),
-        yield_errors=errors,
+        yield_errors=None if covariance is None else np.sqrt(np.diag(covariance)),
         covariance=covariance,
         qmin=fx,
         ndof=cost.ndof,
-        converged=converged,
+        status=status,
         n_evaluations=f.calls,
         betas=cost.diagnostics(x),
     )
@@ -347,12 +410,12 @@ def _hessian(f: _Counted, x: np.ndarray, f0: float) -> np.ndarray:
     return H
 
 
-def _covariance(f: _Counted, x: np.ndarray, f0: float, K: int) -> np.ndarray | None:
-    """Yield block of twice the inverse Hessian at ``x``, where ``f(x) == f0``.
+def _covariance(f: _Counted, x: np.ndarray, f0: float | None, K: int) -> np.ndarray | None:
+    """Yield block of twice the inverse Hessian at ``x``, where ``f(x) == f0`` if given.
 
     ``None`` when the Hessian is not positive definite.
     """
-    H = _hessian(f, x, f0)
+    H = f.hessian(x, f0)
     if not np.all(np.isfinite(H)):
         return None
     H = 0.5 * (H + H.T)  # symmetric by construction up to roundoff
@@ -365,18 +428,19 @@ def _covariance(f: _Counted, x: np.ndarray, f0: float, K: int) -> np.ndarray | N
 
 
 def hesse(cost: CostFunction, at) -> np.ndarray | None:
-    """Yield covariance from the central finite-difference Hessian at ``at``.
+    """Yield covariance from the Hessian at ``at``: twice its inverse.
 
-    Returns twice the inverse Hessian; for the exact method the full
-    parameter Hessian is inverted and the yield block returned, which
-    profiles the amplitude-factor uncertainty into the yield covariance.
-    Returns ``None`` when the Hessian is not positive definite.
+    The Hessian is exact for ``approx`` and ``conway`` and a central
+    finite-difference one for ``exact``, where the full parameter Hessian
+    is inverted and the yield block returned, which profiles the
+    amplitude-factor uncertainty into the yield covariance.  Returns
+    ``None`` when a parameter sits on its lower bound or the Hessian is
+    not positive definite; raises ``ValueError`` outside the domain.
     """
-    x = np.asarray(at, dtype=np.float64)
-    if x.shape != (cost.nparams,):
-        raise ValueError(f"expected {cost.nparams} parameters, got shape {x.shape}")
-    f = _Counted(cost)
-    return _covariance(f, x, f(x), cost.model.ncomponents)
+    x = cost.validate(at)
+    if _at_bound(x, cost.lower_bounds).any():
+        return None
+    return _covariance(_Counted(cost), x, None, cost.model.ncomponents)
 
 
 def gof(result: FitResult) -> float:

@@ -32,7 +32,7 @@ class TestFit:
         out = capsys.readouterr()
         assert code == 0
         payload = json.loads(out.out)
-        assert payload["converged"]
+        assert payload["converged"] and payload["status"] == "converged"
         assert payload["qmin"] == pytest.approx(0.0, abs=1e-9)
         assert payload["p_value"] == pytest.approx(1.0, abs=1e-9)
         assert payload["yields"][0] == pytest.approx(100.0, rel=1e-9)
@@ -54,6 +54,7 @@ class TestFit:
             "ndof",
             "p_value",
             "converged",
+            "status",
             "n_evaluations",
         }
 
@@ -138,6 +139,7 @@ class TestFit:
         assert code == 2
         payload = json.loads(out.out)
         assert not payload["converged"]
+        assert payload["status"] == "on_bound"
         assert payload["errors"] is None
 
     def test_refit_reproduces_qmin(self, tmp_path, capsys):

@@ -105,9 +105,85 @@ class TestMinimize:
         m = make_model([40, 10, 20], [[10, 30, 20], [5, 5, 5]])
         cost = CostFunction(Method.APPROX, m)
         res = minimize(cost, max_calls=12)
-        assert not res.converged
+        assert not res.converged and res.status == "budget"
         assert math.isfinite(res.qmin)
         assert res.n_evaluations >= 12
+
+    @pytest.mark.parametrize("method", ["approx", "exact"])
+    def test_nonfinite_start_rejected_before_any_evaluation(self, method):
+        class _Counting(CostFunction):
+            calls = 0
+
+            def __call__(self, params):
+                self.calls += 1
+                return super().__call__(params)
+
+            def value_and_gradient(self, params):
+                self.calls += 1
+                return super().value_and_gradient(params)
+
+        cost = _Counting(method, make_model([40, 10], [[10, 30], [5, 5]]))
+        for bad in (math.inf, math.nan):
+            start = default_start(cost)
+            start[0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                minimize(cost, start=start)
+        assert cost.calls == 0
+
+    @pytest.mark.parametrize("gtol", [0.0, -1.0, math.nan])
+    def test_nonpositive_gtol_rejected(self, gtol):
+        cost = CostFunction(Method.APPROX, make_model([40, 10], [[10, 30]]))
+        with pytest.raises(ValueError, match="gtol"):
+            minimize(cost, gtol=gtol)
+
+    @pytest.mark.parametrize("max_calls", [0, -3])
+    def test_budget_below_one_rejected(self, max_calls):
+        cost = CostFunction(Method.APPROX, make_model([40, 10], [[10, 30]]))
+        with pytest.raises(ValueError, match="max_calls"):
+            minimize(cost, max_calls=max_calls)
+
+    @pytest.mark.parametrize("method", ["approx", "conway"])
+    def test_minimum_on_a_bound_has_no_covariance(self, method):
+        if method == "approx":
+            # the second component is absent from the data
+            model = make_model([200, 0], [[50, 0], [0, 50]])
+        else:
+            # a small-template toy whose Conway signal yield pins at zero
+            cfg = tf.ToyConfig(seed=101_000_000, n_mc=50)
+            model = tf.to_model(cfg, tf.draw(cfg, tf.rng_stream(cfg.seed, 2)))
+        cost = CostFunction(method, model)
+        res = minimize(cost)
+        assert 0.0 in res.yields
+        assert res.status == "on_bound" and not res.converged
+        assert res.covariance is None and res.yield_errors is None
+        assert hesse(cost, res.yields) is None
+        if method == "conway":
+            # the Hessian there is positive definite: the bound alone voids the covariance
+            assert np.all(np.linalg.eigvalsh(cost.hessian(res.yields)) > 0.0)
+
+    def test_indefinite_hessian_at_the_minimum(self):
+        class _Indefinite(CostFunction):
+            def hessian(self, params):
+                return -super().hessian(params)
+
+        cfg = tf.ToyConfig(seed=4)
+        model = tf.to_model(cfg, tf.draw(cfg, tf.rng_stream(4, 0)))
+        res = minimize(_Indefinite(Method.APPROX, model))
+        assert res.status == "hessian_not_pd" and not res.converged
+        assert res.covariance is None and math.isfinite(res.qmin)
+
+    def test_tight_tolerance_converges_wherever_the_default_does(self):
+        # closed-form gradients carry no finite-difference noise floor
+        cfg = tf.ToyConfig(seed=7, n_mc=50)
+        loose = tight = 0
+        for i in range(300):
+            model = tf.to_model(cfg, tf.draw(cfg, tf.rng_stream(7, i)))
+            a = fit(model, "approx")
+            b = fit(model, "approx", gtol=1e-8)
+            assert b.converged or not a.converged, i
+            loose += a.converged
+            tight += b.converged
+        assert loose == tight == 300
 
     def test_infinite_start_rejected(self):
         m = make_model([40, 10], [[10, 30]])
@@ -166,11 +242,26 @@ class TestDefaultStart:
 
 class TestHesse:
     def test_quadratic_cost(self):
+        # hesse returns twice the inverse of the cost's Hessian
+        self._check_quadratic("approx")
+
+    def test_quadratic_cost_finite_difference(self):
+        # the same through the stencil Hessian of exact, whose amplitude
+        # factor enters the double as (x1 - 1)^2
+        self._check_quadratic("exact")
+
+    @staticmethod
+    def _check_quadratic(method):
         class _Quad(CostFunction):
             def __call__(self, x):
-                return (np.asarray(x)[..., 0] - 3.0) ** 2 / 7.0
+                x = np.asarray(x)
+                return (x[..., 0] - 3.0) ** 2 / 7.0 + ((x[..., 1:] - 1.0) ** 2).sum(axis=-1)
 
-        cov = hesse(_Quad(Method.APPROX, make_model([5], [[5]])), np.array([3.0]))
+            def hessian(self, x):
+                return np.array([[2.0 / 7.0]])
+
+        quad = _Quad(method, make_model([5], [[5]]))
+        cov = hesse(quad, np.concatenate([[3.0], np.ones(quad.nparams - 1)]))
         assert cov[0, 0] == pytest.approx(7.0, rel=1e-6)
 
     def test_pure_poisson_single_bin_variance(self):
@@ -188,36 +279,81 @@ class TestHesse:
         np.testing.assert_array_equal(res.covariance, res.covariance.T)
 
     def test_fit_covariance_is_hesse_at_minimum(self):
-        # the fit reuses the cost at its minimum instead of evaluating it again
+        self._check_covariance_is_hesse_at_minimum("approx")
+
+    def test_exact_fit_covariance_is_hesse_at_minimum(self):
+        self._check_covariance_is_hesse_at_minimum("exact")
+
+    @staticmethod
+    def _check_covariance_is_hesse_at_minimum(method):
+        # the fit reuses the cost at its minimum instead of evaluating it
+        # again, and counts every cost, gradient and Hessian pass
         class _Recording(CostFunction):
             def __init__(self, *args):
                 super().__init__(*args)
-                self.points = []
+                self.points = []  # (kind, point) of every evaluation
 
             def __call__(self, params):
                 # a stencil stacks its points into one call; record each row
                 rows = np.atleast_2d(params)
-                self.points.extend(tuple(row) for row in rows)
+                self.points.extend(("value", tuple(row)) for row in rows)
                 return super().__call__(params)
+
+            def value_and_gradient(self, params):
+                self.points.append(("value", tuple(params)))
+                return super().value_and_gradient(params)
+
+            def hessian(self, params):
+                self.points.append(("hessian", tuple(params)))
+                return super().hessian(params)
 
         cfg = tf.ToyConfig(seed=4)
         model = tf.to_model(cfg, tf.draw(cfg, tf.rng_stream(4, 0)))
-        cost = _Recording(Method.APPROX, model)
+        cost = _Recording(method, model)
         res = minimize(cost)
+        assert res.converged
         assert res.n_evaluations == len(cost.points)
-        assert cost.points.count(tuple(res.yields)) == 1
-        cov = hesse(cost, res.yields)
+        at = tuple(res.yields)
+        if method == "exact":  # with the amplitude factors at the minimum
+            bins, comps = cost.exact_slots()
+            at += tuple(res.betas.beta[bins, comps])
+        assert cost.points.count(("value", at)) == 1
+        cov = hesse(cost, at)
         np.testing.assert_array_equal(res.covariance, cov)
         assert cov.flags.c_contiguous
 
     def test_not_positive_definite_returns_none(self):
+        # an interior saddle point, away from the bounds
+        self._check_saddle("approx")
+
+    def test_not_positive_definite_finite_difference(self):
+        self._check_saddle("exact")
+
+    @staticmethod
+    def _check_saddle(method):
         class _Saddle(CostFunction):
             def __call__(self, x):
                 x = np.asarray(x)
-                return x[..., 0] ** 2 - x[..., 1] ** 2
+                return (
+                    (x[..., 0] - 1.0) ** 2
+                    - (x[..., 1] - 1.0) ** 2
+                    + ((x[..., 2:] - 1.0) ** 2).sum(axis=-1)
+                )
 
-        saddle = _Saddle(Method.APPROX, make_model([5, 5], [[5, 0], [0, 5]]))
-        assert hesse(saddle, np.zeros(2)) is None
+            def hessian(self, x):
+                return np.diag([2.0, -2.0])
+
+        saddle = _Saddle(method, make_model([5, 5], [[5, 0], [0, 5]]))
+        assert hesse(saddle, np.ones(saddle.nparams)) is None
+
+    @pytest.mark.parametrize("method", ["approx", "conway", "exact"])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_outside_the_domain_raises(self, method, bad):
+        cost = CostFunction(method, make_model([40, 10, 20], [[10, 30, 20], [5, 5, 5]]))
+        at = default_start(cost)
+        at[0] = bad
+        with pytest.raises(ValueError, match="domain"):
+            hesse(cost, at)
 
     def test_exact_variance_close_to_approx_at_large_templates(self):
         cfg = tf.ToyConfig(seed=5, n_mc=10000)
@@ -260,7 +396,7 @@ class TestGof:
             covariance=np.eye(1),
             qmin=13.0,
             ndof=13,
-            converged=True,
+            status="converged",
             n_evaluations=1,
             betas=tf.BetaDiagnostics(beta=np.ones(1), contributions=np.zeros(1)),
         )
@@ -271,7 +407,7 @@ class TestGof:
             yields=np.array([1.0]),
             yield_errors=np.array([1.0]),
             covariance=np.eye(1),
-            converged=True,
+            status="converged",
             n_evaluations=1,
             betas=tf.BetaDiagnostics(beta=np.ones(1), contributions=np.zeros(1)),
         )
@@ -282,7 +418,7 @@ class TestGof:
             yields=np.array([1.0]),
             yield_errors=np.array([1.0]),
             covariance=np.eye(1),
-            converged=True,
+            status="converged",
             n_evaluations=1,
             betas=tf.BetaDiagnostics(beta=np.ones(1), contributions=np.zeros(1)),
         )
