@@ -195,9 +195,11 @@ class CostFunction:
     and returns ``m`` values, each bit-identical to the call on that row
     alone; finite-difference stencils use this to save per-call overhead.
 
-    For ``approx`` and ``conway``, whose per-bin factors are profiled in
-    closed form, :meth:`value_and_gradient` and :meth:`hessian` give the
-    exact derivatives in the yields from the same per-bin kernels.
+    :meth:`hessian` gives the exact Hessian from the same per-bin kernels:
+    K x K in the yields for ``approx`` and ``conway``, whose per-bin factors
+    are profiled in closed form, and over yields and amplitude factors for
+    ``exact``.  :meth:`value_and_gradient` gives the value and the exact
+    gradient in the yields of ``approx`` and ``conway``.
 
     Evaluation mutates no state, so a single instance may be called
     concurrently from several workers.  Out-of-domain parameter vectors
@@ -354,13 +356,16 @@ class CostFunction:
         Every vector must lie inside the domain.
         """
         if self.method is Method.EXACT:
-            terms, slot = self._exact(p)
-            return terms.sum(axis=-1) + 2.0 * _dot(slot, self._a_slots)
+            terms, slot, _, _ = self._exact(p)
+            return self._exact_total(terms, slot)
         if self.method is Method.CONWAY:
             live, _, terms, _, _ = self._conway(p)
             return self._conway_total(live, terms)
         _, terms, slot, _ = self._approx(p)
         return self._approx_total(terms, slot)
+
+    def _exact_total(self, terms: np.ndarray, slot: np.ndarray):
+        return terms.sum(axis=-1) + 2.0 * _dot(slot, self._a_slots)
 
     def _approx_total(self, terms: np.ndarray, slot: np.ndarray):
         return terms.sum(axis=-1) + 2.0 * _dot(slot, self._a_eff)
@@ -422,14 +427,17 @@ class CostFunction:
         terms = _qp_terms(self._n, beta * mu0, self._nlogn) + (beta - 1.0) ** 2 / var
         return live, beta, terms, mu0_raw, var
 
-    def _exact(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Data terms per active bin and ``beta - 1 - ln beta`` per amplitude slot."""
+    def _exact(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Data terms and ``mu`` per active bin, ``beta - 1 - ln beta`` per amplitude
+        slot, and the scaled template contents ``a B`` per (component, active bin).
+        """
         K = self.model.ncomponents
         betas = p[..., K:]
         B = np.ones(p.shape[:-1] + self._a.shape)
         B[..., self._slot_comp, self._slot_bin] = betas
-        mu = ((p[..., :K] / self._norms)[..., :, None] * (self._a * B)).sum(axis=-2)
-        return _qp_terms(self._n, mu, self._nlogn), betas - 1.0 - np.log(betas)
+        aB = self._a * B
+        mu = ((p[..., :K] / self._norms)[..., :, None] * aB).sum(axis=-2)
+        return _qp_terms(self._n, mu, self._nlogn), betas - 1.0 - np.log(betas), mu, aB
 
     # --- closed-form derivatives of the profiled costs -------------------------
     # Per bin, the cost L(y, beta) is minimal in the profiled beta, so the
@@ -446,8 +454,6 @@ class CostFunction:
         ``n/m`` reads 0 and the bin is either dead (Conway, masked by the
         caller) or has the smooth limit ``beta = 1`` (approx).
         """
-        if self.method is Method.EXACT:
-            raise ValueError("the exact method has no closed-form derivatives")
         y = self.validate(params)
         if self.method is Method.CONWAY:
             live, beta, terms, m, var = self._conway(y)
@@ -465,6 +471,8 @@ class CostFunction:
         where the value is infinite.  ``approx`` and ``conway`` only; raises
         ``ValueError`` for ``exact`` and outside the domain.
         """
+        if self.method is Method.EXACT:
+            raise ValueError("the exact method has no closed-form gradient")
         y, value, live, beta, m, var = self._profile(params)
         if value == math.inf:
             return value, np.full(y.size, np.nan)
@@ -481,11 +489,13 @@ class CostFunction:
         return value, self._c @ dm - 2.0 * y * (self._d @ dw)
 
     def hessian(self, params) -> np.ndarray:
-        """K x K Hessian of the profiled cost in the yields.
+        """Hessian of the cost: K x K in the yields for the profiled ``approx`` and
+        ``conway``, and over the yields and amplitude factors for ``exact``.
 
-        NaN where the cost is infinite.  ``approx`` and ``conway`` only;
-        raises ``ValueError`` for ``exact`` and outside the domain.
+        NaN where the cost is infinite; raises ``ValueError`` outside the domain.
         """
+        if self.method is Method.EXACT:
+            return self._exact_hessian(params)
         y, value, live, beta, m, var = self._profile(params)
         if value == math.inf:
             return np.full((y.size, y.size), np.nan)
@@ -516,6 +526,32 @@ class CostFunction:
         g = 2.0 * y[:, None] * self._d
         return (c * A + g * B) @ c.T + (c * B + g * E) @ g.T + np.diag(self._d @ F)
 
+    def _exact_hessian(self, params) -> np.ndarray:
+        # Per bin, mu = sum_k y_k c_k beta_k with c_k = a_k/M_k, so with J the
+        # Jacobian of mu over (y, beta) the Hessian is J diag(2n/mu^2) J^T,
+        # plus (2 - 2n/mu) c_k at (y_k, beta_k) and 2a/beta^2 at (beta, beta)
+        # from the penalty; each bin's factors couple only to each other and
+        # to the yields (Barlow & Beeston, CPC 77 (1993) 219)
+        p = self.validate(params)
+        terms, slot, mu, aB = self._exact(p)
+        if self._exact_total(terms, slot) == math.inf:
+            return np.full((p.size, p.size), np.nan)
+        K = self.model.ncomponents
+        k, b = self._slot_comp, self._slot_bin
+        s = K + np.arange(b.size)
+        c = self._a_slots / self._norms[k]
+        mu = np.where(mu > 0.0, mu, 1.0)  # a finite cost has n = 0 there
+        J = np.zeros((p.size, mu.size))
+        J[:K] = aB / self._norms[:, None]
+        J[s, b] = c * p[k]
+        H = (J * (2.0 * self._n / (mu * mu))) @ J.T
+        cross = (2.0 - 2.0 * self._n[b] / mu[b]) * c
+        H[k, s] += cross
+        H[s, k] += cross
+        with np.errstate(divide="ignore"):  # factors near 0 curve without bound
+            H[s, s] += 2.0 * self._a_slots / (p[K:] * p[K:])
+        return H
+
     # --- diagnostics ----------------------------------------------------------
 
     def diagnostics(self, params) -> BetaDiagnostics:
@@ -531,7 +567,7 @@ class CostFunction:
         nbins = self.model.nbins
         contrib = np.zeros(nbins)
         if self.method is Method.EXACT:
-            terms, slot = self._exact(p)
+            terms, slot, _, _ = self._exact(p)
             np.add.at(terms, self._slot_bin, np.maximum(0.0, 2.0 * self._a_slots * slot))
             contrib[self._active] = terms
             beta_full = np.full((nbins, K), np.nan)

@@ -8,26 +8,28 @@ The covariance is twice the inverse of the Hessian at the minimum (the
 factor two because the cost is minus twice a log-likelihood ratio).  A
 minimum with a parameter on its lower bound has no covariance.
 
-Derivatives come from the cost itself where it has them in closed form.
+Every method's Hessian is closed form, ``CostFunction.hessian``: the
+initial inverse-curvature scaling is the inverse diagonal of the Hessian
+at the start, and the covariance comes from the Hessian at the minimum.
+For ``exact`` it spans yields and amplitude factors and the yield block of
+its full inverse is returned, so the template uncertainty propagates into
+the yield errors.  Each Hessian counts as one evaluation.
+
 ``approx`` and ``conway`` profile their per-bin factors analytically, so
 ``CostFunction.value_and_gradient`` gives the value and the exact gradient
-in one kernel pass and ``CostFunction.hessian`` the exact K x K Hessian:
-every line-search trial is one such pass, whose gradient is kept when the
-trial is accepted, the initial inverse-curvature scaling is the inverse
-diagonal of the Hessian at the start, and each pass or Hessian counts as
-one evaluation.
+in one kernel pass, which counts as one evaluation: every line-search
+trial is one such pass, whose gradient is kept when the trial is accepted.
 
-``exact`` fits its amplitude factors numerically and uses central
-finite differences: gradients, the initial diagonal curvature and the
-covariance Hessian, which spans yields and amplitude factors; the yield
-block of its full inverse is returned, so the template uncertainty
-propagates into the yield errors.  Each stencil is evaluated through one
-lazy evaluator that pulls its points in stacked ``cost(X)`` calls of at
-most 2^14 per-bin elements (rows x components x active bins).  The
-Hessian's 2n^2 points are generated as they are pulled, so its memory
-stays bounded by one such chunk; the start value shares one stack with the
-first curvature and gradient stencils.  Every stacked value equals the
-single-point call bit for bit and every point counts as one evaluation.
+``exact`` fits its amplitude factors numerically and takes its gradient by
+central finite differences.  Each stencil is evaluated through one lazy
+evaluator that pulls its points in stacked ``cost(X)`` calls of at most
+2^14 per-bin elements (rows x components x active bins); the start value
+shares one stack with the first gradient stencil.  Every stacked value
+equals the single-point call bit for bit and every point counts as one
+evaluation.
+
+A quasi-Newton step moves only the free parameters: one on its lower
+bound whose gradient points out of the domain is held there.
 
 Every fit reports why it stopped in ``FitResult.status``.
 """
@@ -47,8 +49,7 @@ from .special import chi2_sf
 __all__ = ["FitResult", "minimize", "hesse", "default_start", "gof", "fit"]
 
 _EPS = float(np.finfo(np.float64).eps)
-_GRAD_STEP = math.sqrt(_EPS)        # central-difference gradient step scale
-_HESS_STEP = _EPS ** (1.0 / 3.0)    # central-difference Hessian step scale
+_GRAD_STEP = math.sqrt(_EPS)  # central-difference gradient step scale
 
 DEFAULT_GTOL = 1e-4
 DEFAULT_MAX_CALLS = 100_000
@@ -93,11 +94,12 @@ class FitResult:
 class _Counted:
     """Evaluation counter around a cost function, with a budget.
 
-    Costs with closed-form derivatives (``approx``, ``conway``) give the
-    value and gradient in one pass and their Hessian in another, each
-    counting as one evaluation.  ``exact`` uses finite-difference stencils:
-    ``values`` evaluates a stream of stencil points in stacked calls of at
-    most ``rows`` points, and each point counts as one evaluation.
+    Costs with closed-form gradients (``approx``, ``conway``) give the
+    value and gradient in one pass, counting as one evaluation.  ``exact``
+    uses finite-difference gradient stencils: ``values`` evaluates a stream
+    of stencil points in stacked calls of at most ``rows`` points, and each
+    point counts as one evaluation.  Every method's Hessian is closed form
+    and counts as one evaluation.
     """
 
     def __init__(self, cost: CostFunction, max_calls: float = math.inf):
@@ -125,14 +127,12 @@ class _Counted:
         """Value, gradient and diagonal second derivatives at the start point."""
         if self.closed_form:
             fx, g = self.trial(x)
-            return fx, g, np.diag(self.hessian(x, fx))
-        # the start value and the curvature and gradient stencils, in one stack
-        curvature_rows, curvature_steps = _curvature_rows(x, lower)
-        gradient_rows, gradient_steps = _gradient_rows(x, lower)
-        values = self.values([x, *curvature_rows, *gradient_rows])
-        fx = next(values)
-        d2 = _curvature_of(values, curvature_steps, fx)
-        return fx, _gradient_of(values, gradient_steps, fx), d2
+        else:  # the start value and the gradient stencil, in one stack
+            rows, steps = _gradient_rows(x, lower)
+            values = self.values([x, *rows])
+            fx = next(values)
+            g = _gradient_of(values, steps, fx)
+        return fx, g, np.diag(self.hessian(x))
 
     def trial(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
         """Value at ``x`` and, for a closed-form cost, its gradient from the same pass.
@@ -147,10 +147,7 @@ class _Counted:
             return math.inf, np.full(x.size, math.nan)
         return self._cost.value_and_gradient(x)
 
-    def hessian(self, x: np.ndarray, fx: float | None) -> np.ndarray:
-        """Hessian at ``x``, where the cost is ``fx`` (evaluated here when ``None``)."""
-        if not self.closed_form:
-            return _hessian(self, x, self(x) if fx is None else fx)
+    def hessian(self, x: np.ndarray) -> np.ndarray:
         self.calls += 1
         return self._cost.hessian(x)
 
@@ -191,42 +188,29 @@ def _gradient(f: _Counted, x: np.ndarray, f0: float, lower: np.ndarray) -> np.nd
     return _gradient_of(f.values(rows), steps, f0)
 
 
-def _curvature_rows(x: np.ndarray, lower: np.ndarray) -> tuple[list, list]:
-    """Points of the diagonal second-derivative stencil at ``x``, and their steps."""
-    rows, steps = [], []
-    for i in range(x.size):
-        h = _HESS_STEP * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xp[i] = x[i] + h
-        h = xp[i] - x[i]
-        central = x[i] - h >= lower[i]
-        xo = x.copy()  # the other point: x - h, or x + 2h by the bound
-        xo[i] = x[i] - h if central else x[i] + 2.0 * h
-        rows += (xp, xo)
-        steps.append((h, central))
-    return rows, steps
-
-
-def _curvature_of(values: Iterator[float], steps: list, f0: float) -> np.ndarray:
-    """Diagonal second derivatives for the initial quasi-Newton scaling."""
-    d = np.empty(len(steps))
-    for i, (h, central) in enumerate(steps):
-        fp, fo = next(values), next(values)
-        if central:
-            d[i] = (fp - 2.0 * f0 + fo) / (h * h)
-        else:
-            d[i] = (fo - 2.0 * fp + f0) / (h * h)
-    return d
-
-
 def _at_bound(x: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """Which parameters sit on their lower bound."""
     return (x - lower) <= 1e-9 * np.maximum(1.0, np.abs(x))
 
 
-def _pg_norm(x: np.ndarray, g: np.ndarray, lower: np.ndarray) -> float:
-    """Sup norm of the gradient with components pointing into active bounds removed."""
-    pg = np.where(_at_bound(x, lower) & (g > 0.0), 0.0, g)
+def _direction(hinv: np.ndarray, g: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """Quasi-Newton step over the free parameters; ``held`` ones stay put."""
+    if not held.any():
+        return -(hinv @ g)
+    free = ~held
+    # inverse of the free block of the curvature model: the Schur complement
+    # of the held block in its inverse
+    hff = hinv[np.ix_(free, free)]
+    hfh = hinv[np.ix_(free, held)]
+    hff = hff - hfh @ np.linalg.solve(hinv[np.ix_(held, held)], hfh.T)
+    p = np.zeros_like(g)
+    p[free] = -(hff @ g[free])
+    return p
+
+
+def _pg_norm(g: np.ndarray, held: np.ndarray) -> float:
+    """Sup norm of the gradient with the components of ``held`` parameters removed."""
+    pg = np.where(held, 0.0, g)
     return float(np.max(np.abs(pg))) if pg.size else 0.0
 
 
@@ -289,15 +273,17 @@ def minimize(
     status = "budget"
 
     while not f.exhausted:
-        pg = _pg_norm(x, g, lower)
+        # on its bound with the gradient pointing out of the domain
+        held = _at_bound(x, lower) & (g > 0.0)
+        pg = _pg_norm(g, held)
         if pg < gtol and (df is None or df < _FTOL):
             status = "converged"
             break
 
-        p = -(hinv @ g)
+        p = _direction(hinv, g, held)
         if float(p @ g) >= 0.0:
             hinv = np.diag(hinv0)  # curvature estimate went bad; reset
-            p = -(hinv @ g)
+            p = _direction(hinv, g, held)
 
         accepted = False
         alpha = 1.0
@@ -356,7 +342,7 @@ def minimize(
 
     K = cost.model.ncomponents
     on_bound = bool(_at_bound(x, lower).any())
-    covariance = None if on_bound else _covariance(f, x, fx, K)
+    covariance = None if on_bound else _covariance(f.hessian(x), K)
     if status == "converged" and on_bound:
         status = "on_bound"
     elif status == "converged" and covariance is None:
@@ -380,42 +366,11 @@ def _initial_inverse_diag(d2: np.ndarray) -> np.ndarray:
     return np.where(good, 1.0 / np.where(good, d2, 1.0), 1.0)
 
 
-def _hessian(f: _Counted, x: np.ndarray, f0: float) -> np.ndarray:
-    n = x.size
-    h = [_HESS_STEP * max(1.0, abs(xi)) for xi in x.tolist()]
-    signs = [(hi, -hi) for hi in h]  # xs[i] += -h equals xs[i] -= h bit for bit
+def _covariance(H: np.ndarray, K: int) -> np.ndarray | None:
+    """Yield block of twice the inverse of the Hessian ``H``.
 
-    def points():
-        # two points per diagonal entry, then four corners per pair i < j
-        for i in range(n):
-            for hi in signs[i]:
-                xs = x.copy()
-                xs[i] += hi
-                yield xs
-        for i, j in itertools.combinations(range(n), 2):
-            for hi in signs[i]:
-                for hj in signs[j]:
-                    xs = x.copy()
-                    xs[i] += hi
-                    xs[j] += hj
-                    yield xs
-
-    values = f.values(points())
-    H = np.empty((n, n))
-    for i in range(n):
-        H[i, i] = (next(values) - 2.0 * f0 + next(values)) / (h[i] * h[i])
-    for i, j in itertools.combinations(range(n), 2):
-        fpp, fpm, fmp, fmm = next(values), next(values), next(values), next(values)
-        H[i, j] = H[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
-    return H
-
-
-def _covariance(f: _Counted, x: np.ndarray, f0: float | None, K: int) -> np.ndarray | None:
-    """Yield block of twice the inverse Hessian at ``x``, where ``f(x) == f0`` if given.
-
-    ``None`` when the Hessian is not positive definite.
+    ``None`` when ``H`` is not positive definite.
     """
-    H = f.hessian(x, f0)
     if not np.all(np.isfinite(H)):
         return None
     H = 0.5 * (H + H.T)  # symmetric by construction up to roundoff
@@ -430,17 +385,17 @@ def _covariance(f: _Counted, x: np.ndarray, f0: float | None, K: int) -> np.ndar
 def hesse(cost: CostFunction, at) -> np.ndarray | None:
     """Yield covariance from the Hessian at ``at``: twice its inverse.
 
-    The Hessian is exact for ``approx`` and ``conway`` and a central
-    finite-difference one for ``exact``, where the full parameter Hessian
-    is inverted and the yield block returned, which profiles the
-    amplitude-factor uncertainty into the yield covariance.  Returns
-    ``None`` when a parameter sits on its lower bound or the Hessian is
-    not positive definite; raises ``ValueError`` outside the domain.
+    The Hessian is the closed-form ``cost.hessian(at)``.  For ``exact`` the
+    full Hessian over yields and amplitude factors is inverted and the
+    yield block returned, which profiles the amplitude-factor uncertainty
+    into the yield covariance.  Returns ``None`` when a parameter sits on
+    its lower bound or the Hessian is not positive definite; raises
+    ``ValueError`` outside the domain.
     """
     x = cost.validate(at)
     if _at_bound(x, cost.lower_bounds).any():
         return None
-    return _covariance(_Counted(cost), x, None, cost.model.ncomponents)
+    return _covariance(cost.hessian(x), cost.model.ncomponents)
 
 
 def gof(result: FitResult) -> float:

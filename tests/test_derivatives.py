@@ -1,10 +1,12 @@
-"""Closed-form gradient and Hessian of the profiled costs against finite differences.
+"""Closed-form derivatives of the costs against finite differences.
 
 ``central_difference`` is the oracle: a five-point central difference,
 accurate to O(h^4), applied to the cost for the gradient and to the
-closed-form gradient for the Hessian.  The models cover one to four
-components, weighted input, Conway factors held at zero (bins without
-data whose variance term exceeds one) and dead Conway bins.
+closed-form gradient for the Hessian of the profiled costs.  The models
+cover one to four components, weighted input, Conway factors held at zero
+(bins without data whose variance term exceeds one) and dead Conway bins.
+The exact Hessian, over yields and amplitude factors, is checked against
+the oracle applied twice to cost values alone.
 """
 
 import math
@@ -137,8 +139,68 @@ def test_outside_the_domain_raises(method, bad):
 
 def test_exact_has_no_closed_form():
     cost = CostFunction("exact", SPARSE)
+    with pytest.raises(ValueError, match="exact"):
+        cost.value_and_gradient(np.ones(cost.nparams))
+
+
+def _check_exact(cost, x, at=lambda z: z):
+    """Exact Hessian at ``at(x)``, against nested differences in ``x``."""
+    f = lambda z: cost(at(z))  # noqa: E731
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        H = cost.hessian(at(x))
+        H_fd = central_difference(lambda z: central_difference(f, z), x)
+    return H, H_fd
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_exact_hessian_matches_nested_differences(K):
+    rng = np.random.default_rng(500 + K)
+    for _ in range(5):
+        model, total = _model(rng, K, int(rng.integers(2, 6)), False)
+        cost = CostFunction("exact", model)
+        y = rng.uniform(0.2, 2.0, K) * total / K
+        x = np.concatenate([y, rng.uniform(0.5, 1.5, cost.nparams - K)])
+        if math.isfinite(cost(x)):
+            H, H_fd = _check_exact(cost, x)
+            assert H.shape == (cost.nparams, cost.nparams)
+            assert np.max(np.abs(H - H_fd)) <= 1e-8 * np.max(np.abs(H))
+
+
+def test_exact_hessian_where_bins_lose_their_expectation():
+    # a zero second yield leaves bins 4, 7, 10 and 11 without expectation
+    # (and without data); the Hessian over the other parameters is that
+    # along the face y1 = 0
+    cost = CostFunction("exact", SPARSE)
+    x = np.concatenate([[25.0, 0.0], np.linspace(0.7, 1.3, cost.nparams - 2)])
+    assert math.isfinite(cost(x))
+    rest = np.delete(np.arange(cost.nparams), 1)
+    H, H_fd = _check_exact(cost, x[rest], lambda z: np.insert(z, 1, 0.0))
+    assert np.isfinite(H).all()
+    H = H[np.ix_(rest, rest)]
+    assert np.max(np.abs(H - H_fd)) <= 1e-8 * np.max(np.abs(H))
+
+
+def test_exact_hessian_is_nan_where_the_cost_is_infinite():
+    # data in bin 0, whose only template belongs to the zero first yield
+    model = TemplateModel(
+        edges=np.arange(3.0),
+        data=BinnedSample.from_counts([5, 7]),
+        components=(BinnedSample.from_counts([3, 0]), BinnedSample.from_counts([0, 4])),
+    )
+    cost = CostFunction("exact", model)
+    x = np.array([0.0, 10.0, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        H = cost.hessian(x)
+    assert cost(x) == math.inf
+    assert H.shape == (4, 4) and np.isnan(H).all()
+
+
+@pytest.mark.parametrize("index, bad", [(0, -1.0), (0, math.nan), (1, math.inf), (2, 0.0), (3, -0.5)])
+def test_exact_hessian_outside_the_domain_raises(index, bad):
+    cost = CostFunction("exact", SPARSE)
     x = np.ones(cost.nparams)
-    with pytest.raises(ValueError, match="exact"):
-        cost.value_and_gradient(x)
-    with pytest.raises(ValueError, match="exact"):
+    x[index] = bad
+    with pytest.raises(ValueError, match="domain"):
         cost.hessian(x)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
 import templatefit as tf
 from templatefit import (
@@ -104,10 +105,11 @@ class TestMinimize:
     def test_budget_exhaustion_returns_best_so_far(self):
         m = make_model([40, 10, 20], [[10, 30, 20], [5, 5, 5]])
         cost = CostFunction(Method.APPROX, m)
-        res = minimize(cost, max_calls=12)
+        assert minimize(cost).n_evaluations > 5
+        res = minimize(cost, max_calls=5)
         assert not res.converged and res.status == "budget"
         assert math.isfinite(res.qmin)
-        assert res.n_evaluations >= 12
+        assert res.n_evaluations >= 5
 
     @pytest.mark.parametrize("method", ["approx", "exact"])
     def test_nonfinite_start_rejected_before_any_evaluation(self, method):
@@ -160,6 +162,24 @@ class TestMinimize:
         if method == "conway":
             # the Hessian there is positive definite: the bound alone voids the covariance
             assert np.all(np.linalg.eigvalsh(cost.hessian(res.yields)) > 0.0)
+
+    @pytest.mark.parametrize("method", ["approx", "conway", "exact"])
+    def test_bound_next_to_the_minimum_does_not_stall(self, method):
+        # the second yield's bound is active at the minimum, and an unclipped
+        # quasi-Newton step points through it; only free parameters may move
+        model = make_model([200, 0], [[50, 10], [0, 50]])
+        cost = CostFunction(method, model)
+        res = minimize(cost)
+        ref = scipy_minimize(
+            cost,
+            default_start(cost),
+            method="L-BFGS-B",
+            bounds=[(lo, None) for lo in cost.lower_bounds],
+            options=dict(ftol=1e-15, gtol=1e-12, maxiter=10_000),
+        )
+        assert res.status == "on_bound" and res.yields[1] == 0.0
+        assert res.qmin <= ref.fun + 1e-6
+        assert res.yields[0] == pytest.approx(ref.x[0], rel=1e-4)
 
     def test_indefinite_hessian_at_the_minimum(self):
         class _Indefinite(CostFunction):
@@ -243,25 +263,14 @@ class TestDefaultStart:
 class TestHesse:
     def test_quadratic_cost(self):
         # hesse returns twice the inverse of the cost's Hessian
-        self._check_quadratic("approx")
-
-    def test_quadratic_cost_finite_difference(self):
-        # the same through the stencil Hessian of exact, whose amplitude
-        # factor enters the double as (x1 - 1)^2
-        self._check_quadratic("exact")
-
-    @staticmethod
-    def _check_quadratic(method):
         class _Quad(CostFunction):
             def __call__(self, x):
-                x = np.asarray(x)
-                return (x[..., 0] - 3.0) ** 2 / 7.0 + ((x[..., 1:] - 1.0) ** 2).sum(axis=-1)
+                return (x[0] - 3.0) ** 2 / 7.0
 
             def hessian(self, x):
                 return np.array([[2.0 / 7.0]])
 
-        quad = _Quad(method, make_model([5], [[5]]))
-        cov = hesse(quad, np.concatenate([[3.0], np.ones(quad.nparams - 1)]))
+        cov = hesse(_Quad("approx", make_model([5], [[5]])), np.array([3.0]))
         assert cov[0, 0] == pytest.approx(7.0, rel=1e-6)
 
     def test_pure_poisson_single_bin_variance(self):
@@ -324,27 +333,15 @@ class TestHesse:
 
     def test_not_positive_definite_returns_none(self):
         # an interior saddle point, away from the bounds
-        self._check_saddle("approx")
-
-    def test_not_positive_definite_finite_difference(self):
-        self._check_saddle("exact")
-
-    @staticmethod
-    def _check_saddle(method):
         class _Saddle(CostFunction):
             def __call__(self, x):
-                x = np.asarray(x)
-                return (
-                    (x[..., 0] - 1.0) ** 2
-                    - (x[..., 1] - 1.0) ** 2
-                    + ((x[..., 2:] - 1.0) ** 2).sum(axis=-1)
-                )
+                return (x[0] - 1.0) ** 2 - (x[1] - 1.0) ** 2
 
             def hessian(self, x):
                 return np.diag([2.0, -2.0])
 
-        saddle = _Saddle(method, make_model([5, 5], [[5, 0], [0, 5]]))
-        assert hesse(saddle, np.ones(saddle.nparams)) is None
+        saddle = _Saddle("approx", make_model([5, 5], [[5, 0], [0, 5]]))
+        assert hesse(saddle, np.ones(2)) is None
 
     @pytest.mark.parametrize("method", ["approx", "conway", "exact"])
     @pytest.mark.parametrize("bad", [-1.0, math.nan])
