@@ -25,6 +25,7 @@ from .histogram import (
 from .likelihood import (
     BetaDiagnostics,
     CostFunction,
+    CostStack,
     Method,
     beta_approx,
     beta_conway,
@@ -36,7 +37,7 @@ from .likelihood import (
     q_poisson,
     var_beta,
 )
-from .minimize import FitResult, default_start, fit, gof, hesse, minimize
+from .minimize import FitResult, default_start, fit, gof, hesse, minimize, minimize_batch
 from .special import chi2_sf, normal_cdf
 from .study import PullRecord, PullStats, bench, run_study, summarize
 from .toys import ToyConfig, ToyDraw, bin_probabilities, draw, poisson, rng_stream, to_model
@@ -52,6 +53,7 @@ __all__ = [
     "model_from_dict",
     "BetaDiagnostics",
     "CostFunction",
+    "CostStack",
     "Method",
     "beta_approx",
     "beta_conway",
@@ -68,6 +70,7 @@ __all__ = [
     "gof",
     "hesse",
     "minimize",
+    "minimize_batch",
     "chi2_sf",
     "normal_cdf",
     "PullRecord",

@@ -143,6 +143,8 @@ def _cmd_fit(args) -> int:
         "converged": bool(result.converged),
         "status": result.status,
         "n_evaluations": int(result.n_evaluations),
+        "n_iterations": int(result.n_iterations),
+        "restarted": bool(result.restarted),
     }
     text = json.dumps(payload, indent=2) + "\n"
     if args.output:

@@ -34,7 +34,7 @@ def _as_frozen_1d(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:
         raise ValueError(f"{name} must contain only finite values")
     arr.flags.writeable = False
     return arr
@@ -67,9 +67,9 @@ class BinnedSample:
             raise ValueError(
                 f"sumw has {sumw.size} bins but sumw2 has {sumw2.size}"
             )
-        if np.any(sumw < 0) or np.any(sumw2 < 0):
+        if np.count_nonzero(sumw < 0) or np.count_nonzero(sumw2 < 0):
             raise ValueError("bin contents must be nonnegative")
-        if np.any((sumw == 0) != (sumw2 == 0)):
+        if np.count_nonzero((sumw == 0) != (sumw2 == 0)):
             # no real weight vector has one of the two sums zero without the other
             raise ValueError(
                 "a bin's sum of weights and sum of squared weights must vanish together"
@@ -156,7 +156,7 @@ class TemplateModel:
             raise ValueError(
                 f"expected {self.data.nbins + 1} bin edges, got {edges.size}"
             )
-        if not np.all(np.diff(edges) > 0):
+        if np.count_nonzero(np.diff(edges) > 0) < edges.size - 1:
             raise ValueError("bin edges must be strictly increasing")
         components = tuple(self.components)
         if not components:
@@ -174,7 +174,7 @@ class TemplateModel:
                     f"component {name!r} has {comp.nbins} bins, data has {self.data.nbins}"
                 )
         norms = np.array([comp.total for comp in components])
-        if np.any(norms <= 0):
+        if np.count_nonzero(norms <= 0):
             bad = names[int(np.argmin(norms))]
             raise ValueError(f"template {bad!r} is empty; every component needs entries")
         norms.flags.writeable = False

@@ -48,6 +48,7 @@ __all__ = [
     "Method",
     "BetaDiagnostics",
     "CostFunction",
+    "CostStack",
     "q_poisson",
     "beta_approx",
     "beta_conway",
@@ -167,23 +168,202 @@ class BetaDiagnostics:
     contributions: np.ndarray
 
 
-def _qp_terms(n: np.ndarray, mu: np.ndarray, nlogn: np.ndarray) -> np.ndarray:
-    # vector of 2*(mu - n - n ln mu + n ln n); entries with n == 0 give
-    # 2*mu, entries with mu == 0 and n > 0 give +inf
-    pos = n > 0.0
-    with np.errstate(divide="ignore"):
-        t = np.where(pos, n * np.log(np.where(pos, mu, 1.0)), 0.0)
+def _qp_terms(n: np.ndarray, pos: np.ndarray, mu: np.ndarray, nlogn: np.ndarray) -> np.ndarray:
+    # vector of 2*(mu - n - n ln mu + n ln n), pos = n > 0; entries with
+    # n == 0 give 2*mu (n ln 1 = 0), entries with mu == 0 and n > 0 give +inf
+    safe = np.where(pos, mu, 1.0)
+    if np.fmin.reduce(safe, axis=None) > 0.0:
+        t = n * np.log(safe)
+    else:
+        with np.errstate(divide="ignore"):
+            t = n * np.log(safe)
     return np.maximum(0.0, 2.0 * (mu - n - t + nlogn))
 
 
-def _dot(slot: np.ndarray, weights: np.ndarray):
-    # weights . slot along the last axis; one 1xS by S product per vector
-    # runs the same BLAS dot as ``weights @ slot``, a stacked (m, S) @ (S,)
-    # product does not (it differs in the last bits)
-    return (slot[..., None, :] @ weights)[..., 0]
+# a . b along the last axis and A @ v per stacked row: one BLAS dot or gemv
+# each, the calls of the unstacked ``a @ b`` and ``A @ v``, so every row
+# keeps its bits (a stacked (m, S) @ (S,) product differs in the last bits)
+_dot = np.vecdot
+_matvec = np.matvec
 
 
-class CostFunction:
+def _nonneg(q):
+    # max(0.0, q) per entry: NaN and -0.0 give +0.0 (np.fmax alone may keep -0.0)
+    return np.fmax(q, 0.0) + 0.0
+
+
+def _diag(d: np.ndarray) -> np.ndarray:
+    # np.diag per stacked vector: zeros off the diagonal
+    K = d.shape[-1]
+    out = np.zeros(d.shape[:-1] + (K * K,))
+    out[..., :: K + 1] = d
+    return out.reshape(d.shape + (K,))
+
+
+class _PerBin:
+    """The per-bin kernels of the profiled costs and their closed-form derivatives.
+
+    The data arrays (``CostStack._FIELDS``) hold the active bins of one cost,
+    or, with a leading axis, of a stack of costs (:class:`CostStack`).
+    Yields carry the parameters along their last axis and broadcast against
+    the data over the leading axes, so one code serves a single vector, a
+    stack of parameter rows and a stack of costs.  Every operation is
+    elementwise, a reduction over the components or the bins of one row, or
+    a BLAS product per row, so each row's bits do not depend on the rows
+    stacked with it.
+    """
+
+    def _outside(self, p: np.ndarray) -> np.ndarray:
+        """Which parameter vectors along the last axis lie outside the domain."""
+        # NaN fails both comparisons
+        return ~np.logical_and.reduce((p >= self._domain_lo) & (p <= _FLOAT_MAX), axis=-1)
+
+    def _approx_total(self, terms: np.ndarray, slot: np.ndarray):
+        return np.add.reduce(terms, axis=-1) + 2.0 * _dot(slot, self._a_eff)
+
+    def _conway_total(self, live: np.ndarray | None, terms: np.ndarray):
+        if live is None:
+            return np.add.reduce(terms, axis=-1)
+        q = np.add.reduce(np.where(live, terms, 0.0), axis=-1)
+        # dead bins carry no factor; with observed content the model is impossible
+        return np.where(np.logical_or.reduce(~live & self._npos, axis=-1), math.inf, q)
+
+    # --- per-bin kernels, one per method --------------------------------------
+    # each returns the per-bin factors and cost terms over the active bins,
+    # for one parameter vector or, along leading axes, for a stack of them;
+    # __call__, diagnostics and the derivatives differ only in how they
+    # reduce them.
+    # Component sums use multiply + reduce instead of a BLAS matvec: IEEE
+    # addition is commutative, so relabeling components permutes operands
+    # without changing any bit of the result (exact for two components)
+
+    def _approx(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Factor ``(n + a)/(mu0 + a)``, data terms, ``beta - 1 - ln beta`` and ``m`` per bin.
+
+        ``m = sum_k y_k a_k / M_k`` is the expectation before the effective-count
+        scale ``s`` (``mu0 = s m``).
+        """
+        m = np.add.reduce((y / self._norms)[..., :, None] * self._a, axis=-2)
+        mu0 = self._s * m if self.weighted else m
+        a = self._a_eff
+        beta = self._na / (mu0 + a)
+        terms = _qp_terms(self._n, self._npos, beta * mu0, self._nlogn)
+        return beta, terms, beta - 1.0 - np.log(beta), m
+
+    def _conway(
+        self, y: np.ndarray
+    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Live-bin mask (``None`` when all bins are live), factor, data + penalty terms,
+        ``m`` as in :meth:`_approx`, and the factor variance ``V`` per bin.
+
+        Dead bins, without expectation, get variance 1 so their entries stay
+        finite; callers mask them out.
+        """
+        scale = y / self._norms
+        mu0_raw = np.add.reduce(scale[..., :, None] * self._a, axis=-2)
+        vnum = np.add.reduce((scale * scale)[..., :, None] * self._v, axis=-2)
+        live = mu0_raw > 0.0
+        if np.count_nonzero(live) == live.size:
+            live = None
+            var = vnum / (mu0_raw * mu0_raw)
+        else:
+            mu0g = np.where(live, mu0_raw, 1.0)
+            var = np.where(live, vnum / (mu0g * mu0g), 1.0)
+        mu0 = self._s * mu0_raw if self.weighted else mu0_raw
+        b = var * mu0 - 1.0
+        disc = np.sqrt(b * b + 4.0 * var * self._n)
+        # the guarded denominator keeps the discarded branch away from 0/0
+        pos = b > 0.0
+        beta = np.where(pos, 2.0 * var * self._n / np.where(pos, b + disc, 1.0), 0.5 * (disc - b))
+        terms = _qp_terms(self._n, self._npos, beta * mu0, self._nlogn) + (beta - 1.0) ** 2 / var
+        return live, beta, terms, mu0_raw, var
+
+    # --- closed-form derivatives of the profiled costs -------------------------
+    # Per bin, the cost L(y, beta) is minimal in the profiled beta, so the
+    # gradient is dL/dy at fixed beta (envelope theorem) and the profiled
+    # Hessian is L_yy - L_yb L_yb^T / L_bb.  With c_k = a_k/M_k, m = c.y and
+    # mu0 = s m, both methods share the data part dL/dm = 2 beta s - 2 n/m.
+    # Conway's penalty is (beta - 1)^2 P with P = 1/V = m^2/w and
+    # w = sum_k d_k y_k^2, d_k = v_k/M_k^2.
+
+    def _profile(self, y: np.ndarray):
+        """One kernel pass for the derivatives: value, live mask, factor, m, V.
+
+        Every yield vector must lie inside the domain.  ``m`` is 1 where it
+        vanishes: a finite value has ``n = 0`` there, so ``n/m`` reads 0 and
+        the bin is either dead (Conway, masked by the caller) or has the
+        smooth limit ``beta = 1`` (approx).
+        """
+        if self.method is Method.CONWAY:
+            live, beta, terms, m, var = self._conway(y)
+            q = self._conway_total(live, terms)
+        else:
+            beta, terms, slot, m = self._approx(y)
+            live = var = None
+            q = self._approx_total(terms, slot)
+        return _nonneg(q), live, beta, np.where(m > 0.0, m, 1.0), var
+
+    def _value_and_gradient(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values and gradients in the yields; NaN gradients where the value is infinite."""
+        value, live, beta, m, var = self._profile(y)
+        dm = (2.0 * beta * self._s if self.weighted else 2.0 * beta) - self._2n / m
+        if self.method is Method.APPROX:
+            gradient = _matvec(self._c, dm)
+        else:
+            t = beta - 1.0
+            r = t * t / (var * m)  # (beta-1)^2 P/m
+            dm = dm + 2.0 * r
+            dw = r / (var * m)  # (beta-1)^2 P/w
+            if live is not None:  # dead bins contribute nothing
+                dm = np.where(live, dm, 0.0)
+                dw = np.where(live, dw, 0.0)
+            gradient = _matvec(self._c, dm) - 2.0 * y * _matvec(self._d, dw)
+        infinite = value == math.inf
+        if infinite.any():
+            gradient[infinite] = np.nan
+        return value, gradient
+
+    def _profiled_hessian(self, y: np.ndarray) -> np.ndarray:
+        """K x K Hessians in the yields; NaN where the value is infinite."""
+        value, live, beta, m, var = self._profile(y)
+        c, n, s = self._c, self._n, self._s
+        cT = np.swapaxes(c, -1, -2)
+        if self.method is Method.APPROX:
+            # dbeta/dmu0 = -beta/(mu0 + a)
+            h = self._2n / (m * m) - 2.0 * s * s * beta / (s * m + self._a_eff)
+            H = (c * h[..., None, :]) @ cT
+        else:
+            # Conway, with iw = 1/w = P/m^2 and the gradient of w, g = 2 d y:
+            # L_yy = (2n/m^2) c c^T + (beta-1)^2 grad^2 P
+            # L_yb = u c + v g,  u = 2s + 4(beta-1) P/m,  v = -2(beta-1) P/w
+            # L_bb = 2n/beta^2 + 2P; a factor held at 0 (n = 0) is not profiled
+            t = beta - 1.0
+            tt = t * t
+            P = 1.0 / var
+            iw = P / (m * m)
+            u = 2.0 * s + 4.0 * t * P / m
+            v = -2.0 * t * P * iw
+            free = beta > 0.0
+            bf = np.where(free, beta, 1.0)
+            inv_lbb = np.where(free, 1.0 / (self._2n / (bf * bf) + 2.0 * P), 0.0)
+            A = self._2n / (m * m) + 2.0 * tt * iw - u * u * inv_lbb
+            B = -2.0 * tt * iw * P / m - u * v * inv_lbb
+            E = 2.0 * tt * P * iw * iw - v * v * inv_lbb
+            F = -2.0 * tt * P * iw
+            if live is not None:  # dead bins contribute nothing
+                A, B, E, F = (np.where(live, z, 0.0) for z in (A, B, E, F))
+            A, B, E = A[..., None, :], B[..., None, :], E[..., None, :]
+            g = 2.0 * y[..., :, None] * self._d
+            H = (c * A + g * B) @ cT + (c * B + g * E) @ np.swapaxes(g, -1, -2) + _diag(
+                _matvec(self._d, F)
+            )
+        infinite = value == math.inf
+        if infinite.any():
+            H[infinite] = np.nan
+        return H
+
+
+class CostFunction(_PerBin):
     """Maps a parameter vector to the chi-square-like statistic Q.
 
     The parameters are the K yields.  For the exact method, one amplitude
@@ -255,8 +435,8 @@ class CostFunction:
             self._s = np.ones_like(n)
             self._n = np.ascontiguousarray(n)
             self._a_eff = self._pooled
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self._nlogn = np.where(self._n > 0, self._n * np.log(np.where(self._n > 0, self._n, 1.0)), 0.0)
+        self._npos = self._n > 0.0
+        self._nlogn = np.where(self._npos, self._n * np.log(np.where(self._npos, self._n, 1.0)), 0.0)
 
         if method is Method.EXACT:
             # bin-major slot order over (active bin, component) with content
@@ -275,7 +455,9 @@ class CostFunction:
         self._domain_lo = np.zeros(self.nparams)
         self._domain_lo[K:] = np.nextafter(0.0, 1.0)
 
-        for arr in (self._s, self._n, self._a_eff, self._nlogn):
+        self._2n = 2.0 * self._n
+        self._na = self._n + self._a_eff
+        for arr in (self._s, self._n, self._npos, self._2n, self._na, self._a_eff, self._nlogn):
             arr.flags.writeable = False
 
     @property
@@ -303,11 +485,6 @@ class CostFunction:
         if p.shape != (self.nparams,):
             raise ValueError(f"expected {self.nparams} parameters, got shape {p.shape}")
         return p
-
-    def _outside(self, p: np.ndarray) -> np.ndarray:
-        """Which parameter vectors along the last axis lie outside the domain."""
-        # NaN fails both comparisons
-        return ~((p >= self._domain_lo) & (p <= _FLOAT_MAX)).all(axis=-1)
 
     def validate(self, params) -> np.ndarray:
         """``params`` as a float vector; ``ValueError`` for another shape or outside the domain.
@@ -343,9 +520,7 @@ class CostFunction:
             # a row inside the domain stands in for the rejected ones, so the
             # kernels raise no floating-point warnings on their behalf
             p = np.where(bad[:, None], 1.0, p)
-        q = self._total(p)
-        # max(0.0, q) per row: NaN and -0.0 give +0.0 (SIMD np.fmax keeps -0.0)
-        q = np.where(q > 0.0, q, 0.0)
+        q = _nonneg(self._total(p))
         if any_bad:
             q[bad] = math.inf
         return q
@@ -365,67 +540,7 @@ class CostFunction:
         return self._approx_total(terms, slot)
 
     def _exact_total(self, terms: np.ndarray, slot: np.ndarray):
-        return terms.sum(axis=-1) + 2.0 * _dot(slot, self._a_slots)
-
-    def _approx_total(self, terms: np.ndarray, slot: np.ndarray):
-        return terms.sum(axis=-1) + 2.0 * _dot(slot, self._a_eff)
-
-    def _conway_total(self, live: np.ndarray | None, terms: np.ndarray):
-        if live is None:
-            return terms.sum(axis=-1)
-        q = np.where(live, terms, 0.0).sum(axis=-1)
-        # dead bins carry no factor; with observed content the model is impossible
-        return np.where((~live & (self._n > 0.0)).any(axis=-1), math.inf, q)
-
-    # --- per-bin kernels, one per method --------------------------------------
-    # each returns the per-bin factors and cost terms over the active bins,
-    # for one parameter vector or, along leading axes, for a stack of them;
-    # __call__, diagnostics and the derivatives differ only in how they
-    # reduce them.
-    # Component sums use multiply + reduce instead of a BLAS matvec: IEEE
-    # addition is commutative, so relabeling components permutes operands
-    # without changing any bit of the result (exact for two components)
-
-    def _approx(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Factor ``(n + a)/(mu0 + a)``, data terms, ``beta - 1 - ln beta`` and ``m`` per bin.
-
-        ``m = sum_k y_k a_k / M_k`` is the expectation before the effective-count
-        scale ``s`` (``mu0 = s m``).
-        """
-        m = ((y / self._norms)[..., :, None] * self._a).sum(axis=-2)
-        mu0 = self._s * m if self.weighted else m
-        a = self._a_eff
-        beta = (self._n + a) / (mu0 + a)
-        terms = _qp_terms(self._n, beta * mu0, self._nlogn)
-        return beta, terms, beta - 1.0 - np.log(beta), m
-
-    def _conway(
-        self, y: np.ndarray
-    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Live-bin mask (``None`` when all bins are live), factor, data + penalty terms,
-        ``m`` as in :meth:`_approx`, and the factor variance ``V`` per bin.
-
-        Dead bins, without expectation, get variance 1 so their entries stay
-        finite; callers mask them out.
-        """
-        scale = y / self._norms
-        mu0_raw = (scale[..., :, None] * self._a).sum(axis=-2)
-        vnum = ((scale * scale)[..., :, None] * self._v).sum(axis=-2)
-        live = mu0_raw > 0.0
-        if np.all(live):
-            live = None
-            var = vnum / (mu0_raw * mu0_raw)
-        else:
-            mu0g = np.where(live, mu0_raw, 1.0)
-            var = np.where(live, vnum / (mu0g * mu0g), 1.0)
-        mu0 = self._s * mu0_raw if self.weighted else mu0_raw
-        b = var * mu0 - 1.0
-        disc = np.sqrt(b * b + 4.0 * var * self._n)
-        # the guarded denominator keeps the discarded branch away from 0/0
-        pos = b > 0.0
-        beta = np.where(pos, 2.0 * var * self._n / np.where(pos, b + disc, 1.0), 0.5 * (disc - b))
-        terms = _qp_terms(self._n, beta * mu0, self._nlogn) + (beta - 1.0) ** 2 / var
-        return live, beta, terms, mu0_raw, var
+        return np.add.reduce(terms, axis=-1) + 2.0 * _dot(slot, self._a_slots)
 
     def _exact(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Data terms and ``mu`` per active bin, ``beta - 1 - ln beta`` per amplitude
@@ -436,33 +551,8 @@ class CostFunction:
         B = np.ones(p.shape[:-1] + self._a.shape)
         B[..., self._slot_comp, self._slot_bin] = betas
         aB = self._a * B
-        mu = ((p[..., :K] / self._norms)[..., :, None] * aB).sum(axis=-2)
-        return _qp_terms(self._n, mu, self._nlogn), betas - 1.0 - np.log(betas), mu, aB
-
-    # --- closed-form derivatives of the profiled costs -------------------------
-    # Per bin, the cost L(y, beta) is minimal in the profiled beta, so the
-    # gradient is dL/dy at fixed beta (envelope theorem) and the profiled
-    # Hessian is L_yy - L_yb L_yb^T / L_bb.  With c_k = a_k/M_k, m = c.y and
-    # mu0 = s m, both methods share the data part dL/dm = 2 beta s - 2 n/m.
-    # Conway's penalty is (beta - 1)^2 P with P = 1/V = m^2/w and
-    # w = sum_k d_k y_k^2, d_k = v_k/M_k^2.
-
-    def _profile(self, params):
-        """One kernel pass for the derivatives: point, value, live mask, factor, m, V.
-
-        ``m`` is 1 where it vanishes: a finite value has ``n = 0`` there, so
-        ``n/m`` reads 0 and the bin is either dead (Conway, masked by the
-        caller) or has the smooth limit ``beta = 1`` (approx).
-        """
-        y = self.validate(params)
-        if self.method is Method.CONWAY:
-            live, beta, terms, m, var = self._conway(y)
-            q = self._conway_total(live, terms)
-        else:
-            beta, terms, slot, m = self._approx(y)
-            live = var = None
-            q = self._approx_total(terms, slot)
-        return y, max(0.0, float(q)), live, beta, np.where(m > 0.0, m, 1.0), var
+        mu = np.add.reduce((p[..., :K] / self._norms)[..., :, None] * aB, axis=-2)
+        return _qp_terms(self._n, self._npos, mu, self._nlogn), betas - 1.0 - np.log(betas), mu, aB
 
     def value_and_gradient(self, params) -> tuple[float, np.ndarray]:
         """Cost and its gradient in the yields, from one kernel pass.
@@ -473,20 +563,8 @@ class CostFunction:
         """
         if self.method is Method.EXACT:
             raise ValueError("the exact method has no closed-form gradient")
-        y, value, live, beta, m, var = self._profile(params)
-        if value == math.inf:
-            return value, np.full(y.size, np.nan)
-        dm = 2.0 * beta * self._s - 2.0 * self._n / m
-        if self.method is Method.APPROX:
-            return value, self._c @ dm
-        t = beta - 1.0
-        r = t * t / (var * m)  # (beta-1)^2 P/m
-        dm = dm + 2.0 * r
-        dw = r / (var * m)  # (beta-1)^2 P/w
-        if live is not None:  # dead bins contribute nothing
-            dm = np.where(live, dm, 0.0)
-            dw = np.where(live, dw, 0.0)
-        return value, self._c @ dm - 2.0 * y * (self._d @ dw)
+        value, gradient = self._value_and_gradient(self.validate(params))
+        return float(value), gradient
 
     def hessian(self, params) -> np.ndarray:
         """Hessian of the cost: K x K in the yields for the profiled ``approx`` and
@@ -496,35 +574,7 @@ class CostFunction:
         """
         if self.method is Method.EXACT:
             return self._exact_hessian(params)
-        y, value, live, beta, m, var = self._profile(params)
-        if value == math.inf:
-            return np.full((y.size, y.size), np.nan)
-        c, n, s = self._c, self._n, self._s
-        if self.method is Method.APPROX:
-            # dbeta/dmu0 = -beta/(mu0 + a)
-            h = 2.0 * n / (m * m) - 2.0 * s * s * beta / (s * m + self._a_eff)
-            return (c * h) @ c.T
-        # Conway, with iw = 1/w = P/m^2 and the gradient of w, g = 2 d y:
-        # L_yy = (2n/m^2) c c^T + (beta-1)^2 grad^2 P
-        # L_yb = u c + v g,  u = 2s + 4(beta-1) P/m,  v = -2(beta-1) P/w
-        # L_bb = 2n/beta^2 + 2P; a factor held at 0 (n = 0) is not profiled
-        t = beta - 1.0
-        tt = t * t
-        P = 1.0 / var
-        iw = P / (m * m)
-        u = 2.0 * s + 4.0 * t * P / m
-        v = -2.0 * t * P * iw
-        free = beta > 0.0
-        bf = np.where(free, beta, 1.0)
-        inv_lbb = np.where(free, 1.0 / (2.0 * n / (bf * bf) + 2.0 * P), 0.0)
-        A = 2.0 * n / (m * m) + 2.0 * tt * iw - u * u * inv_lbb
-        B = -2.0 * tt * iw * P / m - u * v * inv_lbb
-        E = 2.0 * tt * P * iw * iw - v * v * inv_lbb
-        F = -2.0 * tt * P * iw
-        if live is not None:  # dead bins contribute nothing
-            A, B, E, F = (np.where(live, z, 0.0) for z in (A, B, E, F))
-        g = 2.0 * y[:, None] * self._d
-        return (c * A + g * B) @ c.T + (c * B + g * E) @ g.T + np.diag(self._d @ F)
+        return self._profiled_hessian(self.validate(params))
 
     def _exact_hessian(self, params) -> np.ndarray:
         # Per bin, mu = sum_k y_k c_k beta_k with c_k = a_k/M_k, so with J the
@@ -586,6 +636,76 @@ class CostFunction:
         beta_full[self._active] = beta
         contrib[self._active] = terms
         return BetaDiagnostics(beta=beta_full, contributions=contrib)
+
+
+class CostStack(_PerBin):
+    """The profiled costs of several fits, evaluated together.
+
+    ``costs`` are ``approx`` or ``conway`` cost functions that share their
+    method, weighting, number of components and number of active bins; their
+    data arrays are stacked along a leading axis.  Row ``t`` of a call on a
+    ``(T, K)`` stack of yields equals, bit for bit, the call of ``costs[t]``
+    on row ``t`` alone, whatever the other rows hold, so a minimizer can step
+    many fits at the cost of one NumPy dispatch per operation.  Rows outside
+    the domain evaluate to ``+inf`` with NaN derivatives.
+    """
+
+    _FIELDS = (
+        "_norms", "_a", "_v", "_s", "_n", "_npos", "_2n", "_na", "_nlogn", "_a_eff", "_c", "_d",
+    )
+
+    def __init__(self, costs):
+        first = costs[0]
+        shape = (first.method, first.weighted, first.nparams, first.nbins_active)
+        if first.method is Method.EXACT or any(
+            (c.method, c.weighted, c.nparams, c.nbins_active) != shape for c in costs
+        ):
+            raise ValueError(
+                "a cost stack needs approx or conway costs of one method, weighting, "
+                "component count and active-bin count"
+            )
+        self.method = first.method
+        self.weighted = first.weighted
+        self._domain_lo = first._domain_lo
+        for name in self._FIELDS:
+            setattr(self, name, np.stack([getattr(c, name) for c in costs]))
+
+    def __len__(self) -> int:
+        return len(self._n)
+
+    def take(self, rows) -> "CostStack":
+        """The stack of the costs at ``rows``, in that order."""
+        out = object.__new__(CostStack)
+        out.method, out.weighted, out._domain_lo = self.method, self.weighted, self._domain_lo
+        for name in self._FIELDS:
+            setattr(out, name, getattr(self, name)[rows])
+        return out
+
+    def _inside(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """``y`` with a row inside the domain in place of each row outside, and where those were."""
+        bad = self._outside(y)
+        if not np.count_nonzero(bad):
+            return y, None
+        # the stand-in rows keep the kernels from raising floating-point
+        # warnings on behalf of the rejected ones
+        return np.where(bad[:, None], 1.0, y), bad
+
+    def value_and_gradient(self, y) -> tuple[np.ndarray, np.ndarray]:
+        """Values ``(T,)`` and gradients ``(T, K)`` at a ``(T, K)`` stack of yields."""
+        y, bad = self._inside(np.asarray(y, dtype=np.float64))
+        value, gradient = self._value_and_gradient(y)
+        if bad is not None:
+            value[bad] = math.inf
+            gradient[bad] = np.nan
+        return value, gradient
+
+    def hessian(self, y) -> np.ndarray:
+        """Hessians ``(T, K, K)`` at a ``(T, K)`` stack of yields."""
+        y, bad = self._inside(np.asarray(y, dtype=np.float64))
+        H = self._profiled_hessian(y)
+        if bad is not None:
+            H[bad] = np.nan
+        return H
 
 
 def _validated_yields(model: TemplateModel, yields) -> np.ndarray:

@@ -8,6 +8,20 @@ The covariance is twice the inverse of the Hessian at the minimum (the
 factor two because the cost is minus twice a log-likelihood ratio).  A
 minimum with a parameter on its lower bound has no covariance.
 
+One loop runs every fit, on a batch of fits in lockstep: its state holds
+one row per fit, and every round evaluates each row's next point (a
+line-search trial or the restart point) in one call.  A row leaves the
+batch when its fit stops.  :func:`minimize` and :func:`fit` run a batch of
+one, which evaluates through the cost function's own methods.
+:func:`minimize_batch` stacks plain ``approx`` and ``conway`` cost
+functions that share method, weighting, component count and active-bin
+count into one :class:`~templatefit.likelihood.CostStack` (at most 2^14
+per-bin elements, rows x components x active bins), so a round costs one
+NumPy dispatch per operation for the whole stack.  Every operation on the
+state is elementwise, a reduction along the last axis or one BLAS product
+per row, and stacked rows equal single calls bit for bit, so a fit's
+result does not depend on the batch it ran in.
+
 Every method's Hessian is closed form, ``CostFunction.hessian``: the
 initial inverse-curvature scaling is the inverse diagonal of the Hessian
 at the start, and the covariance comes from the Hessian at the minimum.
@@ -16,37 +30,35 @@ its full inverse is returned, so the template uncertainty propagates into
 the yield errors.  Each Hessian counts as one evaluation.
 
 ``approx`` and ``conway`` profile their per-bin factors analytically, so
-``CostFunction.value_and_gradient`` gives the value and the exact gradient
-in one kernel pass, which counts as one evaluation: every line-search
-trial is one such pass, whose gradient is kept when the trial is accepted.
+``value_and_gradient`` gives the value and the exact gradient in one
+kernel pass, which counts as one evaluation: every line-search trial is
+one such pass, whose gradient is kept when the trial is accepted.
 
 ``exact`` fits its amplitude factors numerically and takes its gradient by
-central finite differences.  Each stencil is evaluated through one lazy
-evaluator that pulls its points in stacked ``cost(X)`` calls of at most
-2^14 per-bin elements (rows x components x active bins); the start value
-shares one stack with the first gradient stencil.  Every stacked value
-equals the single-point call bit for bit and every point counts as one
-evaluation.
+central finite differences; its parameter count varies from fit to fit,
+so it always runs as a batch of one.  Each stencil is evaluated in stacked
+``cost(X)`` calls of at most 2^14 per-bin elements; the start value shares
+one stack with the first gradient stencil.  Every stacked value equals the
+single-point call bit for bit and every point counts as one evaluation.
 
 A quasi-Newton step moves only the free parameters: one on its lower
 bound whose gradient points out of the domain is held there.
 
-Every fit reports why it stopped in ``FitResult.status``.
+Every fit reports why it stopped in ``FitResult.status``, with its
+evaluation, iteration and restart counts.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .likelihood import BetaDiagnostics, CostFunction, Method
+from .likelihood import BetaDiagnostics, CostFunction, CostStack, Method, _diag, _dot, _matvec
 from .special import chi2_sf
 
-__all__ = ["FitResult", "minimize", "hesse", "default_start", "gof", "fit"]
+__all__ = ["FitResult", "minimize", "minimize_batch", "hesse", "default_start", "gof", "fit"]
 
 _EPS = float(np.finfo(np.float64).eps)
 _GRAD_STEP = math.sqrt(_EPS)  # central-difference gradient step scale
@@ -54,10 +66,15 @@ _GRAD_STEP = math.sqrt(_EPS)  # central-difference gradient step scale
 DEFAULT_GTOL = 1e-4
 DEFAULT_MAX_CALLS = 100_000
 _FTOL = 1e-6  # convergence threshold on the cost decrease between iterations
+_TRIALS = 50  # line-search trials per iteration
 
 # a stacked cost call holds at most this many per-bin elements (rows x
 # components x active bins), which bounds the size of its temporaries
 _STACK_ELEMENTS = 2**14
+
+# why a row left the loop; 0 while it runs
+_STATUSES = ("", "converged", "stalled", "budget")
+_CONVERGED, _STALLED, _BUDGET = 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -74,7 +91,8 @@ class FitResult:
     positive definite.  ``ndof`` counts the bins entering the cost minus
     the number of yields.  ``betas`` holds the per-bin scale factors at
     the minimum (profiled for the approximate methods, fitted for the
-    exact one).
+    exact one).  ``n_iterations`` counts the accepted quasi-Newton steps
+    and ``restarted`` says whether the one restart was taken.
     """
 
     yields: np.ndarray
@@ -85,6 +103,8 @@ class FitResult:
     status: str
     n_evaluations: int
     betas: BetaDiagnostics
+    n_iterations: int = 0
+    restarted: bool = False
 
     @property
     def converged(self) -> bool:
@@ -92,20 +112,21 @@ class FitResult:
 
 
 class _Counted:
-    """Evaluation counter around a cost function, with a budget.
+    """One cost function as a batch of one, with its evaluation count.
 
-    Costs with closed-form gradients (``approx``, ``conway``) give the
-    value and gradient in one pass, counting as one evaluation.  ``exact``
-    uses finite-difference gradient stencils: ``values`` evaluates a stream
-    of stencil points in stacked calls of at most ``rows`` points, and each
-    point counts as one evaluation.  Every method's Hessian is closed form
-    and counts as one evaluation.
+    Every evaluation goes through the cost function's own methods, so a
+    subclass that overrides them is honoured.  Costs with closed-form
+    gradients (``approx``, ``conway``) give the value and gradient in one
+    pass, counting as one evaluation.  ``exact`` uses finite-difference
+    gradient stencils: ``values`` evaluates a list of stencil points in
+    stacked calls of at most ``rows`` points, and each point counts as one
+    evaluation.  Every method's Hessian is closed form and counts as one
+    evaluation.
     """
 
-    def __init__(self, cost: CostFunction, max_calls: float = math.inf):
+    def __init__(self, cost: CostFunction):
         self._cost = cost
         self.calls = 0
-        self.max_calls = max_calls
         self.closed_form = cost.method is not Method.EXACT
         self.rows = max(1, _STACK_ELEMENTS // max(1, cost.model.ncomponents * cost.nbins_active))
 
@@ -113,47 +134,94 @@ class _Counted:
         self.calls += 1
         return self._cost(x)
 
-    def values(self, points) -> Iterator[float]:
-        """Values at ``points``, in order, drawing at most ``rows`` points per call."""
-        points = iter(points)
-        while chunk := list(itertools.islice(points, self.rows)):
+    def values(self, points) -> list[float]:
+        """Values at ``points``, in order, in stacked calls of at most ``rows`` points."""
+        out = []
+        for i in range(0, len(points), self.rows):
+            chunk = points[i : i + self.rows]
             if len(chunk) == 1:  # the vector call is cheaper than a one-row stack
-                yield self(chunk[0])
+                out.append(self(chunk[0]))
                 continue
             self.calls += len(chunk)
-            yield from self._cost(np.array(chunk)).tolist()
+            out += self._cost(np.array(chunk)).tolist()
+        return out
 
-    def start(self, x: np.ndarray, lower: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    def keep(self, rows: np.ndarray) -> None:
+        pass  # the one row leaves only when the loop ends
+
+    def start(self, x: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Value, gradient and diagonal second derivatives at the start point."""
         if self.closed_form:
             fx, g = self.trial(x)
         else:  # the start value and the gradient stencil, in one stack
-            rows, steps = _gradient_rows(x, lower)
-            values = self.values([x, *rows])
-            fx = next(values)
-            g = _gradient_of(values, steps, fx)
-        return fx, g, np.diag(self.hessian(x))
+            rows, steps = _gradient_rows(x[0], lower)
+            values = self.values([x[0], *rows])
+            fx = np.array(values[:1])
+            g = _gradient_of(values[1:], steps, values[0])[None]
+        return fx, g, np.diag(self.hessian(x)[0])[None]
 
-    def trial(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
-        """Value at ``x`` and, for a closed-form cost, its gradient from the same pass.
+    def trial(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Value at the point ``x[0]`` and, for a closed-form cost, its gradient from the same pass.
 
-        The gradient is ``None`` for ``exact``: callers take the stencil
-        gradient once they accept the point.
+        The gradient is ``None`` for ``exact``: the loop takes the stencil
+        gradient once it accepts the point.
         """
         if not self.closed_form:
-            return self(x), None
+            return np.array([self(x[0])]), None
         self.calls += 1
-        if not np.isfinite(x).all():  # a diverged step, outside the domain
-            return math.inf, np.full(x.size, math.nan)
-        return self._cost.value_and_gradient(x)
+        try:
+            value, gradient = self._cost.value_and_gradient(x[0])
+        except ValueError:
+            if np.count_nonzero(np.isfinite(x)) == x.size:
+                raise
+            # a diverged step, outside the domain
+            return np.array([math.inf]), np.full(x.shape, math.nan)
+        return np.array([value]), gradient[None]
 
-    def hessian(self, x: np.ndarray) -> np.ndarray:
+    def gradient(self, x: np.ndarray, f0: float, lower: np.ndarray) -> np.ndarray:
+        """Finite-difference gradient of ``exact`` at ``x``, whose value is ``f0``."""
+        rows, steps = _gradient_rows(x, lower)
+        return _gradient_of(self.values(rows), steps, f0)
+
+    def hessian(self, x: np.ndarray, rows=None) -> np.ndarray:
+        if not len(x):
+            return np.empty((0, x.shape[1], x.shape[1]))
         self.calls += 1
-        return self._cost.hessian(x)
+        return self._cost.hessian(x[0])[None]
 
-    @property
-    def exhausted(self) -> bool:
-        return self.calls >= self.max_calls
+
+class _Stacked:
+    """Plain ``approx`` or ``conway`` cost functions as one stack.
+
+    Every round evaluates each running row once, so all running rows have
+    made the same number of evaluations, ``calls``.
+    """
+
+    closed_form = True
+
+    def __init__(self, costs: list[CostFunction]):
+        self._all = CostStack(costs)
+        self._stack = self._all
+        self.calls = 0
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop every running row but ``rows``, positions among the running ones."""
+        if len(rows) < len(self._stack):
+            self._stack = self._stack.take(rows)
+
+    def start(self, x: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        fx, g = self.trial(x)
+        self.calls += 1
+        return fx, g, np.diagonal(self._stack.hessian(x), axis1=-2, axis2=-1)
+
+    def trial(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        self.calls += 1
+        return self._stack.value_and_gradient(x)
+
+    def hessian(self, x: np.ndarray, rows) -> np.ndarray:
+        """Hessians at ``x`` of the costs at ``rows``, positions in the whole batch."""
+        stack = self._all if len(rows) == len(self._all) else self._all.take(rows)
+        return stack.hessian(x)
 
 
 def _gradient_rows(x: np.ndarray, lower: np.ndarray) -> tuple[list, list]:
@@ -174,18 +242,14 @@ def _gradient_rows(x: np.ndarray, lower: np.ndarray) -> tuple[list, list]:
     return rows, steps
 
 
-def _gradient_of(values: Iterator[float], steps: list, f0: float) -> np.ndarray:
+def _gradient_of(values: list[float], steps: list, f0: float) -> np.ndarray:
     """Central-difference gradient, one-sided where the bound is too close."""
+    values = iter(values)
     g = np.empty(len(steps))
     for i, (h, central) in enumerate(steps):
         fp = next(values)
         g[i] = (fp - next(values)) / (2.0 * h) if central else (fp - f0) / h
     return g
-
-
-def _gradient(f: _Counted, x: np.ndarray, f0: float, lower: np.ndarray) -> np.ndarray:
-    rows, steps = _gradient_rows(x, lower)
-    return _gradient_of(f.values(rows), steps, f0)
 
 
 def _at_bound(x: np.ndarray, lower: np.ndarray) -> np.ndarray:
@@ -194,9 +258,7 @@ def _at_bound(x: np.ndarray, lower: np.ndarray) -> np.ndarray:
 
 
 def _direction(hinv: np.ndarray, g: np.ndarray, held: np.ndarray) -> np.ndarray:
-    """Quasi-Newton step over the free parameters; ``held`` ones stay put."""
-    if not held.any():
-        return -(hinv @ g)
+    """Quasi-Newton step over the free parameters of one row; ``held`` ones stay put."""
     free = ~held
     # inverse of the free block of the curvature model: the Schur complement
     # of the held block in its inverse
@@ -208,10 +270,13 @@ def _direction(hinv: np.ndarray, g: np.ndarray, held: np.ndarray) -> np.ndarray:
     return p
 
 
-def _pg_norm(g: np.ndarray, held: np.ndarray) -> float:
-    """Sup norm of the gradient with the components of ``held`` parameters removed."""
-    pg = np.where(held, 0.0, g)
-    return float(np.max(np.abs(pg))) if pg.size else 0.0
+def _directions(hinv: np.ndarray, g: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """Quasi-Newton steps of stacked rows; rows with held parameters one by one."""
+    p = -_matvec(hinv, g)
+    if np.count_nonzero(held):
+        for i in held.any(axis=-1).nonzero()[0]:
+            p[i] = _direction(hinv[i], g[i], held[i])
+    return p
 
 
 def default_start(cost: CostFunction) -> np.ndarray:
@@ -226,6 +291,24 @@ def default_start(cost: CostFunction) -> np.ndarray:
     return start
 
 
+def _start_point(cost: CostFunction, start) -> np.ndarray:
+    x = np.array(default_start(cost) if start is None else start, dtype=np.float64)
+    if x.shape != (cost.nparams,):
+        raise ValueError(f"start must have {cost.nparams} entries")
+    if not np.isfinite(x).all():
+        raise ValueError("start point must be finite")
+    if np.count_nonzero(x < cost.lower_bounds):
+        raise ValueError("start point must lie within the bounds")
+    return x
+
+
+def _check_options(gtol: float, max_calls: int) -> None:
+    if not gtol > 0.0:
+        raise ValueError(f"gtol must be positive, got {gtol}")
+    if not max_calls >= 1:
+        raise ValueError(f"max_calls must be at least 1, got {max_calls}")
+
+
 def minimize(
     cost: CostFunction,
     start=None,
@@ -234,6 +317,8 @@ def minimize(
     max_calls: int = DEFAULT_MAX_CALLS,
 ) -> FitResult:
     """Minimize a cost function over its parameter space, bounded below by its ``lower_bounds``.
+
+    A batch of one through the loop of :func:`minimize_batch`.
 
     Parameters
     ----------
@@ -248,138 +333,388 @@ def minimize(
         Evaluation budget, at least 1; when exhausted the best point seen
         so far is returned with status ``budget``.
     """
-    x = np.array(default_start(cost) if start is None else start, dtype=np.float64)
-    lower = cost.lower_bounds
-    if x.shape != (cost.nparams,):
-        raise ValueError(f"start must have {cost.nparams} entries")
-    if not np.isfinite(x).all():
-        raise ValueError("start point must be finite")
-    if np.any(x < lower):
-        raise ValueError("start point must lie within the bounds")
-    if not gtol > 0.0:
-        raise ValueError(f"gtol must be positive, got {gtol}")
-    if not max_calls >= 1:
-        raise ValueError(f"max_calls must be at least 1, got {max_calls}")
+    x = _start_point(cost, start)
+    _check_options(gtol, max_calls)
+    (result,) = _fit_rows(_Counted(cost), [cost], x[None], gtol, max_calls)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
-    f = _Counted(cost, max_calls)
-    fx, g, d2 = f.start(x, lower)
-    if not math.isfinite(fx):
-        raise ValueError("cost is not finite at the start point")
-    hinv0 = _initial_inverse_diag(d2)
-    hinv = np.diag(hinv0)
-    best_x, best_f = x.copy(), fx
-    df = None
-    restarted = False
-    status = "budget"
 
-    while not f.exhausted:
-        # on its bound with the gradient pointing out of the domain
-        held = _at_bound(x, lower) & (g > 0.0)
-        pg = _pg_norm(g, held)
-        if pg < gtol and (df is None or df < _FTOL):
-            status = "converged"
-            break
+def minimize_batch(
+    costs,
+    *,
+    gtol: float = DEFAULT_GTOL,
+    max_calls: int = DEFAULT_MAX_CALLS,
+) -> list[FitResult | Exception]:
+    """Minimize many cost functions from their default starts, in lockstep.
 
-        p = _direction(hinv, g, held)
-        if float(p @ g) >= 0.0:
-            hinv = np.diag(hinv0)  # curvature estimate went bad; reset
-            p = _direction(hinv, g, held)
+    Returns one entry per cost, in order: its :class:`FitResult`, equal
+    field for field and bit for bit to ``minimize(cost, gtol=gtol,
+    max_calls=max_calls)``, or the ``ValueError`` or ``ArithmeticError``
+    that call would raise (a start point or start value that is not
+    finite, say).  Other exceptions propagate.
 
-        accepted = False
-        alpha = 1.0
-        xt = x
-        ft, gt = fx, None
-        for _ in range(50):
-            xt = np.maximum(x + alpha * p, lower)
-            dx = xt - x
-            if not np.any(dx):
-                break
-            gdx = float(g @ dx)
-            ft, gt = f.trial(xt)
-            if gdx < 0.0 and ft <= fx + 1e-4 * gdx:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            if pg < gtol:
-                status = "converged"
-                break
-            if not restarted:
-                # one restart from a deterministic nearby point
-                restarted = True
-                x = np.maximum(x + 1e-3 * np.maximum(1.0, np.abs(x)), lower)
-                fx, g = f.trial(x)
-                if g is None:
-                    g = _gradient(f, x, fx, lower)
-                hinv = np.diag(hinv0)
-                df = None
-                if fx < best_f:
-                    best_x, best_f = x.copy(), fx
-                continue
-            status = "stalled"
-            break
+    Plain ``approx`` and ``conway`` cost functions with the same method,
+    weighting, component count and active-bin count are stepped together
+    as one :class:`~templatefit.likelihood.CostStack`; ``exact`` costs and
+    instances of subclasses run as batches of one, through their own
+    methods.  When a stack raises, its fits are run again one by one, so
+    the error fails only the fit that caused it.
+    """
+    _check_options(gtol, max_calls)
+    costs = list(costs)
+    results: list = [None] * len(costs)
+    groups: dict = {}
+    for i, cost in enumerate(costs):
+        try:
+            start = _start_point(cost, None)
+        except ValueError as exc:
+            results[i] = exc
+            continue
+        stackable = type(cost) is CostFunction and cost.method is not Method.EXACT
+        key = (cost.method, cost.weighted, cost.nparams, cost.nbins_active) if stackable else i
+        groups.setdefault(key, []).append((i, start))
+    for members in groups.values():
+        cost = costs[members[0][0]]
+        size = max(1, _STACK_ELEMENTS // max(1, cost.nparams * cost.nbins_active))
+        for lo in range(0, len(members), size):
+            chunk = members[lo : lo + size]
+            for (i, _), r in zip(chunk, _fit_chunk(costs, chunk, gtol, max_calls)):
+                results[i] = r
+    return results
 
-        if gt is None:
-            gt = _gradient(f, xt, ft, lower)
-        s = xt - x
-        yv = gt - g
-        sy = float(s @ yv)
-        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
-            rho = 1.0 / sy
-            hy = hinv @ yv
-            hinv = (
-                hinv
-                + np.outer(s, s) * (rho * rho * float(yv @ hy) + rho)
-                - (np.outer(hy, s) + np.outer(s, hy)) * rho
-            )
-        df = fx - ft
-        x, fx, g = xt, ft, gt
-        if fx < best_f:
-            best_x, best_f = x.copy(), fx
 
-    if fx > best_f:
-        x, fx = best_x, best_f
+def _fit_chunk(costs, chunk, gtol, max_calls) -> list:
+    rows = [costs[i] for i, _ in chunk]
+    x = np.array([start for _, start in chunk])
+    try:
+        f = _Counted(rows[0]) if len(rows) == 1 else _Stacked(rows)
+        return _fit_rows(f, rows, x, gtol, max_calls)
+    except (ValueError, ArithmeticError) as exc:
+        # numeric failures (LinAlgError is a ValueError); anything else is a bug
+        if len(rows) == 1:
+            return [exc]
+        return [r for item in chunk for r in _fit_chunk(costs, [item], gtol, max_calls)]
 
-    K = cost.model.ncomponents
-    on_bound = bool(_at_bound(x, lower).any())
-    covariance = None if on_bound else _covariance(f.hessian(x), K)
-    if status == "converged" and on_bound:
-        status = "on_bound"
-    elif status == "converged" and covariance is None:
-        status = "hessian_not_pd"
-    return FitResult(
-        yields=x[:K].copy(),
-        yield_errors=None if covariance is None else np.sqrt(np.diag(covariance)),
-        covariance=covariance,
-        qmin=fx,
-        ndof=cost.ndof,
-        status=status,
-        n_evaluations=f.calls,
-        betas=cost.diagnostics(x),
+
+def _fit_rows(f, costs: list[CostFunction], x: np.ndarray, gtol: float, max_calls: int) -> list:
+    """Minimize every row of the batch ``f`` from ``x``; results (or exceptions) in row order."""
+    lower = costs[0].lower_bounds
+    ends = _descend(f, x, lower, gtol, max_calls)
+    done = [i for i, end in enumerate(ends) if not isinstance(end, Exception)]
+    if not done:
+        return ends
+    X = np.array([ends[i][0] for i in done])
+    interior = ~np.logical_or.reduce(_at_bound(X, lower), axis=-1)
+    rows = [done[j] for j in np.flatnonzero(interior)]
+    K = costs[0].model.ncomponents
+    covariances = dict(zip(rows, _covariances(f.hessian(X[interior], rows), K)))
+    results = list(ends)
+    for i in done:
+        point, qmin, status, calls, iterations, restarted = ends[i]
+        covariance = covariances.get(i)
+        if status == "converged" and i not in covariances:
+            status = "on_bound"
+        elif status == "converged" and covariance is None:
+            status = "hessian_not_pd"
+        results[i] = FitResult(
+            yields=point[:K].copy(),
+            yield_errors=None if covariance is None else np.sqrt(np.diag(covariance)),
+            covariance=covariance,
+            qmin=qmin,
+            ndof=costs[i].ndof,
+            status=status,
+            n_evaluations=calls + (i in covariances),
+            betas=costs[i].diagnostics(point),
+            n_iterations=iterations,
+            restarted=restarted,
+        )
+    return results
+
+
+_ALL = slice(None)
+
+
+def _which(mask: np.ndarray):
+    """The rows of ``mask``: ``None`` for none, ``_ALL`` for all, else their positions."""
+    rows = mask.nonzero()[0]
+    return None if not len(rows) else _ALL if len(rows) == len(mask) else rows
+
+
+def _put(arr: np.ndarray, rows, values) -> np.ndarray:
+    """A copy of ``arr`` with ``rows`` set to ``values``; ``values`` itself for all rows.
+
+    The loop never writes its state in place, so arrays may be shared.
+    """
+    if rows is _ALL:
+        return values
+    out = arr.copy()
+    out[rows] = values
+    return out
+
+
+class _Rows:
+    """State of the lockstep loop, one row per running fit.
+
+    ``begin`` selects the rows at a new point, which start an iteration, and
+    ``failed`` masks the rows whose line search failed (``None`` for none);
+    the other rows continue their line search.  The state is never written
+    in place, so rows of one array may be shared by another.
+    """
+
+    _ARRAYS = (
+        "rows", "x", "fx", "g", "hinv", "hinv0", "best_x", "best_f", "fprev", "pg", "p",
+        "trials", "iterations", "restarted", "xt", "lim",
     )
+
+    def __init__(self, x: np.ndarray, fx: np.ndarray, g: np.ndarray, d2: np.ndarray):
+        n = len(x)
+        self.rows = np.arange(n)  # batch position of each running row
+        self.x, self.fx, self.g = x, fx, g
+        self.hinv0 = _initial_inverse_diag(d2)
+        self.hinv = _diag(self.hinv0)
+        self.best_x, self.best_f = x, fx
+        # value before the last step, -inf before the first step and after the
+        # restart; fprev - fx is the decrease the convergence test reads
+        self.fprev = np.full(n, -np.inf)
+        # accepted steps: per row in rounds where some row rejects its trial,
+        # and ``steps`` for the rounds where every row accepts
+        self.iterations = np.zeros(n, dtype=np.int64)
+        self.steps = 0
+        self.restarted = np.zeros(n, dtype=bool)
+        # set where an iteration begins, so first in the first round: the
+        # projected-gradient norm, the direction and the rejected trials of
+        # the line search (the step length is 2^-trials)
+        self.pg = self.p = self.trials = None
+        # the point each row evaluates next, and the largest value that
+        # accepts it as a line-search trial
+        self.xt = self.lim = None
+        self.begin = _ALL
+        self.failed: np.ndarray | None = None
+        self.restart: np.ndarray | None = None  # rows evaluating their restart point
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def stop(self, status: np.ndarray, calls: int, out: list) -> np.ndarray:
+        """End the rows with a nonzero ``status``; returns the positions of the others."""
+        for j in status.nonzero()[0]:
+            at_best = self.fx[j] > self.best_f[j]
+            out[self.rows[j]] = (
+                (self.best_x if at_best else self.x)[j].copy(),
+                float((self.best_f if at_best else self.fx)[j]),
+                _STATUSES[status[j]],
+                calls,
+                int(self.iterations[j]) + self.steps,
+                bool(self.restarted[j]),
+            )
+        keep = (status == 0).nonzero()[0]
+        self.rows = self.rows[keep]
+        if not len(keep):
+            return keep
+        for name in self._ARRAYS[1:]:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value[keep])
+        if self.begin is not _ALL and self.begin is not None:
+            self.begin = _which(np.isin(keep, self.begin))
+        if self.failed is not None:
+            self.failed = self.failed[keep]
+        if self.restart is not None:
+            self.restart = self.restart[keep]
+        return keep
+
+
+def _descend(f, x: np.ndarray, lower: np.ndarray, gtol: float, max_calls: int) -> list:
+    """The bounded quasi-Newton iteration of every row of ``x``, in lockstep.
+
+    Every round evaluates each running row once, at its next line-search
+    trial or at its restart point.  Returns per row the end point, its
+    value, the status, the evaluation and iteration counts and whether it
+    restarted; or a ``ValueError`` when the cost is not finite at the start.
+    Selections of all rows (``_ALL``) skip the indexing.
+    """
+    out: list = [None] * len(x)
+    fx, g, d2 = f.start(x, lower)
+    s = _Rows(x, fx, g, d2)
+    finite = np.isfinite(fx)
+    if np.count_nonzero(finite) < len(s):
+        f.keep(s.stop(np.where(finite, 0, _STALLED), f.calls, out))
+        for i in (~finite).nonzero()[0]:
+            out[i] = ValueError("cost is not finite at the start point")
+
+    while len(s):
+        # --- rows at a new point begin an iteration ---
+        b = s.begin
+        if b is not None:
+            xb, gb = (s.x, s.g) if b is _ALL else (s.x[b], s.g[b])
+            # on its bound with the gradient pointing out of the domain
+            held = _at_bound(xb, lower) & (gb > 0.0)
+            pg = np.maximum.reduce(np.abs(np.where(held, 0.0, gb)), axis=-1)
+            converged = None
+            if np.fmin.reduce(pg) < gtol:
+                converged = (pg < gtol) & (s.fprev[b] - s.fx[b] < _FTOL)
+            if f.calls >= max_calls or converged is not None and np.count_nonzero(converged):
+                status = np.zeros(len(s), dtype=np.int8)
+                status[b] = _BUDGET if f.calls >= max_calls else np.where(converged, _CONVERGED, 0)
+                f.keep(s.stop(status, f.calls, out))
+                continue  # begin again with the rows that go on
+            p = _directions(s.hinv if b is _ALL else s.hinv[b], gb, held)
+            pgd = _dot(p, gb)
+            if np.fmax.reduce(pgd) >= 0.0:  # curvature estimate went bad; reset
+                reset = pgd >= 0.0
+                r = np.arange(len(s))[b][reset]
+                s.hinv = _put(s.hinv, r, _diag(s.hinv0[r]))
+                p[reset] = _directions(s.hinv[r], s.g[r], held[reset])
+            s.pg = _put(s.pg, b, pg)
+            s.p = _put(s.p, b, p)
+            s.trials = _put(s.trials, b, np.zeros(len(p), dtype=np.int64))
+
+        # --- the next trial point of every row that searches ---
+        q = _ALL if s.failed is None else _which(~s.failed)
+        if q is not None:
+            if q is _ALL:
+                xq, gq, fq = s.x, s.g, s.fx
+            else:
+                xq, gq, fq = s.x[q], s.g[q], s.fx[q]
+            # the step length halves with every rejected trial; it is 1 where
+            # every row begins an iteration
+            step = s.p if b is _ALL else np.ldexp(1.0, -s.trials[q])[:, None] * s.p[q]
+            xn = np.maximum(xq + step, lower)
+            dx = xn - xq
+            gdx = _dot(gq, dx)
+            # Armijo condition; a step that does not descend takes no value
+            lim = fq + 1e-4 * gdx
+            if np.fmax.reduce(gdx) >= 0.0:
+                lim = np.where(gdx < 0.0, lim, -np.inf)
+            s.xt = _put(s.xt, q, xn)
+            s.lim = _put(s.lim, q, lim)
+            moved = np.logical_or.reduce(dx, axis=-1)
+            if np.count_nonzero(moved) < len(moved):
+                s.failed = _put(np.zeros(len(s), dtype=bool) if s.failed is None else s.failed, q, ~moved)
+
+        # --- failed line searches converge, stall after the restart, or restart ---
+        if s.failed is not None:
+            status = np.where(s.pg < gtol, _CONVERGED, np.where(s.restarted, _STALLED, 0))
+            status = np.where(s.failed, status, 0)
+            restart = s.failed & (status == 0)
+            s.failed = None
+            if np.count_nonzero(restart):  # one restart from a deterministic nearby point
+                xr = s.x[restart]
+                s.xt = _put(s.xt, restart, np.maximum(xr + 1e-3 * np.maximum(1.0, np.abs(xr)), lower))
+                s.restarted = s.restarted | restart
+                s.restart = restart
+            if np.count_nonzero(status):
+                s.begin = None
+                f.keep(s.stop(status, f.calls, out))
+                if not len(s):
+                    break
+
+        ft, gt = f.trial(s.xt)
+        accepted = ft <= s.lim
+        take = accepted
+        if s.restart is not None:
+            accepted = accepted & ~s.restart
+            take = accepted | s.restart
+        if gt is None:  # exact: the stencil gradient where a point is taken
+            gt = np.full_like(s.xt, np.nan)
+            for j in take.nonzero()[0]:
+                gt[j] = f.gradient(s.xt[j], ft[j], lower)
+        a = _which(accepted)
+        if a is _ALL:
+            s.hinv = _bfgs(s.hinv, s.xt - s.x, gt - s.g)
+        elif a is not None:
+            s.hinv = _put(s.hinv, a, _bfgs(s.hinv[a], s.xt[a] - s.x[a], gt[a] - s.g[a]))
+        if s.restart is not None:
+            s.hinv = _put(s.hinv, s.restart, _diag(s.hinv0[s.restart]))
+        t = a if take is accepted else _which(take)
+        if t is _ALL and a is _ALL:
+            s.fprev = s.fx
+            s.steps += 1
+        elif t is not None:
+            s.fprev = np.where(accepted, s.fx, s.fprev)
+            s.iterations = s.iterations + accepted
+        if s.restart is not None:
+            s.fprev = np.where(s.restart, -np.inf, s.fprev)
+            s.restart = None
+        if t is _ALL:
+            s.x, s.fx, s.g = s.xt, ft, gt
+        else:
+            if t is not None:
+                s.x = np.where(take[:, None], s.xt, s.x)
+                s.fx = np.where(take, ft, s.fx)
+                s.g = np.where(take[:, None], gt, s.g)
+            s.trials = s.trials + ~take
+            failed = ~take & (s.trials >= _TRIALS)
+            s.failed = failed if np.count_nonzero(failed) else None
+        better = _which(s.fx < s.best_f)  # rows not taken have fx >= best_f
+        if better is _ALL:
+            s.best_x, s.best_f = s.x, s.fx
+        elif better is not None:
+            s.best_x = _put(s.best_x, better, s.x[better])
+            s.best_f = _put(s.best_f, better, s.fx[better])
+        s.begin = t
+    return out
+
+
+def _bfgs(hinv: np.ndarray, s: np.ndarray, yv: np.ndarray) -> np.ndarray:
+    """BFGS update of stacked inverse-curvature models; rows without positive curvature keep theirs."""
+    sy = _dot(s, yv)
+    ok = sy > 1e-10 * np.sqrt(_dot(s, s)) * np.sqrt(_dot(yv, yv))
+    if np.count_nonzero(ok) < len(ok):
+        hinv = hinv.copy()
+        hinv[ok] = _bfgs(hinv[ok], s[ok], yv[ok])
+        return hinv
+    rho = 1.0 / sy
+    hy = _matvec(hinv, yv)
+    # hinv + s s^T (rho^2 y.hy + rho) - (hy s^T + s hy^T) rho, as np.outer products
+    sc, sr = s[:, :, None], s[:, None, :]
+    coef = rho * rho * _dot(yv, hy) + rho
+    cross = hy[:, :, None] * sr + sc * hy[:, None, :]
+    return hinv + sc * sr * coef[:, None, None] - cross * rho[:, None, None]
 
 
 def _initial_inverse_diag(d2: np.ndarray) -> np.ndarray:
     # diagonal inverse-curvature scaling; yields and amplitude factors live
     # on very different scales, so a unit matrix would stall the first steps
     good = np.isfinite(d2) & (d2 > 0.0)
-    return np.where(good, 1.0 / np.where(good, d2, 1.0), 1.0)
+    return 1.0 / np.where(good, d2, 1.0)
 
 
-def _covariance(H: np.ndarray, K: int) -> np.ndarray | None:
-    """Yield block of twice the inverse of the Hessian ``H``.
+def _covariances(H: np.ndarray, K: int) -> list[np.ndarray | None]:
+    """Yield block of twice the inverse of each stacked Hessian ``H``.
 
-    ``None`` when ``H`` is not positive definite.
+    ``None`` where a Hessian is not positive definite.
     """
-    if not np.all(np.isfinite(H)):
-        return None
-    H = 0.5 * (H + H.T)  # symmetric by construction up to roundoff
+    out: list = [None] * len(H)
+    rows = np.arange(len(H))
+    if np.count_nonzero(np.isfinite(H)) < H.size:
+        rows = np.isfinite(H).reshape(len(H), -1).all(axis=-1).nonzero()[0]
+        H = H[rows]
+    if not len(rows):
+        return out
+    H = 0.5 * (H + np.swapaxes(H, -1, -2))  # symmetric by construction up to roundoff
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:  # find which
+        pd = np.array([_positive_definite(h) for h in H])
+        rows, H = rows[pd], H[pd]
+        if not len(rows):
+            return out
+    cov = 2.0 * np.linalg.inv(H)
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    for i, c in zip(rows, cov):
+        out[i] = np.ascontiguousarray(c[:K, :K])
+    return out
+
+
+def _positive_definite(H: np.ndarray) -> bool:
     try:
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
-        return None
-    cov = 2.0 * np.linalg.inv(H)
-    return np.ascontiguousarray((0.5 * (cov + cov.T))[:K, :K])
+        return False
+    return True
 
 
 def hesse(cost: CostFunction, at) -> np.ndarray | None:
@@ -395,7 +730,7 @@ def hesse(cost: CostFunction, at) -> np.ndarray | None:
     x = cost.validate(at)
     if _at_bound(x, cost.lower_bounds).any():
         return None
-    return _covariance(cost.hessian(x), cost.model.ncomponents)
+    return _covariances(cost.hessian(x)[None], cost.model.ncomponents)[0]
 
 
 def gof(result: FitResult) -> float:

@@ -2,8 +2,12 @@
 
 Every toy index owns one generation stream, so all requested methods fit
 the identical toy and the records do not depend on the worker count or
-on which other methods were requested.  Fit failures of any kind are
-recorded with ``converged=False`` and never abort the ensemble; summary
+on which other methods were requested.  ``run_study`` fits the toys of a
+chunk together: one ``minimize_batch`` call steps the fits of one method
+and active-bin count in lockstep, and every fit's result equals its
+single ``fit`` call bit for bit, so the records do not depend on the
+chunks either.  Numeric fit failures are recorded with ``converged=False``
+and never abort the ensemble; programming errors propagate.  Summary
 statistics are computed over converged fits only, with the excluded
 count reported, so unstable configurations show up instead of being
 masked.
@@ -19,8 +23,8 @@ from multiprocessing import Pool
 import numpy as np
 
 from .histogram import TemplateModel
-from .likelihood import Method
-from .minimize import fit
+from .likelihood import CostFunction, Method
+from .minimize import FitResult, fit, minimize_batch
 from .toys import ToyConfig, draw, rng_stream, to_model
 
 __all__ = [
@@ -34,6 +38,9 @@ __all__ = [
     "RECORDS_HEADER",
     "SUMMARY_HEADER",
 ]
+
+# (n_mc, toy index) pairs drawn and fitted together; bounds the memory of a chunk
+_CHUNK_TASKS = 512
 
 RECORDS_HEADER = "method,n_mc,toy_index,signal_estimate,signal_error,pull,qmin,converged"
 SUMMARY_HEADER = "method,n_mc,n_converged,mean_z,sem_mean,std_z,sem_std"
@@ -87,42 +94,55 @@ def _failed(method: str, n_mc: int, toy_index: int) -> PullRecord:
     return PullRecord(method, n_mc, toy_index, nan, nan, nan, nan, False)
 
 
-def _fit_task(args) -> list[PullRecord]:
-    config, n_mc, toy_index, methods = args
-    cfg = replace(config, n_mc=n_mc)
-    toy = draw(cfg, rng_stream(cfg.seed, toy_index))
-    truth = toy.truth[0]
-    try:
-        model = to_model(cfg, toy)
-    except ValueError:
-        return [_failed(m, n_mc, toy_index) for m in methods]
+def _record(method: str, n_mc: int, toy_index: int, truth: float, result) -> PullRecord:
+    if not isinstance(result, FitResult):
+        return _failed(method, n_mc, toy_index)
+    est = float(result.yields[0])
+    if result.converged and result.yield_errors is not None:
+        err = float(result.yield_errors[0])
+        pull = (est - truth) / err if err > 0 else float("nan")
+    else:
+        err = float("nan")
+        pull = float("nan")
+    return PullRecord(
+        method=method,
+        n_mc=n_mc,
+        toy_index=toy_index,
+        signal_estimate=est,
+        signal_error=err,
+        pull=pull,
+        qmin=float(result.qmin),
+        converged=bool(result.converged),
+    )
+
+
+def _fit_toys(args) -> list[PullRecord]:
+    """Draw and build a chunk of toys, then fit all of them in one ``minimize_batch`` call."""
+    config, tasks, methods = args
     records = []
-    for m in methods:
+    fits = []  # (method, n_mc, toy_index, truth) of each cost
+    costs = []
+    for n_mc, toy_index in tasks:
+        cfg = replace(config, n_mc=n_mc)
+        toy = draw(cfg, rng_stream(cfg.seed, toy_index))
         try:
-            result = fit(model, m)
-        except (ValueError, ArithmeticError):
-            # numeric failures (LinAlgError is a ValueError); anything else is a bug
-            records.append(_failed(m, n_mc, toy_index))
+            model = to_model(cfg, toy)
+        except ValueError:
+            records += [_failed(m, n_mc, toy_index) for m in methods]
             continue
-        est = float(result.yields[0])
-        if result.converged and result.yield_errors is not None:
-            err = float(result.yield_errors[0])
-            pull = (est - truth) / err if err > 0 else float("nan")
-        else:
-            err = float("nan")
-            pull = float("nan")
-        records.append(
-            PullRecord(
-                method=m,
-                n_mc=n_mc,
-                toy_index=toy_index,
-                signal_estimate=est,
-                signal_error=err,
-                pull=pull,
-                qmin=float(result.qmin),
-                converged=bool(result.converged),
-            )
-        )
+        for m in methods:
+            try:
+                costs.append(CostFunction(m, model))
+            except ValueError:
+                records.append(_failed(m, n_mc, toy_index))
+                continue
+            fits.append((m, n_mc, toy_index, toy.truth[0]))
+    try:
+        results = minimize_batch(costs)
+    except (ValueError, ArithmeticError):
+        # numeric failures (LinAlgError is a ValueError); anything else is a bug
+        results = [None] * len(costs)
+    records += [_record(*key, result) for key, result in zip(fits, results)]
     return records
 
 
@@ -136,24 +156,27 @@ def run_study(
 ) -> list[PullRecord]:
     """Fit every method to the same toys for each template size in the grid.
 
-    Returns ``len(methods) * len(n_mc_grid) * n_toys`` records sorted by
-    (method, n_mc, toy_index); the ordering and the values are
-    independent of ``jobs``.
+    The toys are fitted in chunks of at most 512 (n_mc, toy index) pairs,
+    one chunk per worker task when ``jobs > 1``; each chunk's fits run in
+    one :func:`~templatefit.minimize.minimize_batch` call, which steps the
+    fits of one method and active-bin count in lockstep.  Returns
+    ``len(methods) * len(n_mc_grid) * n_toys`` records sorted by (method,
+    n_mc, toy_index); every fit's result equals its single ``fit`` call
+    bit for bit, so the ordering and the values do not depend on the
+    chunks or on ``jobs``.
     """
     if n_toys < 1:
         raise ValueError(f"n_toys must be at least 1, got {n_toys}")
     methods = _normalize_methods(methods)
     grid = [int(v) for v in n_mc_grid]
-    tasks = [
-        (config_base, n_mc, idx, methods) for n_mc in grid for idx in range(n_toys)
-    ]
+    tasks = [(n_mc, idx) for n_mc in grid for idx in range(n_toys)]
+    size = _CHUNK_TASKS if jobs <= 1 else min(_CHUNK_TASKS, -(-len(tasks) // (4 * jobs)))
+    chunks = [(config_base, tasks[i : i + size], methods) for i in range(0, len(tasks), size)]
     if jobs <= 1:
-        chunks = map(_fit_task, tasks)
-        records = [r for chunk in chunks for r in chunk]
+        records = [r for chunk in chunks for r in _fit_toys(chunk)]
     else:
         with Pool(processes=jobs) as pool:
-            results = pool.imap_unordered(_fit_task, tasks, chunksize=8)
-            records = [r for chunk in results for r in chunk]
+            records = [r for done in pool.imap_unordered(_fit_toys, chunks) for r in done]
     records.sort(key=lambda r: (r.method, r.n_mc, r.toy_index))
     return records
 

@@ -56,6 +56,8 @@ class TestFit:
             "converged",
             "status",
             "n_evaluations",
+            "n_iterations",
+            "restarted",
         }
 
     def test_toy_shaped_input_contains_truth(self, tmp_path, capsys):

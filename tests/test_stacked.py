@@ -108,26 +108,6 @@ def test_multi_chunk_stack_matches_single_calls(method, weighted):
     assert _hex(whole) == _hex(single)
 
 
-def test_values_draw_at_most_one_chunk_ahead():
-    cost = _cost("approx", False)
-    f = _Counted(cost)
-    X = _rows(cost, 2 * f.rows + 1, seed=5)
-    drawn = []
-
-    def points():
-        for x in X:
-            drawn.append(x)
-            yield x
-
-    values = f.values(points())
-    assert drawn == [] and f.calls == 0
-    first = next(values)
-    assert len(drawn) == f.rows and f.calls == f.rows
-    rest = list(values)
-    assert len(drawn) == len(X) and f.calls == len(X)
-    assert _hex([first, *rest]) == _hex(cost(x) for x in X)
-
-
 @pytest.mark.parametrize("method,weighted", COSTS)
 def test_every_row_kind_is_covered(method, weighted):
     # the rows above must hit the domain check and, for Conway, both the

@@ -73,7 +73,7 @@ class TestRunStudy:
         def broken(*args, **kwargs):
             raise TypeError("bug inside the fit")
 
-        monkeypatch.setattr(study, "fit", broken)
+        monkeypatch.setattr(study, "minimize_batch", broken)
         with pytest.raises(TypeError, match="bug inside the fit"):
             run_study(ToyConfig(seed=3), [100], 1, ["approx"])
 
@@ -81,7 +81,7 @@ class TestRunStudy:
         def failing(*args, **kwargs):
             raise ValueError("cost is not finite at the start point")
 
-        monkeypatch.setattr(study, "fit", failing)
+        monkeypatch.setattr(study, "minimize_batch", failing)
         records = run_study(ToyConfig(seed=3), [100], 2, ["approx", "conway"])
         assert len(records) == 4
         assert all(not r.converged and math.isnan(r.pull) for r in records)

@@ -1,6 +1,7 @@
 """Toy generation: shape integrals, sampler exactness, stream independence."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -234,3 +235,63 @@ class TestDraw:
         toy = draw(cfg, rng_stream(5, 0))
         np.testing.assert_array_equal(toy.data.sumw, np.round(toy.data.sumw))
         assert toy.data.is_unweighted()
+
+
+# (seed, toy index, config fields, total count, sha256 prefix of the int64
+# counts: data, signal template, background template), drawn by the scalar
+# sampler loop before draw took its uniforms in one block
+FROZEN_DRAWS = [
+    (1, 0, {"n_mc": 0}, 989, "3163e82134684c21"),
+    (1, 0, {"n_mc": 50}, 1089, "03a22f3e21a33a59"),
+    (1, 0, {"n_mc": 10000}, 20919, "02cfb9a3dc779766"),
+    (1, 3, {"n_mc": 0}, 960, "da4cf750af91968d"),
+    (1, 3, {"n_mc": 50}, 1080, "11fba24eca505576"),
+    (1, 3, {"n_mc": 10000}, 21098, "8123c3ceb926f04e"),
+    (101000000, 0, {"n_mc": 0}, 1011, "76bd10fe9f745893"),
+    (101000000, 0, {"n_mc": 50}, 1094, "6f4d6134866424d4"),
+    (101000000, 0, {"n_mc": 10000}, 20829, "7d9d8f4c29d8048a"),
+    (101000000, 3, {"n_mc": 0}, 1027, "9f62923b84c73167"),
+    (101000000, 3, {"n_mc": 50}, 1113, "8283852b4e4d13c0"),
+    (101000000, 3, {"n_mc": 10000}, 20886, "8d6d9a4f276208ce"),
+    (7, 0, {"n_mc": 0}, 1008, "c3b46744b124f12d"),
+    (7, 0, {"n_mc": 50}, 1093, "3f4c3a9ef28e8612"),
+    (7, 0, {"n_mc": 10000}, 21029, "d8003aa557b9f48b"),
+    (7, 3, {"n_mc": 0}, 1032, "888f0b47507e7153"),
+    (7, 3, {"n_mc": 50}, 1134, "035c3d5287fc6c03"),
+    (7, 3, {"n_mc": 10000}, 21084, "38b361081ff9e34a"),
+    (5, 11, {"n_mc": 200, "nbins": 3}, 1449, "9fb3b261205464db"),
+    (5, 12, {"n_mc": 400, "nbins": 40}, 1889, "2547d62cda72d4e8"),
+    (9, 2, {"n_mc": 1000, "background_slope": 0.0}, 3005, "2db9984b8a17c564"),
+    (9, 4, {"n_mc": 50, "signal_yield": 5000.0, "background_yield": 20000.0}, 25100, "9dd1d2ce545ac362"),
+    (9, 5, {"n_mc": 100000, "signal_yield": 0.0}, 200113, "7a3596ce1bdb6433"),
+    (2, 8, {"n_mc": 30, "nbins": 100, "signal_sigma": 0.05}, 1057, "51018944661b6c25"),
+]
+
+# (mean, sum of 50 scalar draws, hex of the stream's next uniform)
+FROZEN_SCALAR = [
+    (0.0, 0, "0x1.b16a074d345d2p-1"),
+    (0.4, 20, "0x1.259e87be050f2p-2"),
+    (12.0, 608, "0x1.2c224b146bed8p-3"),
+    (29.999, 1494, "0x1.0c23d5deaeea4p-2"),
+    (30.0, 1513, "0x1.6ffaffae52008p-1"),
+    (45.0, 2266, "0x1.7bf954c9be858p-4"),
+    (300.0, 14988, "0x1.82b8e9959bc80p-3"),
+    (10000.0, 500411, "0x1.58f5e1a713538p-1"),
+]
+
+
+class TestFrozenDraws:
+    @pytest.mark.parametrize("seed,index,fields,total,digest", FROZEN_DRAWS)
+    def test_counts_frozen(self, seed, index, fields, total, digest):
+        toy = draw(ToyConfig(seed=seed, **fields), rng_stream(seed, index))
+        counts = np.concatenate([toy.data.sumw, *(t.sumw for t in toy.templates)])
+        counts = counts.astype(np.int64)
+        assert int(counts.sum()) == total
+        assert hashlib.sha256(counts.tobytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("mu,total,next_uniform", FROZEN_SCALAR)
+    def test_scalar_sampler_consumption_frozen(self, mu, total, next_uniform):
+        # the same counts, and the stream left where the scalar loop left it
+        rng = rng_stream(77, int(mu))
+        assert sum(poisson(rng, mu) for _ in range(50)) == total
+        assert rng.random().hex() == next_uniform
