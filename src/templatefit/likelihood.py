@@ -271,10 +271,11 @@ class _PerBin:
             var = np.where(live, vnum / (mu0g * mu0g), 1.0)
         mu0 = self._s * mu0_raw if self.weighted else mu0_raw
         b = var * mu0 - 1.0
-        disc = np.sqrt(b * b + 4.0 * var * self._n)
+        # (4 V) n and V (4 n) round alike: scaling by a power of two is exact
+        disc = np.sqrt(b * b + var * self._4n)
         # the guarded denominator keeps the discarded branch away from 0/0
         pos = b > 0.0
-        beta = np.where(pos, 2.0 * var * self._n / np.where(pos, b + disc, 1.0), 0.5 * (disc - b))
+        beta = np.where(pos, var * self._2n / np.where(pos, b + disc, 1.0), 0.5 * (disc - b))
         terms = _qp_terms(self._n, self._npos, beta * mu0, self._nlogn) + (beta - 1.0) ** 2 / var
         return live, beta, terms, mu0_raw, var
 
@@ -311,9 +312,10 @@ class _PerBin:
             gradient = _matvec(self._c, dm)
         else:
             t = beta - 1.0
-            r = t * t / (var * m)  # (beta-1)^2 P/m
+            vm = var * m
+            r = t * t / vm  # (beta-1)^2 P/m
             dm = dm + 2.0 * r
-            dw = r / (var * m)  # (beta-1)^2 P/w
+            dw = r / vm  # (beta-1)^2 P/w
             if live is not None:  # dead bins contribute nothing
                 dm = np.where(live, dm, 0.0)
                 dw = np.where(live, dw, 0.0)
@@ -327,7 +329,7 @@ class _PerBin:
         """K x K Hessians in the yields; NaN where the value is infinite."""
         value, live, beta, m, var = self._profile(y)
         c, n, s = self._c, self._n, self._s
-        cT = np.swapaxes(c, -1, -2)
+        cT = c.mT
         if self.method is Method.APPROX:
             # dbeta/dmu0 = -beta/(mu0 + a)
             h = self._2n / (m * m) - 2.0 * s * s * beta / (s * m + self._a_eff)
@@ -354,7 +356,7 @@ class _PerBin:
                 A, B, E, F = (np.where(live, z, 0.0) for z in (A, B, E, F))
             A, B, E = A[..., None, :], B[..., None, :], E[..., None, :]
             g = 2.0 * y[..., :, None] * self._d
-            H = (c * A + g * B) @ cT + (c * B + g * E) @ np.swapaxes(g, -1, -2) + _diag(
+            H = (c * A + g * B) @ cT + (c * B + g * E) @ g.mT + _diag(
                 _matvec(self._d, F)
             )
         infinite = value == math.inf
@@ -456,8 +458,9 @@ class CostFunction(_PerBin):
         self._domain_lo[K:] = np.nextafter(0.0, 1.0)
 
         self._2n = 2.0 * self._n
+        self._4n = 4.0 * self._n
         self._na = self._n + self._a_eff
-        for arr in (self._s, self._n, self._npos, self._2n, self._na, self._a_eff, self._nlogn):
+        for arr in (self._s, self._n, self._npos, self._2n, self._4n, self._na, self._a_eff, self._nlogn):
             arr.flags.writeable = False
 
     @property
@@ -651,7 +654,7 @@ class CostStack(_PerBin):
     """
 
     _FIELDS = (
-        "_norms", "_a", "_v", "_s", "_n", "_npos", "_2n", "_na", "_nlogn", "_a_eff", "_c", "_d",
+        "_norms", "_a", "_v", "_s", "_n", "_npos", "_2n", "_4n", "_na", "_nlogn", "_a_eff", "_c", "_d",
     )
 
     def __init__(self, costs):

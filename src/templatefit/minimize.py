@@ -406,10 +406,11 @@ def _fit_rows(f, costs: list[CostFunction], x: np.ndarray, gtol: float, max_call
     if not done:
         return ends
     X = np.array([ends[i][0] for i in done])
-    interior = ~np.logical_or.reduce(_at_bound(X, lower), axis=-1)
-    rows = [done[j] for j in np.flatnonzero(interior)]
+    interior = ~_at_bound(X, lower).any(axis=-1)
+    rows = [done[j] for j in interior.nonzero()[0]]
     K = costs[0].model.ncomponents
-    covariances = dict(zip(rows, _covariances(f.hessian(X[interior], rows), K)))
+    H = f.hessian(X if len(rows) == len(done) else X[interior], rows)
+    covariances = dict(zip(rows, _covariances(H, K)))
     results = list(ends)
     for i in done:
         point, qmin, status, calls, iterations, restarted = ends[i]
@@ -467,6 +468,7 @@ class _Rows:
         "rows", "x", "fx", "g", "hinv", "hinv0", "best_x", "best_f", "fprev", "pg", "p",
         "trials", "iterations", "restarted", "xt", "lim",
     )
+    __slots__ = _ARRAYS + ("steps", "begin", "failed", "restart")
 
     def __init__(self, x: np.ndarray, fx: np.ndarray, g: np.ndarray, d2: np.ndarray):
         n = len(x)
@@ -584,15 +586,18 @@ def _descend(f, x: np.ndarray, lower: np.ndarray, gtol: float, max_calls: int) -
             xn = np.maximum(xq + step, lower)
             dx = xn - xq
             gdx = _dot(gq, dx)
-            # Armijo condition; a step that does not descend takes no value
-            lim = fq + 1e-4 * gdx
-            if np.fmax.reduce(gdx) >= 0.0:
-                lim = np.where(gdx < 0.0, lim, -np.inf)
+            lim = fq + 1e-4 * gdx  # Armijo condition
             s.xt = _put(s.xt, q, xn)
+            # every row moves where every row descends
+            if not np.maximum.reduce(gdx) < 0.0:
+                # a step that does not descend takes no value, one that does
+                # not move fails
+                lim = np.where(gdx < 0.0, lim, -np.inf)
+                moved = dx.any(axis=-1)
+                if np.count_nonzero(moved) < len(moved):
+                    failed = np.zeros(len(s), dtype=bool) if s.failed is None else s.failed
+                    s.failed = _put(failed, q, ~moved)
             s.lim = _put(s.lim, q, lim)
-            moved = np.logical_or.reduce(dx, axis=-1)
-            if np.count_nonzero(moved) < len(moved):
-                s.failed = _put(np.zeros(len(s), dtype=bool) if s.failed is None else s.failed, q, ~moved)
 
         # --- failed line searches converge, stall after the restart, or restart ---
         if s.failed is not None:
@@ -688,22 +693,22 @@ def _covariances(H: np.ndarray, K: int) -> list[np.ndarray | None]:
     ``None`` where a Hessian is not positive definite.
     """
     out: list = [None] * len(H)
-    rows = np.arange(len(H))
+    rows = range(len(H))
     if np.count_nonzero(np.isfinite(H)) < H.size:
         rows = np.isfinite(H).reshape(len(H), -1).all(axis=-1).nonzero()[0]
         H = H[rows]
     if not len(rows):
         return out
-    H = 0.5 * (H + np.swapaxes(H, -1, -2))  # symmetric by construction up to roundoff
+    H = 0.5 * (H + H.mT)  # symmetric by construction up to roundoff
     try:
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError:  # find which
         pd = np.array([_positive_definite(h) for h in H])
-        rows, H = rows[pd], H[pd]
+        rows, H = np.asarray(rows)[pd], H[pd]
         if not len(rows):
             return out
     cov = 2.0 * np.linalg.inv(H)
-    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    cov = 0.5 * (cov + cov.mT)
     for i, c in zip(rows, cov):
         out[i] = np.ascontiguousarray(c[:K, :K])
     return out
