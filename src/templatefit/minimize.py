@@ -359,8 +359,9 @@ def minimize_batch(
     weighting, component count and active-bin count are stepped together
     as one :class:`~templatefit.likelihood.CostStack`; ``exact`` costs and
     instances of subclasses run as batches of one, through their own
-    methods.  When a stack raises, its fits are run again one by one, so
-    the error fails only the fit that caused it.
+    methods.  When a stack raises a ``LinAlgError`` or an
+    ``ArithmeticError``, its fits are run again one by one, so the error
+    fails only the fit that caused it.
     """
     _check_options(gtol, max_calls)
     costs = list(costs)
@@ -388,13 +389,16 @@ def minimize_batch(
 def _fit_chunk(costs, chunk, gtol, max_calls) -> list:
     rows = [costs[i] for i, _ in chunk]
     x = np.array([start for _, start in chunk])
-    try:
-        f = _Counted(rows[0]) if len(rows) == 1 else _Stacked(rows)
-        return _fit_rows(f, rows, x, gtol, max_calls)
-    except (ValueError, ArithmeticError) as exc:
-        # numeric failures (LinAlgError is a ValueError); anything else is a bug
-        if len(rows) == 1:
+    if len(rows) == 1:
+        try:
+            return _fit_rows(_Counted(rows[0]), rows, x, gtol, max_calls)
+        except (ValueError, ArithmeticError) as exc:
+            # numeric failures (LinAlgError is a ValueError); anything else is a bug
             return [exc]
+    try:
+        return _fit_rows(_Stacked(rows), rows, x, gtol, max_calls)
+    except (np.linalg.LinAlgError, ArithmeticError):
+        # the numeric failures of a stack; a plain ValueError there is a bug
         return [r for item in chunk for r in _fit_chunk(costs, [item], gtol, max_calls)]
 
 

@@ -85,9 +85,19 @@ def test_batch_equals_batches_of_one(method, weighted, n_mc):
     costs = _costs(method, weighted, n_mc)
     sizes = [c.nbins_active for c in costs]
     assert max(sizes.count(b) for b in sizes) >= 5  # real stacks form
-    with warnings.catch_warnings():
+    passes = []
+    stacked = CostStack.value_and_gradient
+
+    def counting(self, y):
+        passes.append(len(y))
+        return stacked(self, y)
+
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("error")
+        patch.setattr(CostStack, "value_and_gradient", counting)
         batch = minimize_batch(costs)
+    # the fits ran in stacks, not one by one
+    assert max(passes) >= 5 and len(passes) < sum(r.n_evaluations for r in batch) / 4
     for cost, result in zip(costs, batch):
         assert_same_result(result, minimize(cost))
 
@@ -144,12 +154,14 @@ def test_a_stack_that_raises_reruns_its_fits_one_by_one(monkeypatch):
         assert_same_result(result, single)
 
 
-def test_programming_errors_in_a_stack_propagate(monkeypatch):
+@pytest.mark.parametrize("error", [TypeError, ValueError])
+def test_programming_errors_in_a_stack_propagate(monkeypatch, error):
+    # a plain ValueError inside a stack is a shape bug, not a numeric failure
     def broken(self, y):
-        raise TypeError("bug in the stack")
+        raise error("bug in the stack")
 
     monkeypatch.setattr(CostStack, "value_and_gradient", broken)
-    with pytest.raises(TypeError, match="bug in the stack"):
+    with pytest.raises(error, match="bug in the stack"):
         minimize_batch(_costs("approx", False, 10000, n=4))
 
 

@@ -295,3 +295,56 @@ class TestFrozenDraws:
         rng = rng_stream(77, int(mu))
         assert sum(poisson(rng, mu) for _ in range(50)) == total
         assert rng.random().hex() == next_uniform
+
+
+def _reference_poisson(rng, mu):
+    """The sequential scalar samplers the block draw replaced, kept as the reference."""
+    if mu == 0.0:
+        return 0
+    if mu < 30.0:
+        u = rng.random()
+        p = math.exp(-mu)
+        acc = p
+        k = 0
+        while u > acc and k < 1100:
+            k += 1
+            p *= mu / k
+            acc += p
+        return k
+    log_mu = math.log(mu)
+    b = 0.931 + 2.53 * math.sqrt(mu)
+    a = -0.059 + 0.02483 * b
+    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
+    v_r = 0.9277 - 3.6224 / (b - 2.0)
+    while True:
+        u = rng.random() - 0.5
+        v = rng.random()
+        us = 0.5 - abs(u)
+        k = math.floor((2.0 * a / us + b) * u + mu + 0.43)
+        if us >= 0.07 and v <= v_r:
+            return int(k)
+        if k < 0 or (us < 0.013 and v > us):
+            continue
+        if math.log(v) + math.log(inv_alpha) - math.log(a / (us * us) + b) <= (
+            k * log_mu - mu - math.lgamma(k + 1.0)
+        ):
+            return int(k)
+
+
+@pytest.mark.parametrize("window", [1, 2, 16])
+def test_block_draw_reads_the_scalar_samplers_uniforms(monkeypatch, window):
+    # mixed means in one block, including zeros and ones that reject often;
+    # narrow windows force the block to widen mid-draw
+    import templatefit.toys as toys
+
+    monkeypatch.setattr(toys, "_WINDOW", window)
+    rng = np.random.default_rng(99)
+    for trial in range(40):
+        mu = rng.choice([0.0, 0.3, 4.0, 29.9, 30.0, 45.0, 120.0, 900.0, 2.5e4], size=50)
+        mu = mu * rng.uniform(0.8, 1.2, size=50)
+        stream = rng_stream(7, trial)
+        expected = [_reference_poisson(stream, m) for m in mu.tolist()]
+        assert toys._poisson_block(rng_stream(7, trial), mu).tolist() == expected
+        follow = rng_stream(7, trial)
+        assert [poisson(follow, m) for m in mu.tolist()] == expected
+        assert follow.random() == stream.random()  # the scalar calls keep its consumption
