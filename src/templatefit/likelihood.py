@@ -216,7 +216,7 @@ class _PerBin:
     def _outside(self, p: np.ndarray) -> np.ndarray:
         """Which parameter vectors along the last axis lie outside the domain."""
         # NaN fails both comparisons
-        return ~np.logical_and.reduce((p >= self._domain_lo) & (p <= _FLOAT_MAX), axis=-1)
+        return ~((p >= self._domain_lo) & (p <= _FLOAT_MAX)).all(axis=-1)
 
     def _approx_total(self, terms: np.ndarray, slot: np.ndarray):
         return np.add.reduce(terms, axis=-1) + 2.0 * _dot(slot, self._a_eff)
@@ -226,7 +226,7 @@ class _PerBin:
             return np.add.reduce(terms, axis=-1)
         q = np.add.reduce(np.where(live, terms, 0.0), axis=-1)
         # dead bins carry no factor; with observed content the model is impossible
-        return np.where(np.logical_or.reduce(~live & self._npos, axis=-1), math.inf, q)
+        return np.where((~live & self._npos).any(axis=-1), math.inf, q)
 
     # --- per-bin kernels, one per method --------------------------------------
     # each returns the per-bin factors and cost terms over the active bins,
@@ -438,7 +438,8 @@ class CostFunction(_PerBin):
             self._n = np.ascontiguousarray(n)
             self._a_eff = self._pooled
         self._npos = self._n > 0.0
-        self._nlogn = np.where(self._npos, self._n * np.log(np.where(self._npos, self._n, 1.0)), 0.0)
+        logn = np.log(np.where(self._npos, self._n, 1.0))
+        self._nlogn = np.where(self._npos, self._n * logn, 0.0)
 
         if method is Method.EXACT:
             # bin-major slot order over (active bin, component) with content
@@ -460,8 +461,9 @@ class CostFunction(_PerBin):
         self._2n = 2.0 * self._n
         self._4n = 4.0 * self._n
         self._na = self._n + self._a_eff
-        for arr in (self._s, self._n, self._npos, self._2n, self._4n, self._na, self._a_eff, self._nlogn):
+        for arr in (self._s, self._n, self._npos, self._2n, self._4n, self._na, self._a_eff):
             arr.flags.writeable = False
+        self._nlogn.flags.writeable = False
 
     @property
     def nbins_active(self) -> int:
@@ -654,7 +656,8 @@ class CostStack(_PerBin):
     """
 
     _FIELDS = (
-        "_norms", "_a", "_v", "_s", "_n", "_npos", "_2n", "_4n", "_na", "_nlogn", "_a_eff", "_c", "_d",
+        "_norms", "_a", "_v", "_s", "_n", "_npos", "_2n", "_4n", "_na", "_nlogn", "_a_eff",
+        "_c", "_d",
     )
 
     def __init__(self, costs):

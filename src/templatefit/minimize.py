@@ -546,6 +546,7 @@ def _descend(f, x: np.ndarray, lower: np.ndarray, gtol: float, max_calls: int) -
     s = _Rows(x, fx, g, d2)
     finite = np.isfinite(fx)
     if np.count_nonzero(finite) < len(s):
+        # any nonzero status ends a row; the error then replaces its entry
         f.keep(s.stop(np.where(finite, 0, _STALLED), f.calls, out))
         for i in (~finite).nonzero()[0]:
             out[i] = ValueError("cost is not finite at the start point")
@@ -611,7 +612,8 @@ def _descend(f, x: np.ndarray, lower: np.ndarray, gtol: float, max_calls: int) -
             s.failed = None
             if np.count_nonzero(restart):  # one restart from a deterministic nearby point
                 xr = s.x[restart]
-                s.xt = _put(s.xt, restart, np.maximum(xr + 1e-3 * np.maximum(1.0, np.abs(xr)), lower))
+                xr = np.maximum(xr + 1e-3 * np.maximum(1.0, np.abs(xr)), lower)
+                s.xt = _put(s.xt, restart, xr)
                 s.restarted = s.restarted | restart
                 s.restart = restart
             if np.count_nonzero(status):
@@ -668,7 +670,10 @@ def _descend(f, x: np.ndarray, lower: np.ndarray, gtol: float, max_calls: int) -
 
 
 def _bfgs(hinv: np.ndarray, s: np.ndarray, yv: np.ndarray) -> np.ndarray:
-    """BFGS update of stacked inverse-curvature models; rows without positive curvature keep theirs."""
+    """BFGS update of stacked inverse-curvature models.
+
+    Rows without positive curvature along the step keep theirs.
+    """
     sy = _dot(s, yv)
     ok = sy > 1e-10 * np.sqrt(_dot(s, s)) * np.sqrt(_dot(yv, yv))
     if np.count_nonzero(ok) < len(ok):

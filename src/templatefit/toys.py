@@ -213,7 +213,8 @@ class _Ptrs:
         self.inv_alpha = 1.1239 + 1.1328 / (self.b - 3.4)
         self.v_r = 0.9277 - 3.6224 / (self.b - 2.0)
         # per mean, as floats for the log test
-        self._scalars = list(zip(mu.tolist(), self.a.tolist(), self.b.tolist(), self.inv_alpha.tolist()))
+        columns = (mu, self.a, self.b, self.inv_alpha)
+        self._scalars = list(zip(*(c.tolist() for c in columns)))
 
     def attempts(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Candidate counts and states of attempts; row i of ``u`` and ``v`` for mean i."""

@@ -262,7 +262,7 @@ FROZEN_DRAWS = [
     (5, 11, {"n_mc": 200, "nbins": 3}, 1449, "9fb3b261205464db"),
     (5, 12, {"n_mc": 400, "nbins": 40}, 1889, "2547d62cda72d4e8"),
     (9, 2, {"n_mc": 1000, "background_slope": 0.0}, 3005, "2db9984b8a17c564"),
-    (9, 4, {"n_mc": 50, "signal_yield": 5000.0, "background_yield": 20000.0}, 25100, "9dd1d2ce545ac362"),
+    (9, 4, {"n_mc": 50, "signal_yield": 5e3, "background_yield": 2e4}, 25100, "9dd1d2ce545ac362"),
     (9, 5, {"n_mc": 100000, "signal_yield": 0.0}, 200113, "7a3596ce1bdb6433"),
     (2, 8, {"n_mc": 30, "nbins": 100, "signal_sigma": 0.05}, 1057, "51018944661b6c25"),
 ]
