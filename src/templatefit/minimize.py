@@ -270,10 +270,13 @@ def _direction(hinv: np.ndarray, g: np.ndarray, held: np.ndarray) -> np.ndarray:
     return p
 
 
-def _directions(hinv: np.ndarray, g: np.ndarray, held: np.ndarray) -> np.ndarray:
-    """Quasi-Newton steps of stacked rows; rows with held parameters one by one."""
+def _directions(hinv: np.ndarray, g: np.ndarray, held: np.ndarray | None) -> np.ndarray:
+    """Quasi-Newton steps of stacked rows; rows with held parameters one by one.
+
+    ``held`` is ``None`` where no parameter is held.
+    """
     p = -_matvec(hinv, g)
-    if np.count_nonzero(held):
+    if held is not None:
         for i in held.any(axis=-1).nonzero()[0]:
             p[i] = _direction(hinv[i], g[i], held[i])
     return p
@@ -558,7 +561,8 @@ def _descend(f, x: np.ndarray, lower: np.ndarray, gtol: float, max_calls: int) -
             xb, gb = (s.x, s.g) if b is _ALL else (s.x[b], s.g[b])
             # on its bound with the gradient pointing out of the domain
             held = _at_bound(xb, lower) & (gb > 0.0)
-            pg = np.maximum.reduce(np.abs(np.where(held, 0.0, gb)), axis=-1)
+            any_held = np.count_nonzero(held)
+            pg = np.maximum.reduce(np.abs(np.where(held, 0.0, gb) if any_held else gb), axis=-1)
             converged = None
             if np.fmin.reduce(pg) < gtol:
                 converged = (pg < gtol) & (s.fprev[b] - s.fx[b] < _FTOL)
@@ -567,13 +571,13 @@ def _descend(f, x: np.ndarray, lower: np.ndarray, gtol: float, max_calls: int) -
                 status[b] = _BUDGET if f.calls >= max_calls else np.where(converged, _CONVERGED, 0)
                 f.keep(s.stop(status, f.calls, out))
                 continue  # begin again with the rows that go on
-            p = _directions(s.hinv if b is _ALL else s.hinv[b], gb, held)
+            p = _directions(s.hinv if b is _ALL else s.hinv[b], gb, held if any_held else None)
             pgd = _dot(p, gb)
             if np.fmax.reduce(pgd) >= 0.0:  # curvature estimate went bad; reset
                 reset = pgd >= 0.0
                 r = np.arange(len(s))[b][reset]
                 s.hinv = _put(s.hinv, r, _diag(s.hinv0[r]))
-                p[reset] = _directions(s.hinv[r], s.g[r], held[reset])
+                p[reset] = _directions(s.hinv[r], s.g[r], held[reset] if any_held else None)
             s.pg = _put(s.pg, b, pg)
             s.p = _put(s.p, b, p)
             s.trials = _put(s.trials, b, np.zeros(len(p), dtype=np.int64))
@@ -682,11 +686,12 @@ def _bfgs(hinv: np.ndarray, s: np.ndarray, yv: np.ndarray) -> np.ndarray:
         return hinv
     rho = 1.0 / sy
     hy = _matvec(hinv, yv)
-    # hinv + s s^T (rho^2 y.hy + rho) - (hy s^T + s hy^T) rho, as np.outer products
-    sc, sr = s[:, :, None], s[:, None, :]
+    # hinv + s s^T (rho^2 y.hy + rho) - (hy s^T + s hy^T) rho, as np.outer
+    # products; s hy^T is the transpose of hy s^T, element for element
+    sr = s[:, None, :]
     coef = rho * rho * _dot(yv, hy) + rho
-    cross = hy[:, :, None] * sr + sc * hy[:, None, :]
-    return hinv + sc * sr * coef[:, None, None] - cross * rho[:, None, None]
+    hs = hy[:, :, None] * sr
+    return hinv + s[:, :, None] * sr * coef[:, None, None] - (hs + hs.mT) * rho[:, None, None]
 
 
 def _initial_inverse_diag(d2: np.ndarray) -> np.ndarray:
