@@ -197,8 +197,6 @@ class _Stacked:
     made the same number of evaluations, ``calls``.
     """
 
-    closed_form = True
-
     def __init__(self, costs: list[CostFunction]):
         self._all = CostStack(costs)
         self._stack = self._all

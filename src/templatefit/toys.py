@@ -138,8 +138,7 @@ def rng_stream(seed: int, toy_index: int) -> np.random.Generator:
 
 
 _PTRS_SWITCH = 30.0
-_INVERSION_CAP = 1100  # terms of the inversion search; guards a cdf saturating below u
-_WINDOW = 16  # attempts per rejection-sampled mean evaluated up front in a block draw
+_SPARE = 32  # uniforms a block draw takes beyond one attempt per mean, for rejections
 
 
 def poisson(rng: np.random.Generator, mu: float) -> int:
@@ -148,158 +147,89 @@ def poisson(rng: np.random.Generator, mu: float) -> int:
     Sequential-search inversion below mean 30, transformed rejection with
     squeeze above.  Both are exact samplers; using them instead of the
     generator's own keeps draws stable across library versions.  Takes
-    one uniform below mean 30 and two per rejection attempt above, the
-    same arithmetic as the block draw of :func:`draw`.
+    one uniform below mean 30 and two per rejection attempt above.
     """
     if mu < 0 or not math.isfinite(mu):
         raise ValueError(f"mean must be finite and nonnegative, got {mu}")
     if mu == 0.0:
         return 0
-    means = np.array([mu], dtype=np.float64)
     if mu < _PTRS_SWITCH:
-        return int(_inversion(means, rng.random(1))[0])
-    ptrs = _Ptrs(means)
+        return _inversion(mu, rng.random())
+    ptrs = _ptrs_constants(mu)
     while True:
-        u, v = rng.random(2)
-        k, state = ptrs.attempts(np.array([[u]]), np.array([[v]]))
-        if state[0, 0] == _ACCEPT or state[0, 0] == _UNDECIDED and ptrs.log_test(
-            0, float(u), float(v), k[0, 0]
-        ):
-            return int(k[0, 0])
+        k = _ptrs_attempt(ptrs, rng.random(), rng.random())
+        if k is not None:
+            return k
 
 
-def _inversion(mu: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Sequential-search inversion for means below 30, one uniform each.
-
-    The smallest k whose cumulative probability reaches u, at most 1100:
-    the probabilities are the running products exp(-mu) (mu/1) (mu/2) ...
-    and the cumulative sums their running sums, in the order of the
-    one-term-at-a-time search.
-    """
-    mu_max = float(mu.max())
-    # enough terms for all but a fraction ~1e-8 of the draws; those search on
-    terms = min(_INVERSION_CAP, int(mu_max + 5.0 * math.sqrt(mu_max)) + 10)
-    k = _inversion_terms(mu, u, terms)
-    short = (k == terms) & (terms < _INVERSION_CAP)
-    if short.any():  # u beyond the first terms: search on to the cap
-        k[short] = _inversion_terms(mu[short], u[short], _INVERSION_CAP)
+def _inversion(mu: float, u: float) -> int:
+    p = math.exp(-mu)
+    acc = p
+    k = 0
+    # cap guards against the accumulated cdf saturating just below u
+    while u > acc and k < 1100:
+        k += 1
+        p *= mu / k
+        acc += p
     return k
 
 
-def _inversion_terms(mu: np.ndarray, u: np.ndarray, terms: int) -> np.ndarray:
-    factors = np.empty((len(mu), terms))
-    factors[:, 0] = [math.exp(-m) for m in mu.tolist()]
-    factors[:, 1:] = mu[:, None] / np.arange(1.0, terms)
-    acc = factors.cumprod(axis=1).cumsum(axis=1)
-    # the cumulative sums never decrease, so the ones below u lead
-    return (u[:, None] > acc).sum(axis=1)
+def _ptrs_constants(mu: float) -> tuple[float, float, float, float, float]:
+    # Hoermann's transformed rejection with squeeze, valid for mu >= 10
+    b = 0.931 + 2.53 * math.sqrt(mu)
+    a = -0.059 + 0.02483 * b
+    return mu, a, b, 1.1239 + 1.1328 / (b - 3.4), 0.9277 - 3.6224 / (b - 2.0)
 
 
-_REJECT, _ACCEPT, _UNDECIDED = 0, 1, 2
+def _ptrs_attempt(constants: tuple, u: float, v: float) -> int | None:
+    """The count of one rejection attempt with uniforms ``u`` and ``v``, or ``None``."""
+    mu, a, b, inv_alpha, v_r = constants
+    u -= 0.5
+    us = 0.5 - abs(u)
+    k = math.floor((2.0 * a / us + b) * u + mu + 0.43)
+    if us >= 0.07 and v <= v_r:
+        return k
+    if k < 0 or (us < 0.013 and v > us):
+        return None
+    if math.log(v) + math.log(inv_alpha) - math.log(a / (us * us) + b) <= (
+        k * math.log(mu) - mu - math.lgamma(k + 1.0)
+    ):
+        return k
+    return None
 
 
-class _Ptrs:
-    """Hoermann's transformed rejection with squeeze (PTRS), valid for means >= 10.
+def _poisson_block(rng: np.random.Generator, means: list[float]) -> list[int]:
+    """Poisson draws for ``means``, in order, from uniforms taken in one block.
 
-    Every attempt takes two uniforms, ``u`` and ``v``.  The squeeze and the
-    quick rejection are evaluated for whole arrays of attempts; the few
-    attempts they leave undecided take the exact log test one by one.
+    Each draw reads the uniforms that the scalar :func:`poisson` calls would
+    read, in the same order, so the counts equal theirs; the block runs past
+    the last uniform used, so the stream is left further on than the scalar
+    calls leave it.
     """
-
-    def __init__(self, mu: np.ndarray):
-        self.mu = mu
-        self.b = 0.931 + 2.53 * np.sqrt(mu)
-        self.a = -0.059 + 0.02483 * self.b
-        self.inv_alpha = 1.1239 + 1.1328 / (self.b - 3.4)
-        self.v_r = 0.9277 - 3.6224 / (self.b - 2.0)
-        # per mean, as floats for the log test
-        columns = (mu, self.a, self.b, self.inv_alpha)
-        self._scalars = list(zip(*(c.tolist() for c in columns)))
-
-    def attempts(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Candidate counts and states of attempts; row i of ``u`` and ``v`` for mean i."""
-        col = (slice(None), None)
-        u = u - 0.5
-        us = 0.5 - np.abs(u)
-        with np.errstate(divide="ignore", invalid="ignore"):  # us == 0 has probability 2^-53
-            k = np.floor((2.0 * self.a[col] / us + self.b[col]) * u + self.mu[col] + 0.43)
-        state = np.where((us >= 0.07) & (v <= self.v_r[col]), _ACCEPT, _UNDECIDED)
-        state[(state == _UNDECIDED) & ((k < 0) | ((us < 0.013) & (v > us)))] = _REJECT
-        return k, state
-
-    def log_test(self, i: int, u: float, v: float, k: float) -> bool:
-        """Whether the undecided attempt (u, v, k) of mean i accepts."""
-        mu, a, b, inv_alpha = self._scalars[i]
-        us = 0.5 - abs(u - 0.5)
-        k = int(k)
-        return math.log(v) + math.log(inv_alpha) - math.log(a / (us * us) + b) <= (
-            k * math.log(mu) - mu - math.lgamma(k + 1.0)
-        )
-
-
-def _poisson_block(rng: np.random.Generator, mu: np.ndarray) -> np.ndarray:
-    """Poisson draws for ``mu``, in order, from uniforms taken in one block.
-
-    Each draw reads the uniforms at the stream positions the scalar
-    :func:`poisson` calls would read, so the counts equal theirs; the
-    block runs past the last uniform used, so the stream is left further
-    on than the scalar calls leave it.  A draw above mean 30 starts after
-    the extra attempts of the ones before it: the first ``_WINDOW``
-    attempts of every such draw are evaluated at once, and a scan over the
-    draws in order picks each one's accepted attempt.
-    """
-    inv = (mu > 0.0) & (mu < _PTRS_SWITCH)
-    big = (mu >= _PTRS_SWITCH).nonzero()[0]
-    first = inv + 2 * (mu >= _PTRS_SWITCH)  # uniforms of the first attempt
-    start = first.cumsum() - first  # stream position with no extra attempt
-    ptrs = _Ptrs(mu[big])
-    window = _WINDOW
-    uniforms = rng.random(int(first.sum()) + 2 * window)
-    while True:
-        pos = start[big, None] + 2 * np.arange(window)
-        k, state = ptrs.attempts(uniforms[pos], uniforms[pos + 1])
-        extra = _scan(ptrs, state, k, uniforms, pos)
-        if extra is not None:
-            break
-        # more extra attempts than the window holds: widen it
-        uniforms = np.concatenate([uniforms, rng.random(2 * window)])
-        window *= 2
-    taken = np.zeros(len(mu), dtype=np.int64)  # extra uniforms of each draw
-    taken[big] = 2 * extra
-    shift = taken.cumsum() - taken  # extra uniforms before each draw
-    counts = np.zeros(len(mu), dtype=np.int64)
-    counts[big] = k[np.arange(len(big)), extra.cumsum()]
-    if inv.any():
-        counts[inv] = _inversion(mu[inv], uniforms[(start + shift)[inv]])
-    return counts
-
-
-def _scan(ptrs: _Ptrs, state: np.ndarray, k: np.ndarray, uniforms: np.ndarray, pos: np.ndarray):
-    """Extra attempts of each rejection-sampled draw, or ``None`` past the window.
-
-    Draw i starts at attempt column ``e``, the extra attempts of the draws
-    before it, and accepts at the first column from there whose attempt
-    accepts.
-    """
-    window = state.shape[1]
-    extra = []
-    e = 0
-    for i, row in enumerate(state.tolist()):
-        c = e
+    first = sum(1 if m < _PTRS_SWITCH else 2 for m in means if m > 0.0)
+    u = rng.random(first + _SPARE).tolist()
+    i = 0  # the next uniform
+    counts = []
+    for mu in means:
+        if mu == 0.0:
+            counts.append(0)
+            continue
+        if mu < _PTRS_SWITCH:
+            if i == len(u):  # rejections used up the spare uniforms
+                u += rng.random(_SPARE).tolist()
+            counts.append(_inversion(mu, u[i]))
+            i += 1
+            continue
+        ptrs = _ptrs_constants(mu)
         while True:
-            if c == window:
-                return None
-            if row[c] == _ACCEPT:
+            while i + 2 > len(u):
+                u += rng.random(_SPARE).tolist()
+            k = _ptrs_attempt(ptrs, u[i], u[i + 1])
+            i += 2
+            if k is not None:
                 break
-            if row[c] == _UNDECIDED:
-                j = int(pos[i, c])
-                u, v = uniforms[j : j + 2].tolist()
-                if ptrs.log_test(i, u, v, k[i, c]):
-                    break
-            c += 1
-        extra.append(c - e)
-        e = c
-    return np.array(extra, dtype=np.int64)
+        counts.append(k)
+    return counts
 
 
 def draw(config: ToyConfig, rng: np.random.Generator) -> ToyDraw:
@@ -322,7 +252,7 @@ def draw(config: ToyConfig, rng: np.random.Generator) -> ToyDraw:
             config.n_mc * p_bkg,
         ]
     )
-    counts = _poisson_block(rng, means).astype(np.float64).reshape(4, config.nbins)
+    counts = np.array(_poisson_block(rng, means.tolist()), dtype=np.float64).reshape(4, config.nbins)
     return ToyDraw(
         data=BinnedSample.from_counts(counts[0] + counts[1]),
         templates=(

@@ -33,6 +33,8 @@ class TestFit:
         assert code == 0
         payload = json.loads(out.out)
         assert payload["converged"] and payload["status"] == "converged"
+        # the default start is the minimum: no step, no restart
+        assert payload["n_iterations"] == 0 and payload["restarted"] is False
         assert payload["qmin"] == pytest.approx(0.0, abs=1e-9)
         assert payload["p_value"] == pytest.approx(1.0, abs=1e-9)
         assert payload["yields"][0] == pytest.approx(100.0, rel=1e-9)

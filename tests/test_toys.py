@@ -331,20 +331,20 @@ def _reference_poisson(rng, mu):
             return int(k)
 
 
-@pytest.mark.parametrize("window", [1, 2, 16])
-def test_block_draw_reads_the_scalar_samplers_uniforms(monkeypatch, window):
+@pytest.mark.parametrize("spare", [1, 2, 32])
+def test_block_draw_reads_the_scalar_samplers_uniforms(monkeypatch, spare):
     # mixed means in one block, including zeros and ones that reject often;
-    # narrow windows force the block to widen mid-draw
+    # a small spare makes the block grow mid-draw
     import templatefit.toys as toys
 
-    monkeypatch.setattr(toys, "_WINDOW", window)
+    monkeypatch.setattr(toys, "_SPARE", spare)
     rng = np.random.default_rng(99)
     for trial in range(40):
         mu = rng.choice([0.0, 0.3, 4.0, 29.9, 30.0, 45.0, 120.0, 900.0, 2.5e4], size=50)
-        mu = mu * rng.uniform(0.8, 1.2, size=50)
+        mu = (mu * rng.uniform(0.8, 1.2, size=50)).tolist()
         stream = rng_stream(7, trial)
-        expected = [_reference_poisson(stream, m) for m in mu.tolist()]
-        assert toys._poisson_block(rng_stream(7, trial), mu).tolist() == expected
+        expected = [_reference_poisson(stream, m) for m in mu]
+        assert toys._poisson_block(rng_stream(7, trial), mu) == expected
         follow = rng_stream(7, trial)
-        assert [poisson(follow, m) for m in mu.tolist()] == expected
+        assert [poisson(follow, m) for m in mu] == expected
         assert follow.random() == stream.random()  # the scalar calls keep its consumption
