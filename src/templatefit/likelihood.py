@@ -37,6 +37,7 @@ freedom.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -187,6 +188,14 @@ _dot = np.vecdot
 _matvec = np.matvec
 
 
+_sum = functools.partial(np.add.reduce, axis=-1)
+
+
+def _gram(L: np.ndarray, R: np.ndarray, out=None) -> np.ndarray:
+    # L @ R^T per stacked row: one BLAS gemm each
+    return np.matmul(L, R.mT, out=out)
+
+
 def _nonneg(q):
     # max(0.0, q) per entry: NaN and -0.0 give +0.0 (np.fmax alone may keep -0.0)
     return np.fmax(q, 0.0) + 0.0
@@ -203,15 +212,22 @@ def _diag(d: np.ndarray) -> np.ndarray:
 class _PerBin:
     """The per-bin kernels of the profiled costs and their closed-form derivatives.
 
-    The data arrays (``CostStack._FIELDS``) hold the active bins of one cost,
-    or, with a leading axis, of a stack of costs (:class:`CostStack`).
+    The data arrays (``CostStack._BIN_FIELDS``) hold the active bins of one
+    cost, or, with a leading axis, of a stack of costs (:class:`CostStack`).
     Yields carry the parameters along their last axis and broadcast against
     the data over the leading axes, so one code serves a single vector, a
     stack of parameter rows and a stack of costs.  Every operation is
-    elementwise, a reduction over the components or the bins of one row, or
-    a BLAS product per row, so each row's bits do not depend on the rows
-    stacked with it.
+    elementwise, a reduction over the components, or a reduction or BLAS
+    product over the bins of one row (the ``_bin_*`` methods), so each row's
+    bits do not depend on the rows stacked with it.
     """
+
+    # reductions over the bins of each row; a CostStack whose rows differ in
+    # active-bin count overrides them
+    _bin_sum = staticmethod(_sum)
+    _bin_dot = staticmethod(_dot)
+    _bin_matvec = staticmethod(_matvec)
+    _bin_gram = staticmethod(_gram)
 
     def _outside(self, p: np.ndarray) -> np.ndarray:
         """Which parameter vectors along the last axis lie outside the domain."""
@@ -219,12 +235,12 @@ class _PerBin:
         return ~((p >= self._domain_lo) & (p <= _FLOAT_MAX)).all(axis=-1)
 
     def _approx_total(self, terms: np.ndarray, slot: np.ndarray):
-        return np.add.reduce(terms, axis=-1) + 2.0 * _dot(slot, self._a_eff)
+        return self._bin_sum(terms) + 2.0 * self._bin_dot(slot, self._a_eff)
 
     def _conway_total(self, live: np.ndarray | None, terms: np.ndarray):
         if live is None:
-            return np.add.reduce(terms, axis=-1)
-        q = np.add.reduce(np.where(live, terms, 0.0), axis=-1)
+            return self._bin_sum(terms)
+        q = self._bin_sum(np.where(live, terms, 0.0))
         # dead bins carry no factor; with observed content the model is impossible
         return np.where((~live & self._npos).any(axis=-1), math.inf, q)
 
@@ -309,7 +325,7 @@ class _PerBin:
         value, live, beta, m, var = self._profile(y)
         dm = (2.0 * beta * self._s if self.weighted else 2.0 * beta) - self._2n / m
         if self.method is Method.APPROX:
-            gradient = _matvec(self._c, dm)
+            gradient = self._bin_matvec(self._c, dm)
         else:
             t = beta - 1.0
             vm = var * m
@@ -319,7 +335,7 @@ class _PerBin:
             if live is not None:  # dead bins contribute nothing
                 dm = np.where(live, dm, 0.0)
                 dw = np.where(live, dw, 0.0)
-            gradient = _matvec(self._c, dm) - 2.0 * y * _matvec(self._d, dw)
+            gradient = self._bin_matvec(self._c, dm) - 2.0 * y * self._bin_matvec(self._d, dw)
         infinite = value == math.inf
         if infinite.any():
             gradient[infinite] = np.nan
@@ -328,12 +344,11 @@ class _PerBin:
     def _profiled_hessian(self, y: np.ndarray) -> np.ndarray:
         """K x K Hessians in the yields; NaN where the value is infinite."""
         value, live, beta, m, var = self._profile(y)
-        c, n, s = self._c, self._n, self._s
-        cT = c.mT
+        c, s = self._c, self._s
         if self.method is Method.APPROX:
             # dbeta/dmu0 = -beta/(mu0 + a)
             h = self._2n / (m * m) - 2.0 * s * s * beta / (s * m + self._a_eff)
-            H = (c * h[..., None, :]) @ cT
+            H = self._bin_gram(c * h[..., None, :], c)
         else:
             # Conway, with iw = 1/w = P/m^2 and the gradient of w, g = 2 d y:
             # L_yy = (2n/m^2) c c^T + (beta-1)^2 grad^2 P
@@ -356,8 +371,10 @@ class _PerBin:
                 A, B, E, F = (np.where(live, z, 0.0) for z in (A, B, E, F))
             A, B, E = A[..., None, :], B[..., None, :], E[..., None, :]
             g = 2.0 * y[..., :, None] * self._d
-            H = (c * A + g * B) @ cT + (c * B + g * E) @ g.mT + _diag(
-                _matvec(self._d, F)
+            H = (
+                self._bin_gram(c * A + g * B, c)
+                + self._bin_gram(c * B + g * E, g)
+                + _diag(self._bin_matvec(self._d, F))
             )
         infinite = value == math.inf
         if infinite.any():
@@ -647,34 +664,66 @@ class CostStack(_PerBin):
     """The profiled costs of several fits, evaluated together.
 
     ``costs`` are ``approx`` or ``conway`` cost functions that share their
-    method, weighting, number of components and number of active bins; their
-    data arrays are stacked along a leading axis.  Row ``t`` of a call on a
-    ``(T, K)`` stack of yields equals, bit for bit, the call of ``costs[t]``
-    on row ``t`` alone, whatever the other rows hold, so a minimizer can step
-    many fits at the cost of one NumPy dispatch per operation.  Rows outside
-    the domain evaluate to ``+inf`` with NaN derivatives.
+    method, weighting and number of components; their data arrays are
+    stacked along a leading axis, each padded to the largest active-bin
+    count.  Pad bins hold ``n = 0`` and unit template contents, scales and
+    variances, so the elementwise kernels stay finite on them, and every
+    reduction over bins runs, per run of consecutive rows with one
+    active-bin count, on those rows' active bins alone.  Row ``t`` of a call
+    on a ``(T, K)`` stack of yields therefore equals, bit for bit, the call
+    of ``costs[t]`` on row ``t`` alone, whatever the other rows hold, so a
+    minimizer can step many fits at the cost of one NumPy dispatch per
+    elementwise operation; costs ordered by active-bin count make the
+    fewest runs.  Rows outside the domain evaluate to ``+inf`` with NaN
+    derivatives.
     """
 
-    _FIELDS = (
-        "_norms", "_a", "_v", "_s", "_n", "_npos", "_2n", "_4n", "_na", "_nlogn", "_a_eff",
-        "_c", "_d",
-    )
+    # the fields copied from the costs, with the value of their pad bins
+    _PADS = {"_n": 0.0, "_nlogn": 0.0, "_a": 1.0, "_v": 1.0, "_s": 1.0, "_a_eff": 1.0}
+    _BIN_FIELDS = (*_PADS, "_npos", "_2n", "_4n", "_na", "_c", "_d")
 
     def __init__(self, costs):
         first = costs[0]
-        shape = (first.method, first.weighted, first.nparams, first.nbins_active)
+        shape = (first.method, first.weighted, first.nparams)
         if first.method is Method.EXACT or any(
-            (c.method, c.weighted, c.nparams, c.nbins_active) != shape for c in costs
+            (c.method, c.weighted, c.nparams) != shape for c in costs
         ):
             raise ValueError(
-                "a cost stack needs approx or conway costs of one method, weighting, "
-                "component count and active-bin count"
+                "a cost stack needs approx or conway costs of one method, weighting "
+                "and component count"
             )
         self.method = first.method
         self.weighted = first.weighted
         self._domain_lo = first._domain_lo
-        for name in self._FIELDS:
-            setattr(self, name, np.stack([getattr(c, name) for c in costs]))
+        self._norms = np.stack([c._norms for c in costs])
+        self._set_counts(np.array([c.nbins_active for c in costs]))
+        for name, pad in self._PADS.items():
+            field = np.full((len(costs), *getattr(first, name).shape[:-1], self._width), pad)
+            for row, cost in zip(field, costs):
+                row[..., : cost.nbins_active] = getattr(cost, name)
+            setattr(self, name, field)
+        # the derived fields, by the arithmetic of CostFunction
+        self._npos = self._n > 0.0
+        self._2n = 2.0 * self._n
+        self._4n = 4.0 * self._n
+        self._na = self._n + self._a_eff
+        self._c = self._a / self._norms[..., None]
+        self._d = self._v / (self._norms * self._norms)[..., None]
+
+    def _set_counts(self, counts: np.ndarray) -> None:
+        """Record each row's active-bin count, the padded width and the runs of rows.
+
+        ``_runs`` lists (first row, end row, active bins) per run of
+        consecutive rows with one count; ``None`` when every row fills the
+        width, so the reductions need no slicing.
+        """
+        self._counts = counts
+        self._width = int(counts.max(initial=0))
+        if np.count_nonzero(counts != self._width) == 0:
+            self._runs = None
+            return
+        ends = [*(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(counts)]
+        self._runs = [(lo, hi, int(counts[lo])) for lo, hi in zip([0, *ends], ends)]
 
     def __len__(self) -> int:
         return len(self._n)
@@ -683,9 +732,34 @@ class CostStack(_PerBin):
         """The stack of the costs at ``rows``, in that order."""
         out = object.__new__(CostStack)
         out.method, out.weighted, out._domain_lo = self.method, self.weighted, self._domain_lo
-        for name in self._FIELDS:
-            setattr(out, name, getattr(self, name)[rows])
+        out._norms = self._norms[rows]
+        out._set_counts(self._counts[rows])
+        for name in self._BIN_FIELDS:
+            setattr(out, name, getattr(self, name)[rows, ..., : out._width])
         return out
+
+    # --- reductions over bins, per run of rows with one active-bin count -------
+    # strided slices of the padded block give the bits of the compact calls
+
+    def _per_run(self, op, shape: tuple, *args: np.ndarray) -> np.ndarray:
+        if self._runs is None:
+            return op(*args)
+        out = np.empty(shape)
+        for lo, hi, b in self._runs:
+            op(*(x[lo:hi, ..., :b] for x in args), out=out[lo:hi])
+        return out
+
+    def _bin_sum(self, x):
+        return self._per_run(_sum, x.shape[:-1], x)
+
+    def _bin_dot(self, x, z):
+        return self._per_run(_dot, x.shape[:-1], x, z)
+
+    def _bin_matvec(self, A, v):
+        return self._per_run(_matvec, A.shape[:-1], A, v)
+
+    def _bin_gram(self, L, R):
+        return self._per_run(_gram, (*L.shape[:-1], R.shape[-2]), L, R)
 
     def _inside(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """``y`` with a row inside the domain in place of each row outside, and where those were."""

@@ -14,12 +14,14 @@ line-search trial or the restart point) in one call.  A row leaves the
 batch when its fit stops.  :func:`minimize` and :func:`fit` run a batch of
 one, which evaluates through the cost function's own methods.
 :func:`minimize_batch` stacks plain ``approx`` and ``conway`` cost
-functions that share method, weighting, component count and active-bin
-count into one :class:`~templatefit.likelihood.CostStack` (at most 2^14
-per-bin elements, rows x components x active bins), so a round costs one
-NumPy dispatch per operation for the whole stack.  Every operation on the
-state is elementwise, a reduction along the last axis or one BLAS product
-per row, and stacked rows equal single calls bit for bit, so a fit's
+functions that share method, weighting and component count into one
+:class:`~templatefit.likelihood.CostStack` (at most 2^14 per-bin elements,
+rows x components x the most active bins), so a round costs one NumPy
+dispatch per elementwise operation for the whole stack.  The stack pads
+every fit's bins to the widest fit's and takes each sum over bins on a
+fit's own bins, one run of rows per active-bin count; every operation on
+the state is elementwise, a reduction along the last axis or one BLAS
+product per row.  Stacked rows equal single calls bit for bit, so a fit's
 result does not depend on the batch it ran in.
 
 Every method's Hessian is closed form, ``CostFunction.hessian``: the
@@ -184,8 +186,6 @@ class _Counted:
         return _gradient_of(self.values(rows), steps, f0)
 
     def hessian(self, x: np.ndarray, rows=None) -> np.ndarray:
-        if not len(x):
-            return np.empty((0, x.shape[1], x.shape[1]))
         self.calls += 1
         return self._cost.hessian(x[0])[None]
 
@@ -357,8 +357,10 @@ def minimize_batch(
     finite, say).  Other exceptions propagate.
 
     Plain ``approx`` and ``conway`` cost functions with the same method,
-    weighting, component count and active-bin count are stepped together
-    as one :class:`~templatefit.likelihood.CostStack`; ``exact`` costs and
+    weighting and component count are stepped together as one
+    :class:`~templatefit.likelihood.CostStack`, ordered by active-bin
+    count; pad bins and sums over each fit's own bins keep every row equal
+    to its single call bit for bit.  ``exact`` costs and
     instances of subclasses run as batches of one, through their own
     methods.  When a stack raises a ``LinAlgError`` or an
     ``ArithmeticError``, its fits are run again one by one, so the error
@@ -375,10 +377,12 @@ def minimize_batch(
             results[i] = exc
             continue
         stackable = type(cost) is CostFunction and cost.method is not Method.EXACT
-        key = (cost.method, cost.weighted, cost.nparams, cost.nbins_active) if stackable else i
+        key = (cost.method, cost.weighted, cost.nparams) if stackable else i
         groups.setdefault(key, []).append((i, start))
     for members in groups.values():
-        cost = costs[members[0][0]]
+        # rows of one active-bin count next to each other reduce in one run
+        members.sort(key=lambda member: costs[member[0]].nbins_active)
+        cost = costs[members[-1][0]]
         size = max(1, _STACK_ELEMENTS // max(1, cost.nparams * cost.nbins_active))
         for lo in range(0, len(members), size):
             chunk = members[lo : lo + size]
@@ -414,8 +418,10 @@ def _fit_rows(f, costs: list[CostFunction], x: np.ndarray, gtol: float, max_call
     interior = ~_at_bound(X, lower).any(axis=-1)
     rows = [done[j] for j in interior.nonzero()[0]]
     K = costs[0].model.ncomponents
-    H = f.hessian(X if len(rows) == len(done) else X[interior], rows)
-    covariances = dict(zip(rows, _covariances(H, K)))
+    covariances = {}
+    if rows:  # minima on a bound have no covariance
+        H = f.hessian(X if len(rows) == len(done) else X[interior], rows)
+        covariances = dict(zip(rows, _covariances(H, K)))
     results = list(ends)
     for i in done:
         point, qmin, status, calls, iterations, restarted = ends[i]

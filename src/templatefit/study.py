@@ -3,10 +3,12 @@
 Every toy index owns one generation stream, so all requested methods fit
 the identical toy and the records do not depend on the worker count or
 on which other methods were requested.  ``run_study`` fits the toys of a
-chunk together: one ``minimize_batch`` call steps the fits of one method
-and active-bin count in lockstep, and every fit's result equals its
-single ``fit`` call bit for bit, so the records do not depend on the
-chunks either.  Numeric fit failures are recorded with ``converged=False``
+chunk together: one ``minimize_batch`` call steps the fits of each method
+in lockstep, whatever their active-bin counts, and every fit's result
+equals its single ``fit`` call bit for bit (stacked data is padded to the
+widest fit and every sum over bins covers a fit's own bins only), so the
+records do not depend on the chunks either.  Numeric fit failures, which
+``minimize_batch`` returns per fit, are recorded with ``converged=False``
 and never abort the ensemble; programming errors propagate.  Summary
 statistics are computed over converged fits only, with the excluded
 count reported, so unstable configurations show up instead of being
@@ -137,11 +139,7 @@ def _fit_toys(args) -> list[PullRecord]:
                 records.append(_failed(m, n_mc, toy_index))
                 continue
             fits.append((m, n_mc, toy_index, toy.truth[0]))
-    try:
-        results = minimize_batch(costs)
-    except (ValueError, ArithmeticError):
-        # numeric failures (LinAlgError is a ValueError); anything else is a bug
-        results = [None] * len(costs)
+    results = minimize_batch(costs)  # numeric failures come back per fit
     records += [_record(*key, result) for key, result in zip(fits, results)]
     return records
 
@@ -159,7 +157,8 @@ def run_study(
     The toys are fitted in chunks of at most 512 (n_mc, toy index) pairs,
     one chunk per worker task when ``jobs > 1``; each chunk's fits run in
     one :func:`~templatefit.minimize.minimize_batch` call, which steps the
-    fits of one method and active-bin count in lockstep.  Returns
+    fits of each method in lockstep.  With ``jobs > 1`` the pool has at most
+    one worker per chunk.  Returns
     ``len(methods) * len(n_mc_grid) * n_toys`` records sorted by (method,
     n_mc, toy_index); every fit's result equals its single ``fit`` call
     bit for bit, so the ordering and the values do not depend on the
@@ -175,7 +174,7 @@ def run_study(
     if jobs <= 1:
         records = [r for chunk in chunks for r in _fit_toys(chunk)]
     else:
-        with Pool(processes=jobs) as pool:
+        with Pool(processes=min(jobs, len(chunks))) as pool:
             records = [r for done in pool.imap_unordered(_fit_toys, chunks) for r in done]
     records.sort(key=lambda r: (r.method, r.n_mc, r.toy_index))
     return records

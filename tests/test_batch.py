@@ -1,10 +1,11 @@
 """Lockstep fits: a batch of many equals batches of one, field for field and bit for bit.
 
-``minimize_batch`` steps the fits of one method and active-bin count in
-lockstep on a ``CostStack``; ``minimize`` runs a batch of one through the
-cost function's own methods.  A fit's result must not depend on the fits
-stacked with it, which rests on every stacked row of the kernels and of
-the minimizer's arithmetic equalling the single call bit for bit.
+``minimize_batch`` steps the fits of one method in lockstep on a
+``CostStack``, whatever their active-bin counts; ``minimize`` runs a batch
+of one through the cost function's own methods.  A fit's result must not
+depend on the fits stacked with it, which rests on every stacked row of
+the kernels (padded bins included) and of the minimizer's arithmetic
+equalling the single call bit for bit.
 """
 
 import dataclasses
@@ -83,8 +84,8 @@ def assert_same_result(batch: FitResult, single: FitResult) -> None:
 @pytest.mark.parametrize("n_mc", [50, 10000])
 def test_batch_equals_batches_of_one(method, weighted, n_mc):
     costs = _costs(method, weighted, n_mc)
-    sizes = [c.nbins_active for c in costs]
-    assert max(sizes.count(b) for b in sizes) >= 5  # real stacks form
+    if n_mc == 50:  # small templates leave bins empty, so the stack is ragged
+        assert len({c.nbins_active for c in costs}) > 2
     passes = []
     stacked = CostStack.value_and_gradient
 
@@ -96,8 +97,9 @@ def test_batch_equals_batches_of_one(method, weighted, n_mc):
         warnings.simplefilter("error")
         patch.setattr(CostStack, "value_and_gradient", counting)
         batch = minimize_batch(costs)
-    # the fits ran in stacks, not one by one
-    assert max(passes) >= 5 and len(passes) < sum(r.n_evaluations for r in batch) / 4
+    # the fits ran in one stack, not one by one
+    assert passes[0] == len(costs)
+    assert len(passes) < sum(r.n_evaluations for r in batch) / 4
     for cost, result in zip(costs, batch):
         assert_same_result(result, minimize(cost))
 
@@ -142,6 +144,15 @@ def test_bound_restart_stall_budget_and_failed_starts_in_one_batch():
     assert restarts > 0
 
 
+def test_a_stack_whose_fits_all_end_on_the_bound():
+    # none of them has a Hessian to take
+    model = _models(101_000_000, 50, 3)[2]
+    costs = [CostFunction("conway", model) for _ in range(3)]
+    for result, cost in zip(minimize_batch(costs), costs):
+        assert result.status == "on_bound"
+        assert_same_result(result, minimize(cost))
+
+
 def test_a_stack_that_raises_reruns_its_fits_one_by_one(monkeypatch):
     costs = _costs("approx", False, 10000, n=12)
 
@@ -177,62 +188,84 @@ def test_batch_options_validated():
 def _yield_rows(costs, rng) -> np.ndarray:
     """Yields inside the domain, on the bound, and outside it (NaN, inf, negative)."""
     Y = rng.uniform(0.0, 900.0, (len(costs), costs[0].nparams))
-    kind = np.arange(len(costs)) % 6
+    kind = np.arange(len(costs)) % 7
     Y[kind == 1, 0] = 0.0  # dead Conway bins where the signal template fills a bin alone
     Y[kind == 2, 1] = 0.0
     Y[kind == 3, 0] = np.nan
     Y[kind == 4, 1] = np.inf
     Y[kind == 5, 0] = -2.0
+    Y[kind == 6] = 0.0  # every bin dead, pad bins too
     return Y
+
+
+def _assert_rows_equal_single_calls(costs, stack, Y) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, gradients = stack.value_and_gradient(Y)
+        hessians = stack.hessian(Y)
+    K = costs[0].nparams
+    assert values.shape == (len(costs),) and hessians.shape == (len(costs), K, K)
+    for cost, y, v, g, H in zip(costs, Y, values, gradients, hessians):
+        if not (np.isfinite(y).all() and (y >= 0.0).all()):
+            assert v == math.inf and np.isnan(g).all() and np.isnan(H).all()
+            continue
+        v1, g1 = cost.value_and_gradient(y)
+        assert float.hex(float(v)) == float.hex(v1) == float.hex(cost(y))
+        assert _bits(g) == _bits(g1)
+        assert _bits(H) == _bits(cost.hessian(y))
 
 
 @pytest.mark.parametrize("method,weighted", METHODS)
 def test_stacked_derivatives_equal_single_calls(method, weighted):
-    # the BLAS calls of stacked products (one dot or gemv per row, a gemm
-    # per Hessian) must reproduce the unstacked ones bit for bit
+    # rows of every active-bin count in one stack: the pad bins and the
+    # reductions over each row's own bins (one dot or gemv per row, a gemm
+    # per Hessian, on strided slices) must reproduce the single calls bit
+    # for bit, in row order and sorted by count
     costs = _costs(method, weighted, 50, n=60, seed=5)
-    by_size: dict = {}
-    for c in costs:
-        by_size.setdefault(c.nbins_active, []).append(c)
+    counts = [c.nbins_active for c in costs]
+    assert len(set(counts)) > 2
     rng = np.random.default_rng(6)
-    stacks = [group for group in by_size.values() if len(group) > 1]
-    assert stacks
-    for group in stacks:
+    Y = _yield_rows(costs, rng)
+    order = np.argsort(counts, kind="stable")
+    for rows in (np.arange(len(costs)), order):
+        group = [costs[i] for i in rows]
         stack = CostStack(group)
-        Y = _yield_rows(group, rng)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            values, gradients = stack.value_and_gradient(Y)
-            hessians = stack.hessian(Y)
-        assert values.shape == (len(group),) and hessians.shape == (len(group), 2, 2)
-        for cost, y, v, g, H in zip(group, Y, values, gradients, hessians):
-            if not (np.isfinite(y).all() and (y >= 0.0).all()):
-                assert v == math.inf and np.isnan(g).all() and np.isnan(H).all()
-                continue
-            v1, g1 = cost.value_and_gradient(y)
-            assert float.hex(float(v)) == float.hex(v1) == float.hex(cost(y))
-            assert _bits(g) == _bits(g1)
-            assert _bits(H) == _bits(cost.hessian(y))
-        # a stack of some of the costs gives their rows
-        rows = np.arange(len(group))[::2]
-        v2, g2 = stack.take(rows).value_and_gradient(Y[rows])
-        assert _bits(v2) == _bits(values[rows]) and _bits(g2) == _bits(gradients[rows])
+        _assert_rows_equal_single_calls(group, stack, Y[rows])
+        # a stack of some of the costs, across counts, gives their rows
+        some = np.arange(len(costs))[::3]
+        _assert_rows_equal_single_calls([group[i] for i in some], stack.take(some), Y[rows][some])
+    # the rows of the widest count leave: the stack narrows to the rest
+    narrow = order[: counts.count(min(counts)) + 2]
+    _assert_rows_equal_single_calls(
+        [costs[i] for i in narrow], CostStack(costs).take(narrow), Y[narrow]
+    )
 
 
 def test_stack_needs_matching_profiled_costs():
     approx = _costs("approx", False, 10000, n=3)
+    model = approx[1].model
     with pytest.raises(ValueError, match="stack"):
-        CostStack([approx[0], CostFunction("conway", approx[1].model)])
+        CostStack([approx[0], CostFunction("conway", model)])
+    with pytest.raises(ValueError, match="stack"):
+        CostStack([approx[0], CostFunction("approx", model, weighted=True)])
+    three = TemplateModel(
+        edges=model.edges, data=model.data, components=(*model.components, model.components[0])
+    )
+    with pytest.raises(ValueError, match="stack"):
+        CostStack([approx[0], CostFunction("approx", three)])
     with pytest.raises(ValueError, match="stack"):
         CostStack([CostFunction("exact", approx[0].model)] * 2)
+    # a cost of 3 active bins stacks with ones of 15
     narrow = _models(4, 50, 1)[0]
     narrow = TemplateModel(
         edges=narrow.edges[:4],
         data=BinnedSample.from_counts(narrow.data.sumw[:3]),
         components=tuple(BinnedSample.from_counts(c.sumw[:3] + 1.0) for c in narrow.components),
     )
-    with pytest.raises(ValueError, match="stack"):
-        CostStack([approx[0], CostFunction("approx", narrow)])
+    costs = [approx[0], CostFunction("approx", narrow), approx[2]]
+    assert [c.nbins_active for c in costs] == [15, 3, 15]
+    Y = np.array([[240.0, 760.0], [30.0, 20.0], [0.0, 800.0]])
+    _assert_rows_equal_single_calls(costs, CostStack(costs), Y)
 
 
 def test_exact_runs_as_batches_of_one():

@@ -77,14 +77,61 @@ class TestRunStudy:
         with pytest.raises(TypeError, match="bug inside the fit"):
             run_study(ToyConfig(seed=3), [100], 1, ["approx"])
 
-    def test_numeric_errors_recorded_as_not_converged(self, monkeypatch):
-        def failing(*args, **kwargs):
-            raise ValueError("cost is not finite at the start point")
+    def test_value_errors_from_the_batch_propagate(self, monkeypatch):
+        # minimize_batch returns numeric failures per fit; one it raises is a bug
+        def broken(*args, **kwargs):
+            raise ValueError("shape bug inside the batch")
 
-        monkeypatch.setattr(study, "minimize_batch", failing)
-        records = run_study(ToyConfig(seed=3), [100], 2, ["approx", "conway"])
-        assert len(records) == 4
-        assert all(not r.converged and math.isnan(r.pull) for r in records)
+        monkeypatch.setattr(study, "minimize_batch", broken)
+        with pytest.raises(ValueError, match="shape bug"):
+            run_study(ToyConfig(seed=3), [100], 2, ["approx", "conway"])
+
+    def test_numeric_errors_recorded_as_not_converged(self, monkeypatch):
+        # one fit overflows; only its record fails
+        cfg = ToyConfig(seed=3)
+        clean = run_study(cfg, [100], 3, ["approx", "conway"])
+
+        class Overflowing(tf.CostFunction):
+            def value_and_gradient(self, params):
+                raise FloatingPointError("overflow in the kernel")
+
+        built = []
+
+        def cost_function(method, model):
+            built.append(method)  # toy 0 approx, toy 0 conway, toy 1 approx, ...
+            return (Overflowing if len(built) == 3 else tf.CostFunction)(method, model)
+
+        monkeypatch.setattr(study, "CostFunction", cost_function)
+        records = run_study(cfg, [100], 3, ["approx", "conway"])
+        assert len(built) == 6
+        for r, c in zip(records, clean):
+            if (r.method, r.toy_index) == ("approx", 1):
+                assert not r.converged and math.isnan(r.pull) and math.isnan(r.qmin)
+            else:
+                assert r.converged and r == c
+
+    def test_pool_has_at_most_one_worker_per_chunk(self, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(study, "Pool", FakePool)
+        records = run_study(ToyConfig(seed=3), [100], 3, ["approx"], jobs=8)
+        assert sizes == [3]  # one chunk per toy, three chunks
+        assert records_to_csv(records) == records_to_csv(
+            run_study(ToyConfig(seed=3), [100], 3, ["approx"])
+        )
 
     def test_bad_inputs(self):
         cfg = ToyConfig(seed=1)
