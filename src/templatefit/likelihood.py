@@ -37,7 +37,6 @@ freedom.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -188,7 +187,8 @@ _dot = np.vecdot
 _matvec = np.matvec
 
 
-_sum = functools.partial(np.add.reduce, axis=-1)
+def _sum(x: np.ndarray, out=None) -> np.ndarray:
+    return np.add.reduce(x, -1, out=out)
 
 
 def _gram(L: np.ndarray, R: np.ndarray, out=None) -> np.ndarray:
@@ -222,9 +222,10 @@ class _PerBin:
     bits do not depend on the rows stacked with it.
     """
 
-    # reductions over the bins of each row; a CostStack whose rows differ in
-    # active-bin count overrides them
-    _bin_sum = staticmethod(_sum)
+    # reductions over the bins of each row; CostStack overrides them to take
+    # them per active-bin count.  ``_bin_sum(x, -1)`` sums over the last axis:
+    # the positional axis keeps a single cost's call as cheap as a plain one
+    _bin_sum = staticmethod(np.add.reduce)
     _bin_dot = staticmethod(_dot)
     _bin_matvec = staticmethod(_matvec)
     _bin_gram = staticmethod(_gram)
@@ -235,12 +236,12 @@ class _PerBin:
         return ~((p >= self._domain_lo) & (p <= _FLOAT_MAX)).all(axis=-1)
 
     def _approx_total(self, terms: np.ndarray, slot: np.ndarray):
-        return self._bin_sum(terms) + 2.0 * self._bin_dot(slot, self._a_eff)
+        return self._bin_sum(terms, -1) + 2.0 * self._bin_dot(slot, self._a_eff)
 
     def _conway_total(self, live: np.ndarray | None, terms: np.ndarray):
         if live is None:
-            return self._bin_sum(terms)
-        q = self._bin_sum(np.where(live, terms, 0.0))
+            return self._bin_sum(terms, -1)
+        q = self._bin_sum(np.where(live, terms, 0.0), -1)
         # dead bins carry no factor; with observed content the model is impossible
         return np.where((~live & self._npos).any(axis=-1), math.inf, q)
 
@@ -749,7 +750,7 @@ class CostStack(_PerBin):
             op(*(x[lo:hi, ..., :b] for x in args), out=out[lo:hi])
         return out
 
-    def _bin_sum(self, x):
+    def _bin_sum(self, x, axis):
         return self._per_run(_sum, x.shape[:-1], x)
 
     def _bin_dot(self, x, z):
