@@ -37,10 +37,29 @@ from .likelihood import (
     q_poisson,
     var_beta,
 )
-from .minimize import FitResult, default_start, fit, gof, hesse, minimize, minimize_batch
+from .minimize import (
+    FitResult,
+    Minimum,
+    default_start,
+    fit,
+    gof,
+    hesse,
+    minimize,
+    minimize_batch,
+    minimize_stack,
+)
 from .special import chi2_sf, normal_cdf
 from .study import PullRecord, PullStats, bench, run_study, summarize
-from .toys import ToyConfig, ToyDraw, bin_probabilities, draw, poisson, rng_stream, to_model
+from .toys import (
+    ToyConfig,
+    ToyDraw,
+    bin_probabilities,
+    draw,
+    draw_counts,
+    poisson,
+    rng_stream,
+    to_model,
+)
 
 __version__ = "0.1.0"
 
@@ -65,12 +84,14 @@ __all__ = [
     "q_poisson",
     "var_beta",
     "FitResult",
+    "Minimum",
     "default_start",
     "fit",
     "gof",
     "hesse",
     "minimize",
     "minimize_batch",
+    "minimize_stack",
     "chi2_sf",
     "normal_cdf",
     "PullRecord",
@@ -82,6 +103,7 @@ __all__ = [
     "ToyDraw",
     "bin_probabilities",
     "draw",
+    "draw_counts",
     "poisson",
     "rng_stream",
     "to_model",

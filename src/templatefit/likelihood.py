@@ -172,7 +172,7 @@ def _qp_terms(n: np.ndarray, pos: np.ndarray, mu: np.ndarray, nlogn: np.ndarray)
     # vector of 2*(mu - n - n ln mu + n ln n), pos = n > 0; entries with
     # n == 0 give 2*mu (n ln 1 = 0), entries with mu == 0 and n > 0 give +inf
     safe = np.where(pos, mu, 1.0)
-    if np.fmin.reduce(safe, axis=None) > 0.0:
+    if np.fmin.reduce(safe, axis=None, initial=math.inf) > 0.0:
         t = n * np.log(safe)
     else:
         with np.errstate(divide="ignore"):
@@ -229,6 +229,26 @@ class _PerBin:
     _bin_dot = staticmethod(_dot)
     _bin_matvec = staticmethod(_matvec)
     _bin_gram = staticmethod(_gram)
+
+    def _set_fields(self, norms, n, a, v, s, a_eff) -> None:
+        """Set the data arrays of the kernels from the active bins' contents.
+
+        ``norms`` holds the component totals, ``n``, ``s`` and ``a_eff`` one
+        entry per bin and ``a`` and ``v`` one per (component, bin), after the
+        leading axes of a stack.  Every derived field is formed here alone,
+        elementwise, so a stack's rows equal its costs' bit for bit.
+        """
+        self._norms = norms
+        self._n, self._a, self._v, self._s, self._a_eff = n, a, v, s, a_eff
+        self._npos = n > 0.0
+        logn = np.log(np.where(self._npos, n, 1.0))
+        self._nlogn = np.where(self._npos, n * logn, 0.0)
+        self._2n = 2.0 * n
+        self._4n = 4.0 * n
+        self._na = n + a_eff
+        # dm/dy_k per bin, and d(sum_k v_k (y_k/M_k)^2)/dy_k / (2 y_k)
+        self._c = a / norms[..., None]
+        self._d = v / (norms * norms)[..., None]
 
     def _outside(self, p: np.ndarray) -> np.ndarray:
         """Which parameter vectors along the last axis lie outside the domain."""
@@ -436,28 +456,24 @@ class CostFunction(_PerBin):
         self._nbins_active = int(np.count_nonzero(active))
         self.ndof = self._nbins_active - K
 
-        self._norms = np.asarray(model.norms, dtype=np.float64)
-        self._a = np.ascontiguousarray(A[:, active])
-        self._v = np.ascontiguousarray(W2[:, active]) if weighted else self._a
-        self._pooled = np.ascontiguousarray(pooled[active])
-
+        norms = np.asarray(model.norms, dtype=np.float64)
+        a = np.ascontiguousarray(A[:, active])
         n = model.data.sumw[active]
         if weighted:
             n2 = model.data.sumw2[active]
             empty = n2 == 0.0
             n2g = np.where(empty, 1.0, n2)
-            self._s = np.where(empty, 1.0, n / n2g)
-            self._n = np.where(empty, 0.0, n * n / n2g)
+            s = np.where(empty, 1.0, n / n2g)
+            n = np.where(empty, 0.0, n * n / n2g)
             # active bins have pooled sumw > 0, hence pooled sumw2 > 0
-            pooled2 = W2.sum(axis=0)[active]
-            self._a_eff = self._pooled**2 / pooled2
+            a_eff = pooled[active] ** 2 / W2.sum(axis=0)[active]
+            v = np.ascontiguousarray(W2[:, active])
         else:
-            self._s = np.ones_like(n)
-            self._n = np.ascontiguousarray(n)
-            self._a_eff = self._pooled
-        self._npos = self._n > 0.0
-        logn = np.log(np.where(self._npos, self._n, 1.0))
-        self._nlogn = np.where(self._npos, self._n * logn, 0.0)
+            n = np.ascontiguousarray(n)
+            s = np.ones_like(n)
+            a_eff = np.ascontiguousarray(pooled[active])
+            v = a
+        self._set_fields(norms, n, a, v, s, a_eff)
 
         if method is Method.EXACT:
             # bin-major slot order over (active bin, component) with content
@@ -468,20 +484,14 @@ class CostFunction(_PerBin):
             self.nparams = K + self._slot_bin.size
         else:
             self.nparams = K
-            # dm/dy_k per bin, and d(sum_k v_k (y_k/M_k)^2)/dy_k / (2 y_k)
-            self._c = self._a / self._norms[:, None]
-            self._d = self._v / (self._norms * self._norms)[:, None]
         # smallest value inside the domain per parameter: yields may be zero,
         # amplitude factors must be positive
         self._domain_lo = np.zeros(self.nparams)
         self._domain_lo[K:] = np.nextafter(0.0, 1.0)
-
-        self._2n = 2.0 * self._n
-        self._4n = 4.0 * self._n
-        self._na = self._n + self._a_eff
-        for arr in (self._s, self._n, self._npos, self._2n, self._4n, self._na, self._a_eff):
+        for arr in (
+            self._s, self._n, self._npos, self._nlogn, self._2n, self._4n, self._na, self._a_eff
+        ):
             arr.flags.writeable = False
-        self._nlogn.flags.writeable = False
 
     @property
     def nbins_active(self) -> int:
@@ -679,9 +689,10 @@ class CostStack(_PerBin):
     derivatives.
     """
 
-    # the fields copied from the costs, with the value of their pad bins
-    _PADS = {"_n": 0.0, "_nlogn": 0.0, "_a": 1.0, "_v": 1.0, "_s": 1.0, "_a_eff": 1.0}
-    _BIN_FIELDS = (*_PADS, "_npos", "_2n", "_4n", "_na", "_c", "_d")
+    # the fields copied from the costs, with the value of their pad bins, in
+    # the order of ``_set_fields``; the other fields are derived from them
+    _PADS = {"_n": 0.0, "_a": 1.0, "_v": 1.0, "_s": 1.0, "_a_eff": 1.0}
+    _BIN_FIELDS = (*_PADS, "_nlogn", "_npos", "_2n", "_4n", "_na", "_c", "_d")
 
     def __init__(self, costs):
         first = costs[0]
@@ -696,20 +707,56 @@ class CostStack(_PerBin):
         self.method = first.method
         self.weighted = first.weighted
         self._domain_lo = first._domain_lo
-        self._norms = np.stack([c._norms for c in costs])
         self._set_counts(np.array([c.nbins_active for c in costs]))
+        fields = []
         for name, pad in self._PADS.items():
             field = np.full((len(costs), *getattr(first, name).shape[:-1], self._width), pad)
             for row, cost in zip(field, costs):
                 row[..., : cost.nbins_active] = getattr(cost, name)
-            setattr(self, name, field)
-        # the derived fields, by the arithmetic of CostFunction
-        self._npos = self._n > 0.0
-        self._2n = 2.0 * self._n
-        self._4n = 4.0 * self._n
-        self._na = self._n + self._a_eff
-        self._c = self._a / self._norms[..., None]
-        self._d = self._v / (self._norms * self._norms)[..., None]
+            fields.append(field)
+        self._set_fields(np.stack([c._norms for c in costs]), *fields)
+
+    @classmethod
+    def from_counts(cls, method: Method | str, data, templates) -> "CostStack":
+        """The stack of the unweighted costs of many histograms given as counts.
+
+        ``data`` is ``(T, nbins)`` and ``templates`` is ``(T, K, nbins)``;
+        row ``t`` equals, bit for bit, the row of ``CostFunction(method,
+        model)`` for the model of data ``data[t]`` and components
+        ``templates[t]`` (unit weights), without building the models.
+        Counts must be finite and nonnegative and every template needs a
+        positive total, as in :class:`~templatefit.histogram.TemplateModel`.
+        """
+        method = Method(method)
+        data = np.asarray(data, dtype=np.float64)
+        templates = np.asarray(templates, dtype=np.float64)
+        if method is Method.EXACT:
+            raise ValueError("a cost stack needs approx or conway costs")
+        if templates.ndim != 3 or templates.shape[1] < 1 or data.shape != templates.shape[::2]:
+            raise ValueError(
+                f"expected data (T, nbins) and templates (T, K, nbins) with K >= 1, got "
+                f"{data.shape} and {templates.shape}"
+            )
+        for x in (data, templates):
+            if np.count_nonzero(np.isfinite(x) & (x >= 0.0)) < x.size:
+                raise ValueError("counts must be finite and nonnegative")
+        norms = np.add.reduce(templates, axis=-1)
+        if np.count_nonzero(norms > 0.0) < norms.size:
+            raise ValueError("every template needs entries")
+        pooled = np.add.reduce(templates, axis=-2)
+        active = pooled > 0.0
+        out = object.__new__(cls)
+        out.method, out.weighted = method, False
+        out._domain_lo = np.zeros(templates.shape[1])
+        out._set_counts(np.count_nonzero(active, axis=-1))
+        # each row's active bins, in order, then its pad bins
+        bins = np.argsort(~active, axis=-1, kind="stable")[:, : out._width]
+        pad = np.arange(out._width) >= out._counts[:, None]
+        n = np.where(pad, 0.0, np.take_along_axis(data, bins, -1))
+        a = np.where(pad[:, None], 1.0, np.take_along_axis(templates, bins[:, None], -1))
+        a_eff = np.where(pad, 1.0, np.take_along_axis(pooled, bins, -1))
+        out._set_fields(norms, n, a, a, np.ones_like(n), a_eff)
+        return out
 
     def _set_counts(self, counts: np.ndarray) -> None:
         """Record each row's active-bin count, the padded width and the runs of rows.
@@ -729,9 +776,19 @@ class CostStack(_PerBin):
     def __len__(self) -> int:
         return len(self._n)
 
+    @property
+    def nparams(self) -> int:
+        """Number of yields of every row."""
+        return self._domain_lo.size
+
+    @property
+    def nbins_active(self) -> np.ndarray:
+        """Active-bin count of every row."""
+        return self._counts
+
     def take(self, rows) -> "CostStack":
         """The stack of the costs at ``rows``, in that order."""
-        out = object.__new__(CostStack)
+        out = object.__new__(type(self))
         out.method, out.weighted, out._domain_lo = self.method, self.weighted, self._domain_lo
         out._norms = self._norms[rows]
         out._set_counts(self._counts[rows])

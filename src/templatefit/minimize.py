@@ -6,7 +6,10 @@ when the line search stalls.  All the cost functions of this package are
 smooth in their parameters, so no derivative-free fallback is needed.
 The covariance is twice the inverse of the Hessian at the minimum (the
 factor two because the cost is minus twice a log-likelihood ratio).  A
-minimum with a parameter on its lower bound has no covariance.
+minimum with a parameter on its lower bound has no covariance, nor has
+one whose Hessian is not positive definite in floating point: its
+Cholesky factorization or its inversion fails, or a yield variance comes
+out not positive.
 
 One loop runs every fit, on a batch of fits in lockstep: its state holds
 one row per fit, and every round evaluates each row's next point (a
@@ -15,14 +18,18 @@ batch when its fit stops.  :func:`minimize` and :func:`fit` run a batch of
 one, which evaluates through the cost function's own methods.
 :func:`minimize_batch` stacks plain ``approx`` and ``conway`` cost
 functions that share method, weighting and component count into one
-:class:`~templatefit.likelihood.CostStack` (at most 2^14 per-bin elements,
-rows x components x the most active bins), so a round costs one NumPy
-dispatch per elementwise operation for the whole stack.  The stack pads
-every fit's bins to the widest fit's and takes each sum over bins on a
-fit's own bins, one run of rows per active-bin count; every operation on
-the state is elementwise, a reduction along the last axis or one BLAS
-product per row.  Stacked rows equal single calls bit for bit, so a fit's
-result does not depend on the batch it ran in.
+:class:`~templatefit.likelihood.CostStack`, and :func:`minimize_stack`
+fits a stack built by its caller (``CostStack.from_counts`` builds one
+from count arrays, with no cost functions); each runs in stacks of at
+most 2^14 per-bin elements (rows x components x the most active bins), so
+a round costs one NumPy dispatch per elementwise operation for the whole
+stack.  The stack pads every fit's bins to the widest fit's and takes
+each sum over bins on a fit's own bins, one run of rows per active-bin
+count; every operation on the state is elementwise, a reduction along the
+last axis or one BLAS product per row.  Stacked rows equal single calls
+bit for bit, so a fit's result does not depend on the batch it ran in.
+One function, ``_fit_rows``, turns the end of every fit into its status
+and covariance, whichever path ran it.
 
 Every method's Hessian is closed form, ``CostFunction.hessian``: the
 initial inverse-curvature scaling is the inverse diagonal of the Hessian
@@ -54,13 +61,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .likelihood import BetaDiagnostics, CostFunction, CostStack, Method, _diag, _dot, _matvec
 from .special import chi2_sf
 
-__all__ = ["FitResult", "minimize", "minimize_batch", "hesse", "default_start", "gof", "fit"]
+__all__ = [
+    "FitResult",
+    "Minimum",
+    "minimize",
+    "minimize_batch",
+    "minimize_stack",
+    "hesse",
+    "default_start",
+    "gof",
+    "fit",
+]
 
 _EPS = float(np.finfo(np.float64).eps)
 _GRAD_STEP = math.sqrt(_EPS)  # central-difference gradient step scale
@@ -113,6 +131,39 @@ class FitResult:
         return self.status == "converged"
 
 
+class Minimum(NamedTuple):
+    """Where one fit ended: the fields of :class:`FitResult` but ``ndof`` and
+    ``betas``, and the end ``point`` over all parameters."""
+
+    point: np.ndarray
+    yields: np.ndarray
+    yield_errors: np.ndarray | None
+    covariance: np.ndarray | None
+    qmin: float
+    status: str
+    n_evaluations: int
+    n_iterations: int
+    restarted: bool
+
+
+def _result(cost: CostFunction, end):
+    """The :class:`FitResult` of ``cost`` at the :class:`Minimum` ``end``; an exception as is."""
+    if isinstance(end, Exception):
+        return end
+    return FitResult(
+        yields=end.yields,
+        yield_errors=end.yield_errors,
+        covariance=end.covariance,
+        qmin=end.qmin,
+        ndof=cost.ndof,
+        status=end.status,
+        n_evaluations=end.n_evaluations,
+        betas=cost.diagnostics(end.point),
+        n_iterations=end.n_iterations,
+        restarted=end.restarted,
+    )
+
+
 class _Counted:
     """One cost function as a batch of one, with its evaluation count.
 
@@ -126,9 +177,14 @@ class _Counted:
     evaluation.
     """
 
+    # a cost function raises ValueError outside its domain
+    numeric = (ValueError, ArithmeticError)
+
     def __init__(self, cost: CostFunction):
         self._cost = cost
         self.calls = 0
+        self.lower = cost.lower_bounds
+        self.ncomponents = cost.model.ncomponents
         self.closed_form = cost.method is not Method.EXACT
         self.rows = max(1, _STACK_ELEMENTS // max(1, cost.model.ncomponents * cost.nbins_active))
 
@@ -191,16 +247,20 @@ class _Counted:
 
 
 class _Stacked:
-    """Plain ``approx`` or ``conway`` cost functions as one stack.
+    """The rows of a :class:`~templatefit.likelihood.CostStack` as one batch.
 
     Every round evaluates each running row once, so all running rows have
     made the same number of evaluations, ``calls``.
     """
 
-    def __init__(self, costs: list[CostFunction]):
-        self._all = CostStack(costs)
-        self._stack = self._all
+    # the numeric failures of a stack; a plain ValueError there is a bug
+    numeric = (np.linalg.LinAlgError, ArithmeticError)
+
+    def __init__(self, stack: CostStack):
+        self._all = self._stack = stack
         self.calls = 0
+        self.ncomponents = stack.nparams
+        self.lower = np.zeros(stack.nparams)
 
     def keep(self, rows: np.ndarray) -> None:
         """Drop every running row but ``rows``, positions among the running ones."""
@@ -336,10 +396,10 @@ def minimize(
     """
     x = _start_point(cost, start)
     _check_options(gtol, max_calls)
-    (result,) = _fit_rows(_Counted(cost), [cost], x[None], gtol, max_calls)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    (end,) = _fit_rows(_Counted(cost), x[None], gtol, max_calls)
+    if isinstance(end, Exception):
+        raise end
+    return _result(cost, end)
 
 
 def minimize_batch(
@@ -382,34 +442,89 @@ def minimize_batch(
     for members in groups.values():
         # rows of one active-bin count next to each other reduce in one run
         members.sort(key=lambda member: costs[member[0]].nbins_active)
-        cost = costs[members[-1][0]]
-        size = max(1, _STACK_ELEMENTS // max(1, cost.nparams * cost.nbins_active))
-        for lo in range(0, len(members), size):
-            chunk = members[lo : lo + size]
-            for (i, _), r in zip(chunk, _fit_chunk(costs, chunk, gtol, max_calls)):
-                results[i] = r
+        rows = [costs[i] for i, _ in members]
+        x = np.array([start for _, start in members])
+        if len(rows) == 1:
+            ends = [_fit_alone(_Counted(rows[0]), x, gtol, max_calls)]
+        else:
+            ends = _fit_stack(CostStack(rows), x, gtol, max_calls, lambda j: _Counted(rows[j]))
+        for (i, _), cost, end in zip(members, rows, ends):
+            results[i] = _result(cost, end)
     return results
 
 
-def _fit_chunk(costs, chunk, gtol, max_calls) -> list:
-    rows = [costs[i] for i, _ in chunk]
-    x = np.array([start for _, start in chunk])
-    if len(rows) == 1:
-        try:
-            return _fit_rows(_Counted(rows[0]), rows, x, gtol, max_calls)
-        except (ValueError, ArithmeticError) as exc:
-            # numeric failures (LinAlgError is a ValueError); anything else is a bug
-            return [exc]
+def minimize_stack(
+    stack: CostStack,
+    start,
+    *,
+    gtol: float = DEFAULT_GTOL,
+    max_calls: int = DEFAULT_MAX_CALLS,
+) -> list[Minimum | Exception]:
+    """Minimize every row of a :class:`~templatefit.likelihood.CostStack` in lockstep.
+
+    Row ``t`` starts from ``start[t]``, a ``(T, K)`` array.  Returns one
+    entry per row, in order: its :class:`Minimum`, equal field for field
+    and bit for bit to the :func:`minimize` of the row's cost function from
+    that start, or the ``ValueError`` or ``ArithmeticError`` that call
+    would raise (a start value that is not finite, say).  The rows are
+    stepped in order of active-bin count, in stacks of at most 2^14
+    per-bin elements; a stack that raises a ``LinAlgError`` or an
+    ``ArithmeticError`` is fitted again row by row, so the error fails only
+    the fit that caused it.  Other exceptions propagate.
+    """
+    _check_options(gtol, max_calls)
+    x = np.array(start, dtype=np.float64)
+    if x.shape != (len(stack), stack.nparams):
+        raise ValueError(f"start must have shape {(len(stack), stack.nparams)}, got {x.shape}")
+    order = np.argsort(stack.nbins_active, kind="stable")
+    if np.count_nonzero(order != np.arange(len(order))):
+        stack, x = stack.take(order), x[order]
+    ends = _fit_stack(stack, x, gtol, max_calls, lambda j: _Stacked(stack.take([j])))
+    out: list = [None] * len(ends)
+    for i, end in zip(order, ends):
+        out[i] = end
+    return out
+
+
+def _fit_alone(f, x: np.ndarray, gtol: float, max_calls: int):
+    """The minimum of the batch of one ``f`` from ``x``, or its numeric failure."""
     try:
-        return _fit_rows(_Stacked(rows), rows, x, gtol, max_calls)
-    except (np.linalg.LinAlgError, ArithmeticError):
-        # the numeric failures of a stack; a plain ValueError there is a bug
-        return [r for item in chunk for r in _fit_chunk(costs, [item], gtol, max_calls)]
+        (end,) = _fit_rows(f, x, gtol, max_calls)
+    except f.numeric as exc:
+        return exc
+    return end
 
 
-def _fit_rows(f, costs: list[CostFunction], x: np.ndarray, gtol: float, max_calls: int) -> list:
-    """Minimize every row of the batch ``f`` from ``x``; results (or exceptions) in row order."""
-    lower = costs[0].lower_bounds
+def _fit_stack(stack: CostStack, x: np.ndarray, gtol: float, max_calls: int, alone) -> list:
+    """Minima of the rows of ``stack``, ordered by active-bin count, from ``x``.
+
+    The rows run in lockstep, in stacks of at most ``_STACK_ELEMENTS``
+    per-bin elements.  ``alone(j)`` gives row ``j`` as a batch of one, which
+    fits a stack of one row and every row of a stack that raised a numeric
+    failure.
+    """
+    width = int(stack.nbins_active.max(initial=0))
+    size = max(1, _STACK_ELEMENTS // max(1, stack.nparams * width))
+    out: list = []
+    for lo in range(0, len(stack), size):
+        hi = min(lo + size, len(stack))
+        if hi - lo == 1:
+            out.append(_fit_alone(alone(lo), x[lo:hi], gtol, max_calls))
+            continue
+        part = stack if hi - lo == len(stack) else stack.take(np.arange(lo, hi))
+        try:
+            out += _fit_rows(_Stacked(part), x[lo:hi], gtol, max_calls)
+        except _Stacked.numeric:
+            out += [_fit_alone(alone(j), x[j : j + 1], gtol, max_calls) for j in range(lo, hi)]
+    return out
+
+
+def _fit_rows(f, x: np.ndarray, gtol: float, max_calls: int) -> list:
+    """Minimize every row of the batch ``f`` from ``x``; minima (or exceptions) in row order.
+
+    The one place that sets the final status and the covariance of a fit.
+    """
+    lower, K = f.lower, f.ncomponents
     ends = _descend(f, x, lower, gtol, max_calls)
     done = [i for i, end in enumerate(ends) if not isinstance(end, Exception)]
     if not done:
@@ -417,7 +532,6 @@ def _fit_rows(f, costs: list[CostFunction], x: np.ndarray, gtol: float, max_call
     X = np.array([ends[i][0] for i in done])
     interior = ~_at_bound(X, lower).any(axis=-1)
     rows = [done[j] for j in interior.nonzero()[0]]
-    K = costs[0].model.ncomponents
     covariances = {}
     if rows:  # minima on a bound have no covariance
         H = f.hessian(X if len(rows) == len(done) else X[interior], rows)
@@ -430,15 +544,14 @@ def _fit_rows(f, costs: list[CostFunction], x: np.ndarray, gtol: float, max_call
             status = "on_bound"
         elif status == "converged" and covariance is None:
             status = "hessian_not_pd"
-        results[i] = FitResult(
+        results[i] = Minimum(
+            point=point,
             yields=point[:K].copy(),
             yield_errors=None if covariance is None else np.sqrt(np.diag(covariance)),
             covariance=covariance,
             qmin=qmin,
-            ndof=costs[i].ndof,
             status=status,
             n_evaluations=calls + (i in covariances),
-            betas=costs[i].diagnostics(point),
             n_iterations=iterations,
             restarted=restarted,
         )
@@ -718,23 +831,31 @@ def _covariances(H: np.ndarray, K: int) -> list[np.ndarray | None]:
     if not len(rows):
         return out
     H = 0.5 * (H + H.mT)  # symmetric by construction up to roundoff
-    try:
-        np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:  # find which
-        pd = np.array([_positive_definite(h) for h in H])
-        rows, H = np.asarray(rows)[pd], H[pd]
-        if not len(rows):
-            return out
-    cov = 2.0 * np.linalg.inv(H)
+    # inv can fail after the factorization passed, on a Hessian singular in floats
+    for op in (np.linalg.cholesky, np.linalg.inv):
+        try:
+            done = op(H)
+        except np.linalg.LinAlgError:  # find which
+            ok = np.array([_succeeds(op, h) for h in H])
+            rows, H = np.asarray(rows)[ok], H[ok]
+            if not len(rows):
+                return out
+            done = op(H)
+    cov = 2.0 * done
     cov = 0.5 * (cov + cov.mT)
-    for i, c in zip(rows, cov):
-        out[i] = np.ascontiguousarray(c[:K, :K])
+    # yield variances that are not positive and finite come from a Hessian
+    # that is not positive definite in floating point
+    d = np.diagonal(cov, axis1=-2, axis2=-1)[:, :K]
+    good = ((d > 0.0) & (d < math.inf)).all(axis=-1)
+    for i, c, ok in zip(rows, cov, good):
+        if ok:
+            out[i] = np.ascontiguousarray(c[:K, :K])
     return out
 
 
-def _positive_definite(H: np.ndarray) -> bool:
+def _succeeds(op, H: np.ndarray) -> bool:
     try:
-        np.linalg.cholesky(H)
+        op(H)
     except np.linalg.LinAlgError:
         return False
     return True

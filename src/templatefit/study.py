@@ -2,17 +2,21 @@
 
 Every toy index owns one generation stream, so all requested methods fit
 the identical toy and the records do not depend on the worker count or
-on which other methods were requested.  ``run_study`` fits the toys of a
-chunk together: one ``minimize_batch`` call steps the fits of each method
-in lockstep, whatever their active-bin counts, and every fit's result
-equals its single ``fit`` call bit for bit (stacked data is padded to the
-widest fit and every sum over bins covers a fit's own bins only), so the
-records do not depend on the chunks either.  Numeric fit failures, which
-``minimize_batch`` returns per fit, are recorded with ``converged=False``
-and never abort the ensemble; programming errors propagate.  Summary
-statistics are computed over converged fits only, with the excluded
-count reported, so unstable configurations show up instead of being
-masked.
+on which other methods were requested.  ``run_study`` draws the toys of a
+chunk as one array of counts.  For ``approx`` and ``conway`` it builds one
+``CostStack`` per method straight from those counts and steps its fits in
+lockstep (``minimize_stack``), whatever their active-bin counts; the
+records are written from the minima, without the per-toy models, cost
+functions and per-bin diagnostics of a ``fit``.  ``exact`` fits build the
+toy's model and cost function and run one by one (``minimize_batch``).
+Every fit's result equals its single ``fit`` call bit for bit (stacked
+data is padded to the widest fit and every sum over bins covers a fit's
+own bins only), so the records do not depend on the chunks either.
+Numeric fit failures, which both return per fit, are recorded with
+``converged=False`` and never abort the ensemble; programming errors
+propagate.  Summary statistics are computed over converged fits only,
+with the excluded count reported, so unstable configurations show up
+instead of being masked.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from multiprocessing import Pool
 import numpy as np
 
 from .histogram import TemplateModel
-from .likelihood import CostFunction, Method
-from .minimize import FitResult, fit, minimize_batch
-from .toys import ToyConfig, draw, rng_stream, to_model
+from .likelihood import CostFunction, CostStack, Method
+from .minimize import fit, minimize_batch, minimize_stack
+from .toys import ToyConfig, ToyDraw, draw_counts, to_model
 
 __all__ = [
     "PullRecord",
@@ -97,10 +101,12 @@ def _failed(method: str, n_mc: int, toy_index: int) -> PullRecord:
 
 
 def _record(method: str, n_mc: int, toy_index: int, truth: float, result) -> PullRecord:
-    if not isinstance(result, FitResult):
+    """The record of a fit's ``FitResult`` or ``Minimum``, or of the exception it raised."""
+    if isinstance(result, Exception):
         return _failed(method, n_mc, toy_index)
     est = float(result.yields[0])
-    if result.converged and result.yield_errors is not None:
+    converged = result.status == "converged"
+    if converged and result.yield_errors is not None:
         err = float(result.yield_errors[0])
         pull = (est - truth) / err if err > 0 else float("nan")
     else:
@@ -114,33 +120,39 @@ def _record(method: str, n_mc: int, toy_index: int, truth: float, result) -> Pul
         signal_error=err,
         pull=pull,
         qmin=float(result.qmin),
-        converged=bool(result.converged),
+        converged=converged,
     )
 
 
 def _fit_toys(args) -> list[PullRecord]:
-    """Draw and build a chunk of toys, then fit all of them in one ``minimize_batch`` call."""
+    """Draw a chunk of toys as counts and fit them: one lockstep stack per profiled method."""
     config, tasks, methods = args
-    records = []
-    fits = []  # (method, n_mc, toy_index, truth) of each cost
-    costs = []
+    by_n_mc: dict[int, list[int]] = {}
     for n_mc, toy_index in tasks:
-        cfg = replace(config, n_mc=n_mc)
-        toy = draw(cfg, rng_stream(cfg.seed, toy_index))
-        try:
-            model = to_model(cfg, toy)
-        except ValueError:
-            records += [_failed(m, n_mc, toy_index) for m in methods]
-            continue
-        for m in methods:
-            try:
-                costs.append(CostFunction(m, model))
-            except ValueError:
-                records.append(_failed(m, n_mc, toy_index))
-                continue
-            fits.append((m, n_mc, toy_index, toy.truth[0]))
-    results = minimize_batch(costs)  # numeric failures come back per fit
-    records += [_record(*key, result) for key, result in zip(fits, results)]
+        by_n_mc.setdefault(n_mc, []).append(toy_index)
+    keys = [(n_mc, i) for n_mc, indices in by_n_mc.items() for i in indices]
+    counts = np.concatenate(
+        [draw_counts(replace(config, n_mc=n_mc), ix) for n_mc, ix in by_n_mc.items()]
+    )
+    data = counts[:, 0] + counts[:, 1]
+    templates = counts[:, 2:]
+    # a toy with an empty template has no model: every method fails it
+    empty = (np.add.reduce(templates, axis=-1) <= 0.0).any(axis=-1)
+    records = [_failed(m, *keys[t]) for t in empty.nonzero()[0] for m in methods]
+    toys = (~empty).nonzero()[0]
+    if not len(toys):
+        return records
+    data, templates = data[toys], templates[toys]
+    K = templates.shape[1]
+    # the default start: the data total split equally over the yields
+    start = np.repeat(np.add.reduce(data, axis=-1)[:, None] / K, K, axis=1)
+    for m in methods:
+        if m == Method.EXACT.value:
+            models = [to_model(config, ToyDraw.from_counts(config, counts[t])) for t in toys]
+            results = minimize_batch([CostFunction(m, model) for model in models])
+        else:
+            results = minimize_stack(CostStack.from_counts(m, data, templates), start)
+        records += [_record(m, *keys[t], config.signal_yield, r) for t, r in zip(toys, results)]
     return records
 
 
@@ -154,11 +166,14 @@ def run_study(
 ) -> list[PullRecord]:
     """Fit every method to the same toys for each template size in the grid.
 
-    The toys are fitted in chunks of at most 512 (n_mc, toy index) pairs,
-    one chunk per worker task when ``jobs > 1``; each chunk's fits run in
-    one :func:`~templatefit.minimize.minimize_batch` call, which steps the
-    fits of each method in lockstep.  With ``jobs > 1`` the pool has at most
-    one worker per chunk.  Returns
+    The toys are drawn and fitted in chunks of at most 512 (n_mc, toy
+    index) pairs, one chunk per worker task when ``jobs > 1``.  A chunk's
+    ``approx`` and ``conway`` fits each run as one
+    :class:`~templatefit.likelihood.CostStack`, built from the drawn
+    counts and stepped in lockstep by
+    :func:`~templatefit.minimize.minimize_stack`; its ``exact`` fits run
+    one by one.  With ``jobs > 1`` the pool has at most one worker per
+    chunk.  Returns
     ``len(methods) * len(n_mc_grid) * n_toys`` records sorted by (method,
     n_mc, toy_index); every fit's result equals its single ``fit`` call
     bit for bit, so the ordering and the values do not depend on the

@@ -33,6 +33,7 @@ __all__ = [
     "rng_stream",
     "poisson",
     "draw",
+    "draw_counts",
     "to_model",
 ]
 
@@ -92,6 +93,15 @@ class ToyDraw:
     data: BinnedSample
     templates: tuple[BinnedSample, BinnedSample]
     truth: tuple[float, float]
+
+    @classmethod
+    def from_counts(cls, config: ToyConfig, counts) -> "ToyDraw":
+        """The toy of one ``(4, nbins)`` block of :func:`draw_counts`."""
+        return cls(
+            data=BinnedSample.from_counts(counts[0] + counts[1]),
+            templates=(BinnedSample.from_counts(counts[2]), BinnedSample.from_counts(counts[3])),
+            truth=(config.signal_yield, config.background_yield),
+        )
 
 
 def bin_probabilities(config: ToyConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -198,33 +208,41 @@ def _ptrs_attempt(constants: tuple, u: float, v: float) -> int | None:
     return None
 
 
-def _poisson_block(rng: np.random.Generator, means: list[float]) -> list[int]:
+def _plan(means: list[float]) -> tuple[list, int]:
+    """Per mean its PTRS constants (``None`` where it is drawn by inversion),
+    and the number of uniforms taken by one attempt per mean."""
+    ptrs = [_ptrs_constants(mu) if mu >= _PTRS_SWITCH else None for mu in means]
+    first = sum(1 if c is None else 2 for mu, c in zip(means, ptrs) if mu > 0.0)
+    return ptrs, first
+
+
+def _poisson_block(rng: np.random.Generator, means: list[float], plan=None) -> list[int]:
     """Poisson draws for ``means``, in order, from uniforms taken in one block.
 
     Each draw reads the uniforms that the scalar :func:`poisson` calls would
     read, in the same order, so the counts equal theirs; the block runs past
     the last uniform used, so the stream is left further on than the scalar
-    calls leave it.
+    calls leave it.  ``plan`` is ``_plan(means)``, made once for draws that
+    share their means.
     """
-    first = sum(1 if m < _PTRS_SWITCH else 2 for m in means if m > 0.0)
+    ptrs, first = _plan(means) if plan is None else plan
     u = rng.random(first + _SPARE).tolist()
     i = 0  # the next uniform
     counts = []
-    for mu in means:
+    for mu, constants in zip(means, ptrs):
         if mu == 0.0:
             counts.append(0)
             continue
-        if mu < _PTRS_SWITCH:
+        if constants is None:
             if i == len(u):  # rejections used up the spare uniforms
                 u += rng.random(_SPARE).tolist()
             counts.append(_inversion(mu, u[i]))
             i += 1
             continue
-        ptrs = _ptrs_constants(mu)
         while True:
             while i + 2 > len(u):
                 u += rng.random(_SPARE).tolist()
-            k = _ptrs_attempt(ptrs, u[i], u[i + 1])
+            k = _ptrs_attempt(constants, u[i], u[i + 1])
             i += 2
             if k is not None:
                 break
@@ -232,15 +250,9 @@ def _poisson_block(rng: np.random.Generator, means: list[float]) -> list[int]:
     return counts
 
 
-def draw(config: ToyConfig, rng: np.random.Generator) -> ToyDraw:
-    """One toy experiment from the given stream.
-
-    The draws read the stream in a fixed order: data signal bins, data
-    background bins, signal template bins, background template bins.  The
-    two data components are drawn separately and summed.  The uniforms are
-    taken in one block that may run past the last one used, so a stream
-    serves one draw.
-    """
+def _means(config: ToyConfig) -> list[float]:
+    """Poisson means of a toy's bins in draw order: data signal, data background,
+    signal template, background template."""
     p_sig, p_bkg = _shape_probabilities(
         config.range, config.nbins, config.signal_mean, config.signal_sigma, config.background_slope
     )
@@ -252,15 +264,36 @@ def draw(config: ToyConfig, rng: np.random.Generator) -> ToyDraw:
             config.n_mc * p_bkg,
         ]
     )
-    counts = np.array(_poisson_block(rng, means.tolist()), dtype=np.float64).reshape(4, config.nbins)
-    return ToyDraw(
-        data=BinnedSample.from_counts(counts[0] + counts[1]),
-        templates=(
-            BinnedSample.from_counts(counts[2]),
-            BinnedSample.from_counts(counts[3]),
-        ),
-        truth=(config.signal_yield, config.background_yield),
-    )
+    return means.tolist()
+
+
+def draw(config: ToyConfig, rng: np.random.Generator) -> ToyDraw:
+    """One toy experiment from the given stream.
+
+    The draws read the stream in a fixed order: data signal bins, data
+    background bins, signal template bins, background template bins.  The
+    two data components are drawn separately and summed.  The uniforms are
+    taken in one block that may run past the last one used, so a stream
+    serves one draw.  :func:`draw_counts` gives the same counts for many
+    toys as one array, without the containers.
+    """
+    counts = np.array(_poisson_block(rng, _means(config)), dtype=np.float64)
+    return ToyDraw.from_counts(config, counts.reshape(4, config.nbins))
+
+
+def draw_counts(config: ToyConfig, toy_indices) -> np.ndarray:
+    """Raw counts of the toys at ``toy_indices``, each from ``rng_stream(config.seed, index)``.
+
+    Returns a ``(toys, 4, nbins)`` array whose rows are, per toy, the data
+    signal, data background, signal template and background template
+    counts: the draws of :func:`draw`, in its order, so
+    ``ToyDraw.from_counts(config, counts[t])`` equals the ``draw`` of toy
+    ``t`` bit for bit.
+    """
+    means = _means(config)
+    plan = _plan(means)
+    counts = [_poisson_block(rng_stream(config.seed, i), means, plan) for i in toy_indices]
+    return np.array(counts, dtype=np.float64).reshape(len(counts), 4, config.nbins)
 
 
 def to_model(config: ToyConfig, toy: ToyDraw) -> TemplateModel:

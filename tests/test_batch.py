@@ -294,3 +294,82 @@ def test_study_records_equal_single_fits():
     assert records_to_csv(records) == records_to_csv(
         run_study(cfg, [50, 10000], 12, ["approx", "conway"], jobs=2)
     )
+
+
+def _counts(costs) -> tuple[np.ndarray, np.ndarray]:
+    data = np.array([c.model.data.sumw for c in costs])
+    return data, np.array([c.model.component_sumw() for c in costs])
+
+
+@pytest.mark.parametrize("method", ["approx", "conway"])
+@pytest.mark.parametrize("n_mc", [50, 10000])
+def test_stack_from_counts_equals_stack_of_costs(method, n_mc):
+    # at n_mc=50 the rows hold many active-bin counts, unsorted
+    costs = _costs(method, False, n_mc, n=30, seed=7)
+    stack = CostStack.from_counts(method, *_counts(costs))
+    reference = CostStack(costs)
+    for name in ("_norms", "_counts", *CostStack._BIN_FIELDS):
+        assert _bits(getattr(stack, name)) == _bits(getattr(reference, name)), name
+    Y = _yield_rows(costs, np.random.default_rng(8))
+    _assert_rows_equal_single_calls(costs, stack, Y)
+
+
+def test_stack_from_counts_rejects_what_a_model_rejects():
+    data, templates = _counts(_costs("approx", False, 50, n=3))
+    with pytest.raises(ValueError, match="stack"):
+        CostStack.from_counts("exact", data, templates)
+    with pytest.raises(ValueError, match="expected"):
+        CostStack.from_counts("approx", data[:2], templates)
+    with pytest.raises(ValueError, match="expected"):
+        CostStack.from_counts("approx", data, templates[:, :0])
+    for bad in (-1.0, np.nan, np.inf):
+        broken = data.copy()
+        broken[1, 3] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            CostStack.from_counts("approx", broken, templates)
+    empty = templates.copy()
+    empty[2, 1] = 0.0
+    with pytest.raises(ValueError, match="entries"):
+        CostStack.from_counts("approx", data, empty)
+
+
+@pytest.mark.parametrize("method", ["approx", "conway"])
+def test_an_empty_stack_gives_empty_arrays(method):
+    costs = _costs(method, False, 50, n=3)
+    data, templates = _counts(costs)
+    for stack in (CostStack(costs).take([]), CostStack.from_counts(method, data[:0], templates[:0])):
+        assert len(stack) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, gradients = stack.value_and_gradient(np.empty((0, 2)))
+            hessians = stack.hessian(np.empty((0, 2)))
+        assert values.shape == (0,) and gradients.shape == (0, 2) and hessians.shape == (0, 2, 2)
+    assert tf.minimize_stack(CostStack(costs).take([]), np.empty((0, 2))) == []
+
+
+@pytest.mark.parametrize("method", ["approx", "conway"])
+def test_minimize_stack_rows_equal_minimize(method):
+    # unsorted rows of many active-bin counts, stacked in chunks of a few rows
+    costs = _costs(method, False, 50, n=40, seed=9)
+    stack = CostStack.from_counts(method, *_counts(costs))
+    assert np.count_nonzero(np.diff(stack.nbins_active) < 0)
+    start = np.array([tf.default_start(c) for c in costs])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(tf.minimize_stack.__globals__, "_STACK_ELEMENTS", 2 * 15 * 8)
+        ends = tf.minimize_stack(stack, start)
+    statuses = set()
+    for cost, end in zip(costs, ends):
+        single = minimize(cost)
+        statuses.add(single.status)
+        assert _bits(end.point) == _bits(single.yields)
+        for field in tf.Minimum._fields[1:]:
+            a, b = getattr(end, field), getattr(single, field)
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                assert _bits(a) == _bits(b), field
+            elif isinstance(b, float):
+                assert type(a) is float and float.hex(a) == float.hex(b), field
+            else:
+                assert type(a) is type(b) and a == b, field
+    assert "converged" in statuses
+    with pytest.raises(ValueError, match="shape"):
+        tf.minimize_stack(stack, start[1:])

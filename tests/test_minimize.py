@@ -1,6 +1,7 @@
 """Minimizer oracles (grid, golden section), covariance checks, goodness of fit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,26 @@ class TestMinimize:
         res = minimize(_Indefinite(Method.APPROX, model))
         assert res.status == "hessian_not_pd" and not res.converged
         assert res.covariance is None and math.isfinite(res.qmin)
+
+    @pytest.mark.parametrize(
+        "data,comps",
+        [
+            # the Cholesky factorization passes, the inversion finds the matrix singular
+            ([58, 53], [[18, 11], [22, 28], [7, 3]]),
+            # both pass, and a yield variance comes out negative
+            ([14, 22], [[17, 18], [17, 23], [8, 16]]),
+        ],
+    )
+    @pytest.mark.parametrize("method", ["approx", "conway", "exact"])
+    def test_hessian_singular_in_floating_point(self, data, comps, method):
+        # three yields from two bins (ndof = -1): the Hessian at the minimum is singular
+        model = make_model(data, comps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit(model, method)
+        assert res.status == "hessian_not_pd" and not res.converged
+        assert res.covariance is None and res.yield_errors is None
+        assert res.qmin < 1e-6
 
     def test_tight_tolerance_converges_wherever_the_default_does(self):
         # closed-form gradients carry no finite-difference noise floor

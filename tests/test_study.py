@@ -70,19 +70,21 @@ class TestRunStudy:
         assert all(math.isnan(r.pull) for r in records)
 
     def test_programming_errors_propagate(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise TypeError("bug inside the fit")
+        class Broken(tf.CostStack):
+            def value_and_gradient(self, y):
+                raise TypeError("bug inside the fit")
 
-        monkeypatch.setattr(study, "minimize_batch", broken)
+        monkeypatch.setattr(study, "CostStack", Broken)
         with pytest.raises(TypeError, match="bug inside the fit"):
             run_study(ToyConfig(seed=3), [100], 1, ["approx"])
 
     def test_value_errors_from_the_batch_propagate(self, monkeypatch):
-        # minimize_batch returns numeric failures per fit; one it raises is a bug
-        def broken(*args, **kwargs):
-            raise ValueError("shape bug inside the batch")
+        # a stack returns numeric failures per fit; a ValueError it raises is a bug
+        class Broken(tf.CostStack):
+            def value_and_gradient(self, y):
+                raise ValueError("shape bug inside the batch")
 
-        monkeypatch.setattr(study, "minimize_batch", broken)
+        monkeypatch.setattr(study, "CostStack", Broken)
         with pytest.raises(ValueError, match="shape bug"):
             run_study(ToyConfig(seed=3), [100], 2, ["approx", "conway"])
 
@@ -90,20 +92,25 @@ class TestRunStudy:
         # one fit overflows; only its record fails
         cfg = ToyConfig(seed=3)
         clean = run_study(cfg, [100], 3, ["approx", "conway"])
-
-        class Overflowing(tf.CostFunction):
-            def value_and_gradient(self, params):
-                raise FloatingPointError("overflow in the kernel")
-
+        toy = dataclasses.replace(cfg, n_mc=100)
+        poisoned = tf.to_model(toy, tf.draw(toy, tf.rng_stream(3, 1))).norms
         built = []
 
-        def cost_function(method, model):
-            built.append(method)  # toy 0 approx, toy 0 conway, toy 1 approx, ...
-            return (Overflowing if len(built) == 3 else tf.CostFunction)(method, model)
+        class Overflowing(tf.CostStack):
+            @classmethod
+            def from_counts(cls, method, data, templates):
+                built.append((method, len(data)))  # one stack per method, every toy a row
+                return super().from_counts(method, data, templates)
 
-        monkeypatch.setattr(study, "CostFunction", cost_function)
+            def value_and_gradient(self, y):
+                # the approx fit of toy 1, alone or in a stack
+                if self.method.value == "approx" and (self._norms == poisoned).all(-1).any():
+                    raise FloatingPointError("overflow in the kernel")
+                return super().value_and_gradient(y)
+
+        monkeypatch.setattr(study, "CostStack", Overflowing)
         records = run_study(cfg, [100], 3, ["approx", "conway"])
-        assert len(built) == 6
+        assert sum(n for _, n in built) == 6
         for r, c in zip(records, clean):
             if (r.method, r.toy_index) == ("approx", 1):
                 assert not r.converged and math.isnan(r.pull) and math.isnan(r.qmin)
