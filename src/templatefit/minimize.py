@@ -444,10 +444,14 @@ def minimize_batch(
         members.sort(key=lambda member: costs[member[0]].nbins_active)
         rows = [costs[i] for i, _ in members]
         x = np.array([start for _, start in members])
-        if len(rows) == 1:
-            ends = [_fit_alone(_Counted(rows[0]), x, gtol, max_calls)]
-        else:
-            ends = _fit_stack(CostStack(rows), x, gtol, max_calls, lambda j: _Counted(rows[j]))
+        ends = _fit_chunks(
+            x,
+            _chunk_rows(rows[-1].nparams, rows[-1].nbins_active),
+            lambda lo, hi: CostStack(rows[lo:hi]),
+            lambda j: _Counted(rows[j]),
+            gtol,
+            max_calls,
+        )
         for (i, _), cost, end in zip(members, rows, ends):
             results[i] = _result(cost, end)
     return results
@@ -479,7 +483,14 @@ def minimize_stack(
     order = np.argsort(stack.nbins_active, kind="stable")
     if np.count_nonzero(order != np.arange(len(order))):
         stack, x = stack.take(order), x[order]
-    ends = _fit_stack(stack, x, gtol, max_calls, lambda j: _Stacked(stack.take([j])))
+    ends = _fit_chunks(
+        x,
+        _chunk_rows(stack.nparams, int(stack.nbins_active.max(initial=0))),
+        lambda lo, hi: stack if hi - lo == len(stack) else stack.take(np.arange(lo, hi)),
+        lambda j: _Stacked(stack.take([j])),
+        gtol,
+        max_calls,
+    )
     out: list = [None] * len(ends)
     for i, end in zip(order, ends):
         out[i] = end
@@ -495,25 +506,26 @@ def _fit_alone(f, x: np.ndarray, gtol: float, max_calls: int):
     return end
 
 
-def _fit_stack(stack: CostStack, x: np.ndarray, gtol: float, max_calls: int, alone) -> list:
-    """Minima of the rows of ``stack``, ordered by active-bin count, from ``x``.
+def _chunk_rows(nparams: int, nbins: int) -> int:
+    """Rows per stack: at most ``_STACK_ELEMENTS`` per-bin elements at the widest row."""
+    return max(1, _STACK_ELEMENTS // max(1, nparams * nbins))
 
-    The rows run in lockstep, in stacks of at most ``_STACK_ELEMENTS``
-    per-bin elements.  ``alone(j)`` gives row ``j`` as a batch of one, which
-    fits a stack of one row and every row of a stack that raised a numeric
-    failure.
+
+def _fit_chunks(x: np.ndarray, size: int, stack_of, alone, gtol: float, max_calls: int) -> list:
+    """Minima of rows ordered by active-bin count, from ``x``, in lockstep stacks of ``size`` rows.
+
+    ``stack_of(lo, hi)`` builds the stack of rows ``lo`` to ``hi``, and
+    ``alone(j)`` row ``j`` as a batch of one, which fits a lone row and
+    every row of a stack that raised a numeric failure.
     """
-    width = int(stack.nbins_active.max(initial=0))
-    size = max(1, _STACK_ELEMENTS // max(1, stack.nparams * width))
     out: list = []
-    for lo in range(0, len(stack), size):
-        hi = min(lo + size, len(stack))
+    for lo in range(0, len(x), size):
+        hi = min(lo + size, len(x))
         if hi - lo == 1:
             out.append(_fit_alone(alone(lo), x[lo:hi], gtol, max_calls))
             continue
-        part = stack if hi - lo == len(stack) else stack.take(np.arange(lo, hi))
         try:
-            out += _fit_rows(_Stacked(part), x[lo:hi], gtol, max_calls)
+            out += _fit_rows(_Stacked(stack_of(lo, hi)), x[lo:hi], gtol, max_calls)
         except _Stacked.numeric:
             out += [_fit_alone(alone(j), x[j : j + 1], gtol, max_calls) for j in range(lo, hi)]
     return out
@@ -846,10 +858,12 @@ def _covariances(H: np.ndarray, K: int) -> list[np.ndarray | None]:
     # yield variances that are not positive and finite come from a Hessian
     # that is not positive definite in floating point
     d = np.diagonal(cov, axis1=-2, axis2=-1)[:, :K]
-    good = ((d > 0.0) & (d < math.inf)).all(axis=-1)
-    for i, c, ok in zip(rows, cov, good):
-        if ok:
-            out[i] = np.ascontiguousarray(c[:K, :K])
+    good = (d > 0.0) & (d < math.inf)
+    if np.count_nonzero(good) < good.size:
+        good = good.all(axis=-1)
+        rows, cov = np.asarray(rows)[good], cov[good]
+    for i, c in zip(rows, cov):
+        out[i] = np.ascontiguousarray(c[:K, :K])
     return out
 
 

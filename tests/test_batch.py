@@ -144,6 +144,25 @@ def test_bound_restart_stall_budget_and_failed_starts_in_one_batch():
     assert restarts > 0
 
 
+def test_a_large_batch_is_stacked_chunk_by_chunk(monkeypatch):
+    # no stack holds more than its share of per-bin elements, so a batch of
+    # wide costs never holds a padded copy of all of them at once
+    costs = _costs("approx", False, 10000, n=20)
+    sizes = []
+    build = CostStack.__init__
+
+    def counting(self, group):
+        sizes.append(len(group))
+        build(self, group)
+
+    monkeypatch.setattr(CostStack, "__init__", counting)
+    monkeypatch.setitem(minimize_batch.__globals__, "_STACK_ELEMENTS", 2 * 15 * 6)
+    results = minimize_batch(costs)
+    assert sizes == [6, 6, 6, 2]
+    for cost, result in zip(costs, results):
+        assert_same_result(result, minimize(cost))
+
+
 def test_a_stack_whose_fits_all_end_on_the_bound():
     # none of them has a Hessian to take
     model = _models(101_000_000, 50, 3)[2]
