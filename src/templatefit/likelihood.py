@@ -341,6 +341,18 @@ class _PerBin:
             q = self._approx_total(terms, slot)
         return _nonneg(q), live, beta, np.where(m > 0.0, m, 1.0), var
 
+    def _expected_curvature(self, y: np.ndarray) -> np.ndarray:
+        """Expected (Fisher) second derivative of the cost in each yield, ``sum 2 s c_k^2 / m``.
+
+        The curvature of the Poisson data term where the data equal their
+        expectation ``mu0 = s m``; unlike the profiled Hessian's diagonal it
+        is positive wherever the expectation is.  Every yield vector must
+        lie inside the domain; ``m`` is 1 where it vanishes, as in
+        :meth:`_profile`.
+        """
+        m = np.add.reduce((y / self._norms)[..., :, None] * self._a, axis=-2)
+        return self._bin_matvec(self._c * self._c, 2.0 * self._s / np.where(m > 0.0, m, 1.0))
+
     def _value_and_gradient(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and gradients in the yields; NaN gradients where the value is infinite."""
         value, live, beta, m, var = self._profile(y)

@@ -208,15 +208,17 @@ class _Counted:
         pass  # the one row leaves only when the loop ends
 
     def start(self, x: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Value, gradient and diagonal second derivatives at the start point."""
+        """Value, gradient and initial inverse-curvature diagonal at the start point."""
+        expected = None
         if self.closed_form:
             fx, g = self.trial(x)
+            expected = lambda: self._cost._expected_curvature(x[0])[None]  # noqa: E731
         else:  # the start value and the gradient stencil, in one stack
             rows, steps = _gradient_rows(x[0], lower)
             values = self.values([x[0], *rows])
             fx = np.array(values[:1])
             g = _gradient_of(values[1:], steps, values[0])[None]
-        return fx, g, np.diag(self.hessian(x)[0])[None]
+        return fx, g, _initial_inverse_diag(np.diag(self.hessian(x)[0])[None], expected)
 
     def trial(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Value at the point ``x[0]`` and, for a closed-form cost, its gradient from the same pass.
@@ -270,7 +272,11 @@ class _Stacked:
     def start(self, x: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         fx, g = self.trial(x)
         self.calls += 1
-        return fx, g, np.diagonal(self._stack.hessian(x), axis1=-2, axis2=-1)
+        d2 = np.diagonal(self._stack.hessian(x), axis1=-2, axis2=-1)
+        stack = self._stack
+        return fx, g, _initial_inverse_diag(
+            d2, lambda: stack._expected_curvature(stack._inside(x)[0])
+        )
 
     def trial(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         self.calls += 1
@@ -606,11 +612,11 @@ class _Rows:
     )
     __slots__ = _ARRAYS + ("steps", "begin", "failed", "restart")
 
-    def __init__(self, x: np.ndarray, fx: np.ndarray, g: np.ndarray, d2: np.ndarray):
+    def __init__(self, x: np.ndarray, fx: np.ndarray, g: np.ndarray, hinv0: np.ndarray):
         n = len(x)
         self.rows = np.arange(n)  # batch position of each running row
         self.x, self.fx, self.g = x, fx, g
-        self.hinv0 = _initial_inverse_diag(d2)
+        self.hinv0 = hinv0
         self.hinv = _diag(self.hinv0)
         self.best_x, self.best_f = x, fx
         # value before the last step, -inf before the first step and after the
@@ -674,9 +680,8 @@ def _descend(f, x: np.ndarray, lower: np.ndarray, gtol: float, max_calls: int) -
     Selections of all rows (``_ALL``) skip the indexing.
     """
     out: list = [None] * len(x)
-    fx, g, d2 = f.start(x, lower)
-    s = _Rows(x, fx, g, d2)
-    finite = np.isfinite(fx)
+    s = _Rows(x, *f.start(x, lower))
+    finite = np.isfinite(s.fx)
     if np.count_nonzero(finite) < len(s):
         # any nonzero status ends a row; the error then replaces its entry
         f.keep(s.stop(np.where(finite, 0, _STALLED), f.calls, out))
@@ -823,10 +828,19 @@ def _bfgs(hinv: np.ndarray, s: np.ndarray, yv: np.ndarray) -> np.ndarray:
     return hinv + s[:, :, None] * sr * coef[:, None, None] - (hs + hs.mT) * rho[:, None, None]
 
 
-def _initial_inverse_diag(d2: np.ndarray) -> np.ndarray:
-    # diagonal inverse-curvature scaling; yields and amplitude factors live
-    # on very different scales, so a unit matrix would stall the first steps
+def _initial_inverse_diag(d2: np.ndarray, expected=None) -> np.ndarray:
+    """Diagonal inverse-curvature scaling from the start Hessian's diagonal ``d2``.
+
+    Yields and amplitude factors live on very different scales, so a unit
+    matrix would stall the first steps.  Where an entry of ``d2`` is not
+    positive and finite, ``expected()``, the expected curvature of the
+    profiled costs, stands in (called only then), and 1 where that is not
+    positive and finite either.
+    """
     good = np.isfinite(d2) & (d2 > 0.0)
+    if expected is not None and np.count_nonzero(good) < good.size:
+        d2 = np.where(good, d2, expected())
+        good = np.isfinite(d2) & (d2 > 0.0)
     return 1.0 / np.where(good, d2, 1.0)
 
 

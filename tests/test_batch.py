@@ -22,11 +22,13 @@ from templatefit import (
     CostStack,
     FitResult,
     TemplateModel,
+    default_start,
     minimize,
     minimize_batch,
     run_study,
 )
 from templatefit.likelihood import Method
+from templatefit.minimize import _Counted, _Stacked
 from templatefit.study import records_to_csv
 
 METHODS = [("approx", False), ("approx", True), ("conway", False), ("conway", True)]
@@ -258,6 +260,48 @@ def test_stacked_derivatives_equal_single_calls(method, weighted):
     _assert_rows_equal_single_calls(
         [costs[i] for i in narrow], CostStack(costs).take(narrow), Y[narrow]
     )
+
+
+def _small_template_costs(method: str, weighted: bool, n: int = 40) -> list:
+    """Costs of 15-bin toys with five-entry templates; toys with an empty template are skipped."""
+    cfg = tf.ToyConfig(seed=5, n_mc=5)
+    models = []
+    for i in range(4 * n):
+        try:
+            models.append(tf.to_model(cfg, tf.draw(cfg, tf.rng_stream(cfg.seed, i))))
+        except ValueError:
+            continue
+    models = models[:n]
+    if weighted:
+        rng = np.random.default_rng(5)
+        models = [_weighted(m, rng) for m in models]
+    return [CostFunction(method, m, weighted=weighted) for m in models]
+
+
+@pytest.mark.parametrize("method,weighted", METHODS)
+def test_start_scaling_equal_in_stack_and_alone(method, weighted):
+    # small templates leave start Hessians with diagonal entries that are
+    # not positive; the expected curvature that stands in there must come
+    # out of a stack row bit for bit as out of the cost alone, and rows
+    # whose diagonal is positive keep its inverse
+    costs = _small_template_costs(method, weighted)
+    assert len({c.nbins_active for c in costs}) > 2
+    X = np.array([default_start(c) for c in costs])
+    lower = np.zeros(costs[0].nparams)
+    d2 = np.array([np.diag(c.hessian(x)) for c, x in zip(costs, X)])
+    bad = d2 <= 0.0
+    assert 0 < np.count_nonzero(bad.any(axis=-1)) < len(costs)
+    stack = CostStack(costs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, hinv0 = _Stacked(stack).start(X, lower)
+        expected = stack._expected_curvature(X)
+    for cost, x, row, e, d, b in zip(costs, X, hinv0, expected, d2, bad):
+        _, _, alone = _Counted(cost).start(x[None], lower)
+        assert _bits(row) == _bits(alone[0])
+        assert _bits(e) == _bits(cost._expected_curvature(x))
+        assert (e > 0.0).all()
+        assert _bits(row) == _bits(1.0 / np.where(b, e, d))
 
 
 def test_stack_needs_matching_profiled_costs():

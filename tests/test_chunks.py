@@ -17,24 +17,8 @@ import pytest
 import templatefit as tf
 import templatefit.study as study
 from templatefit import CostStack, PullRecord, ToyConfig, run_study
-from templatefit.minimize import minimize_stack
 
 GRID = [0, 1, 5, 50, 10000]
-BUDGET = 1000
-
-
-@pytest.fixture
-def small_budget(monkeypatch):
-    """Fits at most ``BUDGET`` evaluations long, on the chunk path and the per-toy path alike.
-
-    Fits of one- and five-entry templates creep towards their minimum for
-    tens of thousands of iterations (seconds each); ending them on the
-    budget keeps the grid fast and puts ``budget`` records in it.  Exact fits
-    of these toys take at most a few thousand evaluations.
-    """
-    for fn in (tf.minimize, tf.minimize_batch, minimize_stack):
-        monkeypatch.setitem(fn.__kwdefaults__, "max_calls", BUDGET)
-
 
 def _reference(config: ToyConfig, n_mc: int, toy_index: int, method: str) -> PullRecord:
     cfg = dataclasses.replace(config, n_mc=n_mc)
@@ -66,7 +50,7 @@ def _assert_records_equal_reference(config, grid, n_toys, methods, records) -> N
 
 
 @pytest.mark.parametrize("nbins", [3, 15, 100])
-def test_profiled_records_equal_per_toy_fits(nbins, small_budget):
+def test_profiled_records_equal_per_toy_fits(nbins):
     config = ToyConfig(seed=23, nbins=nbins)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -86,7 +70,6 @@ def test_exact_records_equal_per_toy_fits(nbins):
 
 
 def test_records_do_not_depend_on_jobs():
-    # workers fit their chunks at the full budget, so no small templates here
     config = ToyConfig(seed=31, nbins=15)
     methods = ("approx", "conway", "exact")
     one = run_study(config, [0, 50, 10000], 3, methods)

@@ -19,6 +19,7 @@ from templatefit import (
     hesse,
     minimize,
 )
+from templatefit.minimize import _initial_inverse_diag
 
 
 def make_model(data, comps, names=()):
@@ -258,6 +259,89 @@ class TestMinimize:
         assert res.converged
         finite = res.betas.beta[np.isfinite(res.betas.beta)]
         assert np.all(np.abs(finite - 1.0) < 0.2)
+
+
+def weighted_k4_model(seed: int, nbins: int) -> TemplateModel:
+    """A weighted spectrum of four components on [0, 1): a narrow and a broad
+    peak, a falling exponential and a flat part; events carry gamma weights."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    samplers = (
+        lambda n: rng.normal(0.30, 0.01, n),
+        lambda n: rng.normal(0.55, 0.12, n),
+        lambda n: rng.exponential(0.10, n),
+        lambda n: rng.uniform(0.0, 0.8, n),
+    )
+
+    def histogram(x, w):
+        inside = (x >= 0.0) & (x < 1.0)
+        idx = (x[inside] * nbins).astype(np.int64)
+        w = w[inside]
+        return BinnedSample(np.bincount(idx, w, nbins), np.bincount(idx, w * w, nbins))
+
+    comps, data = [], []
+    for sample, events, mean in zip(samplers, (600, 1200, 2000, 800), (40, 200, 400, 80)):
+        comps.append(histogram(sample(events), rng.gamma(4.0, 0.25, events)))
+        data.append(sample(rng.poisson(mean)))
+    x = np.concatenate(data)
+    return TemplateModel(
+        edges=np.linspace(0.0, 1.0, nbins + 1),
+        data=histogram(x, rng.gamma(25.0, 0.04, x.size)),
+        components=tuple(comps),
+    )
+
+
+def scaled_scipy_minimum(cost: CostFunction) -> float:
+    """L-BFGS-B's minimum from the default start, on parameters scaled to order one."""
+    x0 = default_start(cost)
+    scale = np.maximum(1.0, np.abs(x0))
+    with np.errstate(invalid="ignore", over="ignore"):
+        ref = scipy_minimize(
+            lambda u: cost(u * scale),
+            x0 / scale,
+            method="L-BFGS-B",
+            bounds=[(lo / s, None) for lo, s in zip(cost.lower_bounds, scale)],
+            options=dict(ftol=1e-15, gtol=1e-10, maxiter=20_000, maxfun=500_000),
+        )
+    return float(ref.fun)
+
+
+class TestStartScaling:
+    """Where the start Hessian's diagonal is not positive, the first step is
+    scaled by the expected curvature of the yield instead of by 1."""
+
+    @pytest.mark.parametrize("toy", [1, 5])
+    @pytest.mark.parametrize("method", ["approx", "conway"])
+    def test_one_entry_templates_do_not_creep(self, method, toy):
+        # scaled by 1, these fits took 28,314 and 32,181 evaluations (approx,
+        # toys 1 and 5) and 95,124 and 99,456 (conway)
+        cfg = tf.ToyConfig(seed=5, nbins=15, n_mc=1)
+        cost = CostFunction(method, tf.to_model(cfg, tf.draw(cfg, tf.rng_stream(5, toy))))
+        assert (np.diag(cost.hessian(default_start(cost))) <= 0.0).any()
+        res = minimize(cost)
+        assert res.converged and res.n_evaluations < 1000
+
+    def test_weighted_conway_with_negative_start_curvature(self):
+        # the narrow peak's yield curves downwards at the default start;
+        # scaled by 1, this fit took 31 evaluations
+        cost = CostFunction("conway", weighted_k4_model(3, 200), weighted=True)
+        assert np.diag(cost.hessian(default_start(cost)))[0] < 0.0
+        res = minimize(cost)
+        assert res.converged and res.n_evaluations < 31
+        ref = scaled_scipy_minimum(cost)
+        assert res.qmin <= ref + 1e-5 + 1e-9 * abs(ref)
+
+    def test_only_entries_that_are_not_positive_are_replaced(self):
+        def never():
+            raise AssertionError("expected curvature asked for a positive diagonal")
+
+        d2 = np.array([[4.0, 0.5], [2.0, 8.0]])
+        assert _initial_inverse_diag(d2, never).tolist() == [[0.25, 2.0], [0.5, 0.125]]
+        d2 = np.array([[4.0, -1.0, 0.0], [np.nan, np.inf, 2.0]])
+        expected = np.array([[9.0, 0.5, -3.0], [5.0, np.nan, 7.0]])
+        got = _initial_inverse_diag(d2, lambda: expected)
+        # where the expected curvature is not positive and finite either, 1
+        assert got.tolist() == [[0.25, 2.0, 1.0], [0.2, 1.0, 0.5]]
+        assert _initial_inverse_diag(d2).tolist() == [[0.25, 1.0, 1.0], [1.0, 1.0, 0.5]]
 
 
 class TestDefaultStart:

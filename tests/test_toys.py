@@ -10,8 +10,10 @@ from scipy import integrate, stats
 
 from templatefit import (
     ToyConfig,
+    ToyDraw,
     bin_probabilities,
     draw,
+    draw_counts,
     poisson,
     rng_stream,
     to_model,
@@ -152,6 +154,23 @@ class TestStreams:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             rng_stream(1, -1)
+        with pytest.raises(ValueError):
+            draw_counts(ToyConfig(seed=1), [0, -1])
+
+    @pytest.mark.parametrize("seed", [11, 2**64 + 11])
+    def test_draw_counts_rows_equal_stream_draws(self, seed):
+        # one generator reset per toy replays each toy's own stream, also
+        # for indexes in the high half of the key's high word
+        cfg = ToyConfig(seed=seed, nbins=15, n_mc=50)
+        indexes = [0, 1, 7, 2**32, 2**32 + 1, 2**63 + 5, 3]
+        counts = draw_counts(cfg, indexes)
+        assert counts.shape == (len(indexes), 4, 15)
+        for row, i in zip(counts, indexes):
+            got = ToyDraw.from_counts(cfg, row)
+            want = draw(cfg, rng_stream(seed, i))
+            for a, b in zip((got.data, *got.templates), (want.data, *want.templates)):
+                assert a.sumw.tobytes() == b.sumw.tobytes()
+                assert a.sumw2.tobytes() == b.sumw2.tobytes()
 
     def test_paired_stream_correlation(self):
         # adjacent-index streams must be statistically independent
