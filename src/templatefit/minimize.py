@@ -34,6 +34,14 @@ and covariance, whichever path ran it.
 Every method's Hessian is closed form, ``CostFunction.hessian``: the
 initial inverse-curvature scaling is the inverse diagonal of the Hessian
 at the start, and the covariance comes from the Hessian at the minimum.
+Where a diagonal entry is not positive (Conway's profiled Hessian in some
+yields at the default start, approx's at templates of a few entries),
+``approx`` and ``conway`` take the yield's expected curvature,
+``sum 2 s c_k^2 / m`` over bins, in its place; scaled by 1 instead, the
+line search crept in that yield, and BFGS, which skips updates without
+positive curvature along the step, never learned its scale.  It is
+formed only where some entry is bad, counts as no evaluation, and the
+curvature reset and the restart return to this scaling.
 For ``exact`` it spans yields and amplitude factors and the yield block of
 its full inverse is returned, so the template uncertainty propagates into
 the yield errors.  Each Hessian counts as one evaluation.
@@ -209,16 +217,15 @@ class _Counted:
 
     def start(self, x: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Value, gradient and initial inverse-curvature diagonal at the start point."""
-        expected = None
-        if self.closed_form:
-            fx, g = self.trial(x)
-            expected = lambda: self._cost._expected_curvature(x[0])[None]  # noqa: E731
-        else:  # the start value and the gradient stencil, in one stack
+        if not self.closed_form:  # the start value and the gradient stencil, in one stack
             rows, steps = _gradient_rows(x[0], lower)
             values = self.values([x[0], *rows])
             fx = np.array(values[:1])
             g = _gradient_of(values[1:], steps, values[0])[None]
-        return fx, g, _initial_inverse_diag(np.diag(self.hessian(x)[0])[None], expected)
+            return fx, g, _initial_inverse_diag(np.diag(self.hessian(x)[0])[None])
+        fx, g = self.trial(x)
+        d2 = np.diag(self.hessian(x)[0])[None]
+        return fx, g, _initial_inverse_diag(d2, lambda: self._cost._expected_curvature(x[0])[None])
 
     def trial(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Value at the point ``x[0]`` and, for a closed-form cost, its gradient from the same pass.
@@ -272,8 +279,8 @@ class _Stacked:
     def start(self, x: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         fx, g = self.trial(x)
         self.calls += 1
-        d2 = np.diagonal(self._stack.hessian(x), axis1=-2, axis2=-1)
         stack = self._stack
+        d2 = np.diagonal(stack.hessian(x), axis1=-2, axis2=-1)
         return fx, g, _initial_inverse_diag(
             d2, lambda: stack._expected_curvature(stack._inside(x)[0])
         )

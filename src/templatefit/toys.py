@@ -147,38 +147,9 @@ def rng_stream(seed: int, toy_index: int) -> np.random.Generator:
 
 def _key(seed: int, toy_index: int) -> tuple[int, int]:
     """The low and high 64-bit words of the Philox key of one toy's stream."""
-    if toy_index < 0:
-        raise ValueError(f"toy_index must be nonnegative, got {toy_index}")
+    if not 0 <= toy_index < 2**64:
+        raise ValueError(f"toy_index must be nonnegative and below 2^64, got {toy_index}")
     return int(seed) & 0xFFFFFFFFFFFFFFFF, int(toy_index)
-
-
-class _Streams:
-    """One generator set to the fresh state of each toy's :func:`rng_stream` in turn.
-
-    Constructing a ``Philox`` draws operating-system entropy before its key
-    replaces it; resetting one generator's state (counter 0, the toy's key,
-    an empty buffer) gives the same stream for a fraction of the cost.
-    """
-
-    def __init__(self, seed: int):
-        self._seed = seed
-        self._bits = np.random.Philox(0)
-        self.rng = np.random.Generator(self._bits)
-        zeros = np.zeros(4, dtype=np.uint64)
-        self._state = {"counter": zeros, "key": None}
-        self._fresh = {
-            "bit_generator": "Philox",
-            "state": self._state,
-            "buffer": zeros,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-    def __call__(self, toy_index: int) -> np.random.Generator:
-        self._state["key"] = np.array(_key(self._seed, toy_index), dtype=np.uint64)
-        self._bits.state = self._fresh
-        return self.rng
 
 
 _PTRS_SWITCH = 30.0
@@ -326,8 +297,16 @@ def draw_counts(config: ToyConfig, toy_indices) -> np.ndarray:
     """
     means = _means(config)
     plan = _plan(means)
-    stream = _Streams(config.seed)
-    counts = [_poisson_block(stream(i), means, plan) for i in toy_indices]
+    # one generator reset to each toy's fresh stream: constructing a Philox
+    # draws operating-system entropy before its key replaces it
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
+    fresh = bits.state  # counter 0 and an empty buffer; only the key changes
+    counts = []
+    for i in toy_indices:
+        fresh["state"]["key"] = np.array(_key(config.seed, i), dtype=np.uint64)
+        bits.state = fresh
+        counts.append(_poisson_block(rng, means, plan))
     return np.array(counts, dtype=np.float64).reshape(len(counts), 4, config.nbins)
 
 

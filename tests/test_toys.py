@@ -156,6 +156,11 @@ class TestStreams:
             rng_stream(1, -1)
         with pytest.raises(ValueError):
             draw_counts(ToyConfig(seed=1), [0, -1])
+        for toy_index in (2**64, 2**64 + 1):
+            with pytest.raises(ValueError):
+                rng_stream(1, toy_index)
+            with pytest.raises(ValueError):
+                draw_counts(ToyConfig(seed=1), [toy_index])
 
     @pytest.mark.parametrize("seed", [11, 2**64 + 11])
     def test_draw_counts_rows_equal_stream_draws(self, seed):
