@@ -45,7 +45,6 @@ from .minimize import (
     gof,
     hesse,
     minimize,
-    minimize_batch,
     minimize_stack,
 )
 from .special import chi2_sf, normal_cdf
@@ -90,7 +89,6 @@ __all__ = [
     "gof",
     "hesse",
     "minimize",
-    "minimize_batch",
     "minimize_stack",
     "chi2_sf",
     "normal_cdf",

@@ -684,49 +684,28 @@ class CostFunction(_PerBin):
 
 
 class CostStack(_PerBin):
-    """The profiled costs of several fits, evaluated together.
+    """The unweighted profiled costs of several fits, evaluated together.
 
-    ``costs`` are ``approx`` or ``conway`` cost functions that share their
-    method, weighting and number of components; their data arrays are
-    stacked along a leading axis, each padded to the largest active-bin
-    count.  Pad bins hold ``n = 0`` and unit template contents, scales and
-    variances, so the elementwise kernels stay finite on them, and every
-    reduction over bins runs, per run of consecutive rows with one
-    active-bin count, on those rows' active bins alone.  Row ``t`` of a call
-    on a ``(T, K)`` stack of yields therefore equals, bit for bit, the call
-    of ``costs[t]`` on row ``t`` alone, whatever the other rows hold, so a
-    minimizer can step many fits at the cost of one NumPy dispatch per
-    elementwise operation; costs ordered by active-bin count make the
-    fewest runs.  Rows outside the domain evaluate to ``+inf`` with NaN
-    derivatives.
+    Built from count arrays by :meth:`from_counts` and narrowed by
+    :meth:`take`.  The rows share one method (``approx`` or ``conway``) and
+    number of components; their data arrays are stacked along a leading
+    axis, each padded to the largest active-bin count.  Pad bins hold
+    ``n = 0`` and unit template contents, scales and variances, so the
+    elementwise kernels stay finite on them, and every reduction over bins
+    runs, per run of consecutive rows with one active-bin count, on those
+    rows' active bins alone.  Row ``t`` of a call on a ``(T, K)`` stack of
+    yields therefore equals, bit for bit, the call of row ``t``'s cost
+    function on it alone, whatever the other rows hold, so a minimizer can
+    step many fits at the cost of one NumPy dispatch per elementwise
+    operation; rows ordered by active-bin count make the fewest runs.  Rows
+    outside the domain evaluate to ``+inf`` with NaN derivatives.
     """
 
-    # the fields copied from the costs, with the value of their pad bins, in
-    # the order of ``_set_fields``; the other fields are derived from them
-    _PADS = {"_n": 0.0, "_a": 1.0, "_v": 1.0, "_s": 1.0, "_a_eff": 1.0}
-    _BIN_FIELDS = (*_PADS, "_nlogn", "_npos", "_2n", "_4n", "_na", "_c", "_d")
-
-    def __init__(self, costs):
-        first = costs[0]
-        shape = (first.method, first.weighted, first.nparams)
-        if first.method is Method.EXACT or any(
-            (c.method, c.weighted, c.nparams) != shape for c in costs
-        ):
-            raise ValueError(
-                "a cost stack needs approx or conway costs of one method, weighting "
-                "and component count"
-            )
-        self.method = first.method
-        self.weighted = first.weighted
-        self._domain_lo = first._domain_lo
-        self._set_counts(np.array([c.nbins_active for c in costs]))
-        fields = []
-        for name, pad in self._PADS.items():
-            field = np.full((len(costs), *getattr(first, name).shape[:-1], self._width), pad)
-            for row, cost in zip(field, costs):
-                row[..., : cost.nbins_active] = getattr(cost, name)
-            fields.append(field)
-        self._set_fields(np.stack([c._norms for c in costs]), *fields)
+    weighted = False
+    # the per-bin fields of ``_set_fields``, one row per fit
+    _BIN_FIELDS = (
+        "_n", "_a", "_v", "_s", "_a_eff", "_nlogn", "_npos", "_2n", "_4n", "_na", "_c", "_d",
+    )
 
     @classmethod
     def from_counts(cls, method: Method | str, data, templates) -> "CostStack":
@@ -758,7 +737,7 @@ class CostStack(_PerBin):
         pooled = np.add.reduce(templates, axis=-2)
         active = pooled > 0.0
         out = object.__new__(cls)
-        out.method, out.weighted = method, False
+        out.method = method
         out._domain_lo = np.zeros(templates.shape[1])
         out._set_counts(np.count_nonzero(active, axis=-1))
         # each row's active bins, in order, then its pad bins
@@ -801,7 +780,7 @@ class CostStack(_PerBin):
     def take(self, rows) -> "CostStack":
         """The stack of the costs at ``rows``, in that order."""
         out = object.__new__(type(self))
-        out.method, out.weighted, out._domain_lo = self.method, self.weighted, self._domain_lo
+        out.method, out._domain_lo = self.method, self._domain_lo
         out._norms = self._norms[rows]
         out._set_counts(self._counts[rows])
         for name in self._BIN_FIELDS:

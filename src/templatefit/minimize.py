@@ -16,11 +16,9 @@ one row per fit, and every round evaluates each row's next point (a
 line-search trial or the restart point) in one call.  A row leaves the
 batch when its fit stops.  :func:`minimize` and :func:`fit` run a batch of
 one, which evaluates through the cost function's own methods.
-:func:`minimize_batch` stacks plain ``approx`` and ``conway`` cost
-functions that share method, weighting and component count into one
-:class:`~templatefit.likelihood.CostStack`, and :func:`minimize_stack`
-fits a stack built by its caller (``CostStack.from_counts`` builds one
-from count arrays, with no cost functions); each runs in stacks of at
+:func:`minimize_stack` fits the rows of a
+:class:`~templatefit.likelihood.CostStack` (``CostStack.from_counts``
+builds one from count arrays, with no cost functions) in stacks of at
 most 2^14 per-bin elements (rows x components x the most active bins), so
 a round costs one NumPy dispatch per elementwise operation for the whole
 stack.  The stack pads every fit's bins to the widest fit's and takes
@@ -80,7 +78,6 @@ __all__ = [
     "FitResult",
     "Minimum",
     "minimize",
-    "minimize_batch",
     "minimize_stack",
     "hesse",
     "default_start",
@@ -154,24 +151,6 @@ class Minimum(NamedTuple):
     restarted: bool
 
 
-def _result(cost: CostFunction, end):
-    """The :class:`FitResult` of ``cost`` at the :class:`Minimum` ``end``; an exception as is."""
-    if isinstance(end, Exception):
-        return end
-    return FitResult(
-        yields=end.yields,
-        yield_errors=end.yield_errors,
-        covariance=end.covariance,
-        qmin=end.qmin,
-        ndof=cost.ndof,
-        status=end.status,
-        n_evaluations=end.n_evaluations,
-        betas=cost.diagnostics(end.point),
-        n_iterations=end.n_iterations,
-        restarted=end.restarted,
-    )
-
-
 class _Counted:
     """One cost function as a batch of one, with its evaluation count.
 
@@ -184,9 +163,6 @@ class _Counted:
     evaluation.  Every method's Hessian is closed form and counts as one
     evaluation.
     """
-
-    # a cost function raises ValueError outside its domain
-    numeric = (ValueError, ArithmeticError)
 
     def __init__(self, cost: CostFunction):
         self._cost = cost
@@ -329,14 +305,21 @@ def _at_bound(x: np.ndarray, lower: np.ndarray) -> np.ndarray:
 
 
 def _direction(hinv: np.ndarray, g: np.ndarray, held: np.ndarray) -> np.ndarray:
-    """Quasi-Newton step over the free parameters of one row; ``held`` ones stay put."""
+    """Quasi-Newton step over the free parameters of one row; ``held`` ones stay put.
+
+    No step where the held block of ``hinv`` is singular (BFGS roundoff can
+    zero its diagonal): a step that does not descend resets the curvature.
+    """
     free = ~held
+    p = np.zeros_like(g)
     # inverse of the free block of the curvature model: the Schur complement
     # of the held block in its inverse
     hff = hinv[np.ix_(free, free)]
     hfh = hinv[np.ix_(free, held)]
-    hff = hff - hfh @ np.linalg.solve(hinv[np.ix_(held, held)], hfh.T)
-    p = np.zeros_like(g)
+    try:
+        hff = hff - hfh @ np.linalg.solve(hinv[np.ix_(held, held)], hfh.T)
+    except np.linalg.LinAlgError:
+        return p
     p[free] = -(hff @ g[free])
     return p
 
@@ -365,14 +348,25 @@ def default_start(cost: CostFunction) -> np.ndarray:
     return start
 
 
+def _start_errors(x: np.ndarray, lower: np.ndarray) -> dict[int, ValueError]:
+    """The error of each row of start points ``x`` that is not finite or lies below ``lower``."""
+    finite = np.isfinite(x).all(axis=-1)
+    bad = ~finite | (x < lower).any(axis=-1)
+    return {
+        i: ValueError(
+            "start point must lie within the bounds" if finite[i] else "start point must be finite"
+        )
+        for i in bad.nonzero()[0].tolist()
+    }
+
+
 def _start_point(cost: CostFunction, start) -> np.ndarray:
     x = np.array(default_start(cost) if start is None else start, dtype=np.float64)
     if x.shape != (cost.nparams,):
         raise ValueError(f"start must have {cost.nparams} entries")
-    if not np.isfinite(x).all():
-        raise ValueError("start point must be finite")
-    if np.count_nonzero(x < cost.lower_bounds):
-        raise ValueError("start point must lie within the bounds")
+    errors = _start_errors(x[None], cost.lower_bounds)
+    if errors:
+        raise errors[0]
     return x
 
 
@@ -392,7 +386,7 @@ def minimize(
 ) -> FitResult:
     """Minimize a cost function over its parameter space, bounded below by its ``lower_bounds``.
 
-    A batch of one through the loop of :func:`minimize_batch`.
+    A batch of one through the lockstep loop of :func:`minimize_stack`.
 
     Parameters
     ----------
@@ -412,62 +406,18 @@ def minimize(
     (end,) = _fit_rows(_Counted(cost), x[None], gtol, max_calls)
     if isinstance(end, Exception):
         raise end
-    return _result(cost, end)
-
-
-def minimize_batch(
-    costs,
-    *,
-    gtol: float = DEFAULT_GTOL,
-    max_calls: int = DEFAULT_MAX_CALLS,
-) -> list[FitResult | Exception]:
-    """Minimize many cost functions from their default starts, in lockstep.
-
-    Returns one entry per cost, in order: its :class:`FitResult`, equal
-    field for field and bit for bit to ``minimize(cost, gtol=gtol,
-    max_calls=max_calls)``, or the ``ValueError`` or ``ArithmeticError``
-    that call would raise (a start point or start value that is not
-    finite, say).  Other exceptions propagate.
-
-    Plain ``approx`` and ``conway`` cost functions with the same method,
-    weighting and component count are stepped together as one
-    :class:`~templatefit.likelihood.CostStack`, ordered by active-bin
-    count; pad bins and sums over each fit's own bins keep every row equal
-    to its single call bit for bit.  ``exact`` costs and
-    instances of subclasses run as batches of one, through their own
-    methods.  When a stack raises a ``LinAlgError`` or an
-    ``ArithmeticError``, its fits are run again one by one, so the error
-    fails only the fit that caused it.
-    """
-    _check_options(gtol, max_calls)
-    costs = list(costs)
-    results: list = [None] * len(costs)
-    groups: dict = {}
-    for i, cost in enumerate(costs):
-        try:
-            start = _start_point(cost, None)
-        except ValueError as exc:
-            results[i] = exc
-            continue
-        stackable = type(cost) is CostFunction and cost.method is not Method.EXACT
-        key = (cost.method, cost.weighted, cost.nparams) if stackable else i
-        groups.setdefault(key, []).append((i, start))
-    for members in groups.values():
-        # rows of one active-bin count next to each other reduce in one run
-        members.sort(key=lambda member: costs[member[0]].nbins_active)
-        rows = [costs[i] for i, _ in members]
-        x = np.array([start for _, start in members])
-        ends = _fit_chunks(
-            x,
-            _chunk_rows(rows[-1].nparams, rows[-1].nbins_active),
-            lambda lo, hi: CostStack(rows[lo:hi]),
-            lambda j: _Counted(rows[j]),
-            gtol,
-            max_calls,
-        )
-        for (i, _), cost, end in zip(members, rows, ends):
-            results[i] = _result(cost, end)
-    return results
+    return FitResult(
+        yields=end.yields,
+        yield_errors=end.yield_errors,
+        covariance=end.covariance,
+        qmin=end.qmin,
+        ndof=cost.ndof,
+        status=end.status,
+        n_evaluations=end.n_evaluations,
+        betas=cost.diagnostics(end.point),
+        n_iterations=end.n_iterations,
+        restarted=end.restarted,
+    )
 
 
 def minimize_stack(
@@ -483,64 +433,45 @@ def minimize_stack(
     entry per row, in order: its :class:`Minimum`, equal field for field
     and bit for bit to the :func:`minimize` of the row's cost function from
     that start, or the ``ValueError`` or ``ArithmeticError`` that call
-    would raise (a start value that is not finite, say).  The rows are
-    stepped in order of active-bin count, in stacks of at most 2^14
-    per-bin elements; a stack that raises a ``LinAlgError`` or an
-    ``ArithmeticError`` is fitted again row by row, so the error fails only
-    the fit that caused it.  Other exceptions propagate.
+    would raise: a start point that is not finite or lies below the
+    bounds, or a start value that is not finite, say; the other rows still
+    fit.  The rows are stepped in order of active-bin count, in stacks of
+    at most 2^14 per-bin elements; a stack that raises a ``LinAlgError``
+    or an ``ArithmeticError`` is fitted again row by row, so the error
+    fails only the fit that caused it.  Other exceptions propagate.
     """
     _check_options(gtol, max_calls)
     x = np.array(start, dtype=np.float64)
     if x.shape != (len(stack), stack.nparams):
         raise ValueError(f"start must have shape {(len(stack), stack.nparams)}, got {x.shape}")
-    order = np.argsort(stack.nbins_active, kind="stable")
-    if np.count_nonzero(order != np.arange(len(order))):
-        stack, x = stack.take(order), x[order]
-    ends = _fit_chunks(
-        x,
-        _chunk_rows(stack.nparams, int(stack.nbins_active.max(initial=0))),
-        lambda lo, hi: stack if hi - lo == len(stack) else stack.take(np.arange(lo, hi)),
-        lambda j: _Stacked(stack.take([j])),
-        gtol,
-        max_calls,
-    )
-    out: list = [None] * len(ends)
-    for i, end in zip(order, ends):
-        out[i] = end
-    return out
-
-
-def _fit_alone(f, x: np.ndarray, gtol: float, max_calls: int):
-    """The minimum of the batch of one ``f`` from ``x``, or its numeric failure."""
-    try:
-        (end,) = _fit_rows(f, x, gtol, max_calls)
-    except f.numeric as exc:
-        return exc
-    return end
-
-
-def _chunk_rows(nparams: int, nbins: int) -> int:
-    """Rows per stack: at most ``_STACK_ELEMENTS`` per-bin elements at the widest row."""
-    return max(1, _STACK_ELEMENTS // max(1, nparams * nbins))
-
-
-def _fit_chunks(x: np.ndarray, size: int, stack_of, alone, gtol: float, max_calls: int) -> list:
-    """Minima of rows ordered by active-bin count, from ``x``, in lockstep stacks of ``size`` rows.
-
-    ``stack_of(lo, hi)`` builds the stack of rows ``lo`` to ``hi``, and
-    ``alone(j)`` row ``j`` as a batch of one, which fits a lone row and
-    every row of a stack that raised a numeric failure.
-    """
-    out: list = []
+    out: list = [None] * len(x)
+    errors = _start_errors(x, np.zeros(stack.nparams))
+    for i, error in errors.items():
+        out[i] = error
+    # rows of one active-bin count next to each other reduce in one run
+    rows = np.argsort(stack.nbins_active, kind="stable")
+    if errors:
+        rows = rows[[i not in errors for i in rows.tolist()]]
+    if len(rows) < len(stack) or np.count_nonzero(rows != np.arange(len(rows))):
+        stack, x = stack.take(rows), x[rows]
+    # at most _STACK_ELEMENTS per-bin elements at the widest row
+    size = max(1, _STACK_ELEMENTS // max(1, stack.nparams * int(stack.nbins_active.max(initial=0))))
+    ends: list = []
     for lo in range(0, len(x), size):
         hi = min(lo + size, len(x))
-        if hi - lo == 1:
-            out.append(_fit_alone(alone(lo), x[lo:hi], gtol, max_calls))
-            continue
+        chunk = stack if hi - lo == len(stack) else stack.take(np.arange(lo, hi))
         try:
-            out += _fit_rows(_Stacked(stack_of(lo, hi)), x[lo:hi], gtol, max_calls)
-        except _Stacked.numeric:
-            out += [_fit_alone(alone(j), x[j : j + 1], gtol, max_calls) for j in range(lo, hi)]
+            ends += _fit_rows(_Stacked(chunk), x[lo:hi], gtol, max_calls)
+        except _Stacked.numeric as exc:
+            if hi - lo == 1:
+                ends.append(exc)
+                continue
+            # row by row, so the error fails only the fit that caused it
+            for j in range(lo, hi):
+                row = chunk.take([j - lo])
+                ends += minimize_stack(row, x[j : j + 1], gtol=gtol, max_calls=max_calls)
+    for i, end in zip(rows.tolist(), ends):
+        out[i] = end
     return out
 
 

@@ -8,15 +8,15 @@ chunk as one array of counts.  For ``approx`` and ``conway`` it builds one
 lockstep (``minimize_stack``), whatever their active-bin counts; the
 records are written from the minima, without the per-toy models, cost
 functions and per-bin diagnostics of a ``fit``.  ``exact`` fits build the
-toy's model and cost function and run one by one (``minimize_batch``).
+toy's model and cost function and run one by one through ``minimize``.
 Every fit's result equals its single ``fit`` call bit for bit (stacked
 data is padded to the widest fit and every sum over bins covers a fit's
 own bins only), so the records do not depend on the chunks either.
-Numeric fit failures, which both return per fit, are recorded with
-``converged=False`` and never abort the ensemble; programming errors
-propagate.  Summary statistics are computed over converged fits only,
-with the excluded count reported, so unstable configurations show up
-instead of being masked.
+Numeric fit failures (the ``ValueError`` or ``ArithmeticError`` of a fit)
+are recorded with ``converged=False`` and never abort the ensemble;
+programming errors propagate.  Summary statistics are computed over
+converged fits only, with the excluded count reported, so unstable
+configurations show up instead of being masked.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .histogram import TemplateModel
 from .likelihood import CostFunction, CostStack, Method
-from .minimize import fit, minimize_batch, minimize_stack
+from .minimize import fit, minimize, minimize_stack
 from .toys import ToyConfig, ToyDraw, draw_counts, to_model
 
 __all__ = [
@@ -124,6 +124,15 @@ def _record(method: str, n_mc: int, toy_index: int, truth: float, result) -> Pul
     )
 
 
+def _fit_exact(config: ToyConfig, counts: np.ndarray):
+    """The ``exact`` fit of one toy's counts, or the numeric failure it raised."""
+    cost = CostFunction(Method.EXACT, to_model(config, ToyDraw.from_counts(config, counts)))
+    try:
+        return minimize(cost)
+    except (ValueError, ArithmeticError) as exc:
+        return exc
+
+
 def _fit_toys(args) -> list[PullRecord]:
     """Draw a chunk of toys as counts and fit them: one lockstep stack per profiled method."""
     config, tasks, methods = args
@@ -148,8 +157,7 @@ def _fit_toys(args) -> list[PullRecord]:
     start = np.repeat(np.add.reduce(data, axis=-1)[:, None] / K, K, axis=1)
     for m in methods:
         if m == Method.EXACT.value:
-            models = [to_model(config, ToyDraw.from_counts(config, counts[t])) for t in toys]
-            results = minimize_batch([CostFunction(m, model) for model in models])
+            results = [_fit_exact(config, counts[t]) for t in toys]
         else:
             results = minimize_stack(CostStack.from_counts(m, data, templates), start)
         records += [_record(m, *keys[t], config.signal_yield, r) for t, r in zip(toys, results)]
@@ -172,8 +180,8 @@ def run_study(
     :class:`~templatefit.likelihood.CostStack`, built from the drawn
     counts and stepped in lockstep by
     :func:`~templatefit.minimize.minimize_stack`; its ``exact`` fits run
-    one by one.  With ``jobs > 1`` the pool has at most one worker per
-    chunk.  Returns
+    one by one through :func:`~templatefit.minimize.minimize`.  With
+    ``jobs > 1`` the pool has at most one worker per chunk.  Returns
     ``len(methods) * len(n_mc_grid) * n_toys`` records sorted by (method,
     n_mc, toy_index); every fit's result equals its single ``fit`` call
     bit for bit, so the ordering and the values do not depend on the

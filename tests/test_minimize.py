@@ -183,6 +183,20 @@ class TestMinimize:
         assert res.qmin <= ref.fun + 1e-6
         assert res.yields[0] == pytest.approx(ref.x[0], rel=1e-4)
 
+    def test_singular_held_block_of_the_curvature_model(self):
+        # BFGS roundoff zeroes the inverse curvature of the signal yield while
+        # it is held on its bound; the step then resets the curvature instead
+        # of solving with the singular block
+        model = make_model(
+            [0, 207, 263, 0, 95, 0, 1],
+            [[1, 113, 256, 268, 13, 0, 0], [1, 55, 129, 0, 227, 0, 0]],
+        )
+        cost = CostFunction(Method.CONWAY, model)
+        res = minimize(cost)
+        ref = scipy_minimize(cost, [0.0, 600.0], method="L-BFGS-B", bounds=[(0.0, None)] * 2)
+        assert res.status == "on_bound" and res.yields[0] < 1e-9
+        assert res.qmin <= ref.fun + 1e-6
+
     def test_indefinite_hessian_at_the_minimum(self):
         class _Indefinite(CostFunction):
             def hessian(self, params):

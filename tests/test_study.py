@@ -88,6 +88,29 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="shape bug"):
             run_study(ToyConfig(seed=3), [100], 2, ["approx", "conway"])
 
+    def test_exact_numeric_errors_recorded_and_bugs_propagate(self, monkeypatch):
+        # exact fits run one by one through minimize: a numeric error fails
+        # only its toy's record, any other error propagates
+        cfg = ToyConfig(seed=3)
+        clean = run_study(cfg, [100], 2, ["exact"])
+        toy = dataclasses.replace(cfg, n_mc=100)
+        poisoned = tf.to_model(toy, tf.draw(toy, tf.rng_stream(3, 1))).norms
+        minimize = study.minimize
+        error = FloatingPointError
+
+        def overflowing(cost):
+            if (cost.model.norms == poisoned).all():
+                raise error("in the exact fit")
+            return minimize(cost)
+
+        monkeypatch.setattr(study, "minimize", overflowing)
+        records = run_study(cfg, [100], 2, ["exact"])
+        assert records[0] == clean[0] and clean[1].converged
+        assert not records[1].converged and math.isnan(records[1].qmin)
+        error = TypeError
+        with pytest.raises(TypeError, match="in the exact fit"):
+            run_study(cfg, [100], 2, ["exact"])
+
     def test_numeric_errors_recorded_as_not_converged(self, monkeypatch):
         # one fit overflows; only its record fails
         cfg = ToyConfig(seed=3)
