@@ -39,7 +39,6 @@ from .likelihood import (
 )
 from .minimize import (
     FitResult,
-    Minimum,
     default_start,
     fit,
     gof,
@@ -83,7 +82,6 @@ __all__ = [
     "q_poisson",
     "var_beta",
     "FitResult",
-    "Minimum",
     "default_start",
     "fit",
     "gof",

@@ -98,6 +98,8 @@ def _parse_n_mc(raw: str) -> list[int]:
         raise _CliError(f"bad --n-mc list: {exc}") from None
     if not values or any(v < 0 for v in values):
         raise _CliError("--n-mc needs a comma list of nonnegative integers")
+    if len(set(values)) != len(values):
+        raise _CliError(f"duplicate template sizes in {raw!r}")
     return values
 
 
@@ -109,6 +111,13 @@ def _load_json(path: str) -> dict:
         raise _CliError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise _CliError(f"malformed JSON in {path}: {exc}") from None
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc}") from None
 
 
 def _cmd_fit(args) -> int:
@@ -148,7 +157,7 @@ def _cmd_fit(args) -> int:
     }
     text = json.dumps(payload, indent=2) + "\n"
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write(Path(args.output), text)
     else:
         sys.stdout.write(text)
     return 0 if result.converged else 2
@@ -173,13 +182,15 @@ def _cmd_toy_study(args) -> int:
     if args.bins is not None:
         overrides["nbins"] = args.bins
     config = _toy_config(_load_json(args.input) if args.input else {}, **overrides)
+    out = Path(args.output)
+    if not out.parent.is_dir():  # before the study, not after it
+        raise _CliError(f"cannot write {out}: no directory {out.parent}")
     records = run_study(config, grid, args.n_toys, methods, jobs=args.jobs)
     stats = summarize(records)
 
-    out = Path(args.output)
     summary_path = out.with_name(out.stem + ".summary.csv")
-    out.write_text(records_to_csv(records), encoding="utf-8")
-    summary_path.write_text(stats_to_csv(stats), encoding="utf-8")
+    _write(out, records_to_csv(records))
+    _write(summary_path, stats_to_csv(stats))
     print(f"wrote {out} and {summary_path}", file=sys.stderr)
 
     print(f"{'method':<8} {'n_mc':>7} {'n_conv':>7} {'mean_z':>9} {'sem':>7} {'std_z':>9} {'sem':>7}")

@@ -31,7 +31,10 @@ __all__ = [
 
 
 def _as_frozen_1d(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except TypeError:
+        raise ValueError(f"{name} must be an array of numbers") from None
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if np.count_nonzero(np.isfinite(arr)) < arr.size:
@@ -80,8 +83,7 @@ class BinnedSample:
     @classmethod
     def from_counts(cls, counts) -> "BinnedSample":
         """Build an unweighted sample from raw counts (every entry has weight one)."""
-        arr = np.array(counts, dtype=np.float64)
-        return cls(arr, arr.copy())
+        return cls(counts, counts)
 
     @property
     def nbins(self) -> int:
@@ -227,6 +229,8 @@ def bin_expectation(model: TemplateModel, yields, bin: int) -> float:
 
 
 def _sample_from_dict(obj: dict, what: str) -> BinnedSample:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object")
     if "sumw" not in obj:
         raise ValueError(f"{what} is missing the 'sumw' array")
     sumw = obj["sumw"]

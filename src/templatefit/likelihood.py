@@ -255,6 +255,15 @@ class _PerBin:
         # NaN fails both comparisons
         return ~((p >= self._domain_lo) & (p <= _FLOAT_MAX)).all(axis=-1)
 
+    def _inside(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """``p`` with a stand-in row inside the domain for each row outside, and where those were."""
+        bad = self._outside(p)
+        if not np.count_nonzero(bad):
+            return p, None
+        # the stand-in rows keep the kernels from raising floating-point
+        # warnings on behalf of the rejected ones
+        return np.where(bad[:, None], 1.0, p), bad
+
     def _approx_total(self, terms: np.ndarray, slot: np.ndarray):
         return self._bin_sum(terms, -1) + 2.0 * self._bin_dot(slot, self._a_eff)
 
@@ -559,30 +568,22 @@ class CostFunction(_PerBin):
         return max(0.0, float(self._total(p)))
 
     def _stacked(self, p: np.ndarray) -> np.ndarray:
-        bad = self._outside(p)
-        any_bad = bad.any()
-        if any_bad:
-            # a row inside the domain stands in for the rejected ones, so the
-            # kernels raise no floating-point warnings on their behalf
-            p = np.where(bad[:, None], 1.0, p)
+        p, bad = self._inside(p)
         q = _nonneg(self._total(p))
-        if any_bad:
+        if bad is not None:
             q[bad] = math.inf
         return q
 
     def _total(self, p: np.ndarray):
         """Unclipped cost of each parameter vector along the last axis of ``p``.
 
-        Every vector must lie inside the domain.
+        Every vector must lie inside the domain.  ``approx`` and ``conway``
+        take the value of :meth:`_profile`, which ``value_and_gradient`` returns.
         """
         if self.method is Method.EXACT:
             terms, slot, _, _ = self._exact(p)
             return self._exact_total(terms, slot)
-        if self.method is Method.CONWAY:
-            live, _, terms, _, _ = self._conway(p)
-            return self._conway_total(live, terms)
-        _, terms, slot, _ = self._approx(p)
-        return self._approx_total(terms, slot)
+        return self._profile(p)[0]
 
     def _exact_total(self, terms: np.ndarray, slot: np.ndarray):
         return np.add.reduce(terms, axis=-1) + 2.0 * _dot(slot, self._a_slots)
@@ -810,15 +811,6 @@ class CostStack(_PerBin):
     def _bin_gram(self, L, R):
         return self._per_run(_gram, (*L.shape[:-1], R.shape[-2]), L, R)
 
-    def _inside(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """``y`` with a row inside the domain in place of each row outside, and where those were."""
-        bad = self._outside(y)
-        if not np.count_nonzero(bad):
-            return y, None
-        # the stand-in rows keep the kernels from raising floating-point
-        # warnings on behalf of the rejected ones
-        return np.where(bad[:, None], 1.0, y), bad
-
     def value_and_gradient(self, y) -> tuple[np.ndarray, np.ndarray]:
         """Values ``(T,)`` and gradients ``(T, K)`` at a ``(T, K)`` stack of yields."""
         y, bad = self._inside(np.asarray(y, dtype=np.float64))
@@ -837,22 +829,11 @@ class CostStack(_PerBin):
         return H
 
 
-def _validated_yields(model: TemplateModel, yields) -> np.ndarray:
-    y = np.asarray(yields, dtype=np.float64)
-    if y.shape != (model.ncomponents,):
-        raise ValueError(f"expected {model.ncomponents} yields, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("yields must be finite")
-    if np.any(y < 0):
-        raise ValueError("yields must be nonnegative")
-    return y
-
-
 def _profiled(
     method: Method, model: TemplateModel, yields, weighted: bool = False
 ) -> tuple[float, BetaDiagnostics]:
     cost = CostFunction(method, model, weighted=weighted)
-    y = _validated_yields(model, yields)
+    y = cost.validate(yields)
     return cost(y), cost.diagnostics(y)
 
 
@@ -881,17 +862,13 @@ def q_exact(model: TemplateModel, yields, betas) -> float:
 
     ``betas`` is an (nbins, K) matrix; entries at slots without template
     content are ignored (their amplitude is fixed to zero), all other
-    entries must be positive.
+    entries must be positive; ``ValueError`` otherwise, from ``validate``.
     """
     cost = CostFunction(Method.EXACT, model)
-    y = _validated_yields(model, yields)
     B = np.asarray(betas, dtype=np.float64)
     if B.shape != (model.nbins, model.ncomponents):
         raise ValueError(
             f"expected betas of shape {(model.nbins, model.ncomponents)}, got {B.shape}"
         )
-    bins, comps = cost.exact_slots()
-    flat = B[bins, comps]
-    if not np.all(np.isfinite(flat)) or np.any(flat <= 0):
-        raise ValueError("betas must be positive and finite at every slot with template content")
-    return cost(np.concatenate([y, flat]))
+    y = np.asarray(yields, dtype=np.float64)
+    return cost(cost.validate(np.concatenate([y, B[cost.exact_slots()]])))

@@ -26,8 +26,8 @@ each sum over bins on a fit's own bins, one run of rows per active-bin
 count; every operation on the state is elementwise, a reduction along the
 last axis or one BLAS product per row.  Stacked rows equal single calls
 bit for bit, so a fit's result does not depend on the batch it ran in.
-One function, ``_fit_rows``, turns the end of every fit into its status
-and covariance, whichever path ran it.
+One function, ``_fit_rows``, turns the end of every fit into its
+:class:`FitResult`, with its status and covariance, whichever path ran it.
 
 Every method's Hessian is closed form, ``CostFunction.hessian``: the
 initial inverse-curvature scaling is the inverse diagonal of the Hessian
@@ -51,10 +51,10 @@ one such pass, whose gradient is kept when the trial is accepted.
 
 ``exact`` fits its amplitude factors numerically and takes its gradient by
 central finite differences; its parameter count varies from fit to fit,
-so it always runs as a batch of one.  Each stencil is evaluated in stacked
-``cost(X)`` calls of at most 2^14 per-bin elements; the start value shares
-one stack with the first gradient stencil.  Every stacked value equals the
-single-point call bit for bit and every point counts as one evaluation.
+so it always runs as a batch of one.  Every gradient stencil, the start's
+too, is evaluated in stacked ``cost(X)`` calls of at most 2^14 per-bin
+elements.  Every stacked value equals the single-point call bit for bit
+and every point counts as one evaluation.
 
 A quasi-Newton step moves only the free parameters: one on its lower
 bound whose gradient points out of the domain is held there.
@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -76,7 +75,6 @@ from .special import chi2_sf
 
 __all__ = [
     "FitResult",
-    "Minimum",
     "minimize",
     "minimize_stack",
     "hesse",
@@ -116,8 +114,9 @@ class FitResult:
     positive definite.  ``ndof`` counts the bins entering the cost minus
     the number of yields.  ``betas`` holds the per-bin scale factors at
     the minimum (profiled for the approximate methods, fitted for the
-    exact one).  ``n_iterations`` counts the accepted quasi-Newton steps
-    and ``restarted`` says whether the one restart was taken.
+    exact one, ``None`` on a row of :func:`minimize_stack`).
+    ``n_iterations`` counts the accepted quasi-Newton steps and
+    ``restarted`` says whether the one restart was taken.
     """
 
     yields: np.ndarray
@@ -127,7 +126,7 @@ class FitResult:
     ndof: int
     status: str
     n_evaluations: int
-    betas: BetaDiagnostics
+    betas: BetaDiagnostics | None
     n_iterations: int = 0
     restarted: bool = False
 
@@ -136,32 +135,17 @@ class FitResult:
         return self.status == "converged"
 
 
-class Minimum(NamedTuple):
-    """Where one fit ended: the fields of :class:`FitResult` but ``ndof`` and
-    ``betas``, and the end ``point`` over all parameters."""
-
-    point: np.ndarray
-    yields: np.ndarray
-    yield_errors: np.ndarray | None
-    covariance: np.ndarray | None
-    qmin: float
-    status: str
-    n_evaluations: int
-    n_iterations: int
-    restarted: bool
-
-
 class _Counted:
     """One cost function as a batch of one, with its evaluation count.
 
     Every evaluation goes through the cost function's own methods, so a
     subclass that overrides them is honoured.  Costs with closed-form
     gradients (``approx``, ``conway``) give the value and gradient in one
-    pass, counting as one evaluation.  ``exact`` uses finite-difference
-    gradient stencils: ``values`` evaluates a list of stencil points in
-    stacked calls of at most ``rows`` points, and each point counts as one
-    evaluation.  Every method's Hessian is closed form and counts as one
-    evaluation.
+    pass, counting as one evaluation.  ``exact`` takes its value by the
+    vector call, at the start too, and its gradient from a stencil whose
+    points ``values`` evaluates in stacked calls of at most ``rows``, each
+    counting as one evaluation.  Every method's Hessian is closed form and
+    counts as one evaluation.
     """
 
     def __init__(self, cost: CostFunction):
@@ -169,21 +153,16 @@ class _Counted:
         self.calls = 0
         self.lower = cost.lower_bounds
         self.ncomponents = cost.model.ncomponents
+        self.ndof = [cost.ndof]
+        self.betas = cost.diagnostics
         self.closed_form = cost.method is not Method.EXACT
         self.rows = max(1, _STACK_ELEMENTS // max(1, cost.model.ncomponents * cost.nbins_active))
-
-    def __call__(self, x: np.ndarray) -> float:
-        self.calls += 1
-        return self._cost(x)
 
     def values(self, points) -> list[float]:
         """Values at ``points``, in order, in stacked calls of at most ``rows`` points."""
         out = []
         for i in range(0, len(points), self.rows):
             chunk = points[i : i + self.rows]
-            if len(chunk) == 1:  # the vector call is cheaper than a one-row stack
-                out.append(self(chunk[0]))
-                continue
             self.calls += len(chunk)
             out += self._cost(np.array(chunk)).tolist()
         return out
@@ -193,14 +172,10 @@ class _Counted:
 
     def start(self, x: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Value, gradient and initial inverse-curvature diagonal at the start point."""
-        if not self.closed_form:  # the start value and the gradient stencil, in one stack
-            rows, steps = _gradient_rows(x[0], lower)
-            values = self.values([x[0], *rows])
-            fx = np.array(values[:1])
-            g = _gradient_of(values[1:], steps, values[0])[None]
-            return fx, g, _initial_inverse_diag(np.diag(self.hessian(x)[0])[None])
         fx, g = self.trial(x)
         d2 = np.diag(self.hessian(x)[0])[None]
+        if g is None:  # exact: the stencil gradient, and 1 where the diagonal is bad
+            return fx, self.gradient(x[0], fx[0], lower)[None], _initial_inverse_diag(d2)
         return fx, g, _initial_inverse_diag(d2, lambda: self._cost._expected_curvature(x[0])[None])
 
     def trial(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -209,9 +184,9 @@ class _Counted:
         The gradient is ``None`` for ``exact``: the loop takes the stencil
         gradient once it accepts the point.
         """
-        if not self.closed_form:
-            return np.array([self(x[0])]), None
         self.calls += 1
+        if not self.closed_form:
+            return np.array([self._cost(x[0])]), None
         try:
             value, gradient = self._cost.value_and_gradient(x[0])
         except ValueError:
@@ -235,7 +210,8 @@ class _Stacked:
     """The rows of a :class:`~templatefit.likelihood.CostStack` as one batch.
 
     Every round evaluates each running row once, so all running rows have
-    made the same number of evaluations, ``calls``.
+    made the same number of evaluations, ``calls``.  A row's ``ndof`` is its
+    active-bin count minus the yields; it has no ``betas``.
     """
 
     # the numeric failures of a stack; a plain ValueError there is a bug
@@ -246,6 +222,9 @@ class _Stacked:
         self.calls = 0
         self.ncomponents = stack.nparams
         self.lower = np.zeros(stack.nparams)
+        self.ndof = (stack.nbins_active - stack.nparams).tolist()
+
+    betas = staticmethod(lambda point: None)
 
     def keep(self, rows: np.ndarray) -> None:
         """Drop every running row but ``rows``, positions among the running ones."""
@@ -386,7 +365,8 @@ def minimize(
 ) -> FitResult:
     """Minimize a cost function over its parameter space, bounded below by its ``lower_bounds``.
 
-    A batch of one through the lockstep loop of :func:`minimize_stack`.
+    A batch of one through the lockstep loop of :func:`minimize_stack`,
+    with the cost's ``ndof`` and the per-bin ``betas`` at the minimum.
 
     Parameters
     ----------
@@ -403,21 +383,10 @@ def minimize(
     """
     x = _start_point(cost, start)
     _check_options(gtol, max_calls)
-    (end,) = _fit_rows(_Counted(cost), x[None], gtol, max_calls)
-    if isinstance(end, Exception):
-        raise end
-    return FitResult(
-        yields=end.yields,
-        yield_errors=end.yield_errors,
-        covariance=end.covariance,
-        qmin=end.qmin,
-        ndof=cost.ndof,
-        status=end.status,
-        n_evaluations=end.n_evaluations,
-        betas=cost.diagnostics(end.point),
-        n_iterations=end.n_iterations,
-        restarted=end.restarted,
-    )
+    (result,) = _fit_rows(_Counted(cost), x[None], gtol, max_calls)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def minimize_stack(
@@ -426,13 +395,14 @@ def minimize_stack(
     *,
     gtol: float = DEFAULT_GTOL,
     max_calls: int = DEFAULT_MAX_CALLS,
-) -> list[Minimum | Exception]:
+) -> list[FitResult | Exception]:
     """Minimize every row of a :class:`~templatefit.likelihood.CostStack` in lockstep.
 
     Row ``t`` starts from ``start[t]``, a ``(T, K)`` array.  Returns one
-    entry per row, in order: its :class:`Minimum`, equal field for field
+    entry per row, in order: its :class:`FitResult`, equal field for field
     and bit for bit to the :func:`minimize` of the row's cost function from
-    that start, or the ``ValueError`` or ``ArithmeticError`` that call
+    that start, ``ndof`` included, but with ``betas`` ``None``; or the
+    ``ValueError`` or ``ArithmeticError`` that call
     would raise: a start point that is not finite or lies below the
     bounds, or a start value that is not finite, say; the other rows still
     fit.  The rows are stepped in order of active-bin count, in stacks of
@@ -476,9 +446,10 @@ def minimize_stack(
 
 
 def _fit_rows(f, x: np.ndarray, gtol: float, max_calls: int) -> list:
-    """Minimize every row of the batch ``f`` from ``x``; minima (or exceptions) in row order.
+    """Minimize every row of the batch ``f`` from ``x``; results (or exceptions) in row order.
 
-    The one place that sets the final status and the covariance of a fit.
+    The one place that builds a :class:`FitResult`, with its final status
+    and covariance; ``f`` supplies each row's ``ndof`` and ``betas``.
     """
     lower, K = f.lower, f.ncomponents
     ends = _descend(f, x, lower, gtol, max_calls)
@@ -500,14 +471,15 @@ def _fit_rows(f, x: np.ndarray, gtol: float, max_calls: int) -> list:
             status = "on_bound"
         elif status == "converged" and covariance is None:
             status = "hessian_not_pd"
-        results[i] = Minimum(
-            point=point,
+        results[i] = FitResult(
             yields=point[:K].copy(),
             yield_errors=None if covariance is None else np.sqrt(np.diag(covariance)),
             covariance=covariance,
             qmin=qmin,
+            ndof=f.ndof[i],
             status=status,
             n_evaluations=calls + (i in covariances),
+            betas=f.betas(point),
             n_iterations=iterations,
             restarted=restarted,
         )

@@ -6,7 +6,7 @@ on which other methods were requested.  ``run_study`` draws the toys of a
 chunk as one array of counts.  For ``approx`` and ``conway`` it builds one
 ``CostStack`` per method straight from those counts and steps its fits in
 lockstep (``minimize_stack``), whatever their active-bin counts; the
-records are written from the minima, without the per-toy models, cost
+records are written from its results, without the per-toy models, cost
 functions and per-bin diagnostics of a ``fit``.  ``exact`` fits build the
 toy's model and cost function and run one by one through ``minimize``.
 Every fit's result equals its single ``fit`` call bit for bit (stacked
@@ -101,7 +101,7 @@ def _failed(method: str, n_mc: int, toy_index: int) -> PullRecord:
 
 
 def _record(method: str, n_mc: int, toy_index: int, truth: float, result) -> PullRecord:
-    """The record of a fit's ``FitResult`` or ``Minimum``, or of the exception it raised."""
+    """The record of a fit's ``FitResult``, or of the exception it raised."""
     if isinstance(result, Exception):
         return _failed(method, n_mc, toy_index)
     est = float(result.yields[0])
@@ -185,12 +185,15 @@ def run_study(
     ``len(methods) * len(n_mc_grid) * n_toys`` records sorted by (method,
     n_mc, toy_index); every fit's result equals its single ``fit`` call
     bit for bit, so the ordering and the values do not depend on the
-    chunks or on ``jobs``.
+    chunks or on ``jobs``.  A method or template size given twice raises
+    ``ValueError``: its toys would be fitted, and summarized, twice.
     """
     if n_toys < 1:
         raise ValueError(f"n_toys must be at least 1, got {n_toys}")
     methods = _normalize_methods(methods)
     grid = [int(v) for v in n_mc_grid]
+    if len(set(grid)) != len(grid):
+        raise ValueError(f"duplicate template sizes in {grid}")
     tasks = [(n_mc, idx) for n_mc in grid for idx in range(n_toys)]
     size = _CHUNK_TASKS if jobs <= 1 else min(_CHUNK_TASKS, -(-len(tasks) // (4 * jobs)))
     chunks = [(config_base, tasks[i : i + size], methods) for i in range(0, len(tasks), size)]

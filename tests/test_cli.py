@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from templatefit import cli
 from templatefit.cli import main
 
 
@@ -121,6 +122,28 @@ class TestFit:
         err = capsys.readouterr().err
         assert code == 1
         assert "bins" in err
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [("data", 5), ("templates", [7]), ("bin_edges", {}), ("sumw", {"a": 1})],
+    )
+    def test_malformed_shape_is_a_one_line_error(self, tmp_path, capsys, where, value):
+        obj = saturated_input()
+        if where == "sumw":
+            obj["data"]["sumw"] = value
+        else:
+            obj[where] = value
+        code = main(["fit", "--input", write_input(tmp_path, obj)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unwritable_output_is_a_one_line_error(self, tmp_path, capsys):
+        path = write_input(tmp_path, saturated_input())
+        code = main(["fit", "--input", path, "--output", str(tmp_path / "missing" / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["fit", "--input", str(tmp_path / "nope.json")])
@@ -253,6 +276,17 @@ class TestToyStudy:
         est = float(rows[0].split(",")[3])
         assert est < 300.0
 
+    def test_unwritable_output_fails_before_the_study(self, tmp_path, capsys, monkeypatch):
+        def study(*args, **kwargs):
+            raise AssertionError("run_study called")
+
+        monkeypatch.setattr(cli, "run_study", study)
+        out = tmp_path / "missing" / "r.csv"
+        code = main(["toy-study", "--seed", "1", "--n-toys", "2", "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_method_list(self, tmp_path, capsys):
         code = main(
             ["toy-study", "--seed", "1", "--methods", "nope", "--output", "x.csv"]
@@ -321,6 +355,7 @@ class TestBench:
         ["bench", "--seed", "1", "--n-mc", "-3"],
         ["toy-study", "--seed", "1", "--bins", "0", "--output", "x.csv"],
         ["toy-study", "--seed", "1", "--methods", "approx,approx", "--output", "x.csv"],
+        ["toy-study", "--seed", "1", "--n-mc", "50,50", "--output", "x.csv"],
     ],
 )
 def test_bad_toy_input_is_a_one_line_error(argv, capsys):

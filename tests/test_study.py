@@ -171,6 +171,9 @@ class TestRunStudy:
             run_study(cfg, [100], 1, ["bogus"])
         with pytest.raises(ValueError):
             run_study(cfg, [100], 1, ["approx", "approx"])
+        # each toy would be fitted twice and counted twice by summarize
+        with pytest.raises(ValueError, match="duplicate template sizes"):
+            run_study(cfg, [50, 50], 3, ["approx"])
 
 
 class TestSummarize:
