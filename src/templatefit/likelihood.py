@@ -362,6 +362,24 @@ class _PerBin:
         m = np.add.reduce((y / self._norms)[..., :, None] * self._a, axis=-2)
         return self._bin_matvec(self._c * self._c, 2.0 * self._s / np.where(m > 0.0, m, 1.0))
 
+    def _em_step(self, y: np.ndarray) -> np.ndarray:
+        """One EM update of the yields of the plain Poisson template fit,
+        ``y_k sum c_k n/m / sum c_k s`` over bins.
+
+        The Richardson-Lucy / Shepp-Vardi step (IEEE TMI 1 (1982) 113),
+        whose fixed point is the Barlow-Beeston fit without template
+        uncertainty (CPC 77 (1993) 219); it keeps the yields nonnegative.
+        ``m`` is formed as in :meth:`_approx` and is 1 where it vanishes;
+        yield vectors that are not finite come back unchanged.
+        """
+        finite = np.isfinite(y).all(axis=-1)[..., None]
+        if not finite.all():
+            # a stand-in of 0 keeps inf * 0 out of the step
+            return np.where(finite, self._em_step(np.where(finite, y, 0.0)), y)
+        m = np.add.reduce((y / self._norms)[..., :, None] * self._a, axis=-2)
+        ratio = self._n / np.where(m > 0.0, m, 1.0)
+        return y * self._bin_matvec(self._c, ratio) / self._bin_matvec(self._c, self._s)
+
     def _value_and_gradient(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and gradients in the yields; NaN gradients where the value is infinite."""
         value, live, beta, m, var = self._profile(y)
@@ -474,25 +492,27 @@ class CostFunction(_PerBin):
         pooled = A.sum(axis=0)
         active = pooled > 0.0
         self._active = active
-        self._nbins_active = int(np.count_nonzero(active))
+        # one index of the active bins, taken from every array: cheaper than
+        # a boolean mask on the (K, nbins) ones, and contiguous
+        idx = np.flatnonzero(active)
+        self._nbins_active = idx.size
         self.ndof = self._nbins_active - K
 
         norms = np.asarray(model.norms, dtype=np.float64)
-        a = np.ascontiguousarray(A[:, active])
-        n = model.data.sumw[active]
+        a = A.take(idx, axis=1)
+        n = model.data.sumw.take(idx)
+        a_eff = pooled.take(idx)
         if weighted:
-            n2 = model.data.sumw2[active]
+            n2 = model.data.sumw2.take(idx)
             empty = n2 == 0.0
             n2g = np.where(empty, 1.0, n2)
             s = np.where(empty, 1.0, n / n2g)
             n = np.where(empty, 0.0, n * n / n2g)
+            v = W2.take(idx, axis=1)
             # active bins have pooled sumw > 0, hence pooled sumw2 > 0
-            a_eff = pooled[active] ** 2 / W2.sum(axis=0)[active]
-            v = np.ascontiguousarray(W2[:, active])
+            a_eff = a_eff**2 / v.sum(axis=0)
         else:
-            n = np.ascontiguousarray(n)
             s = np.ones_like(n)
-            a_eff = np.ascontiguousarray(pooled[active])
             v = a
         self._set_fields(norms, n, a, v, s, a_eff)
 

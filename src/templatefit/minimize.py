@@ -29,17 +29,23 @@ bit for bit, so a fit's result does not depend on the batch it ran in.
 One function, ``_fit_rows``, turns the end of every fit into its
 :class:`FitResult`, with its status and covariance, whichever path ran it.
 
+Every fit starts, unless told otherwise, from :func:`default_start`: the
+data total split equally over the yields and taken one EM step of the
+plain Poisson template fit on, which costs no evaluation and brings the
+yields near the minimum; ``run_study``'s stacks take the same step.
+
 Every method's Hessian is closed form, ``CostFunction.hessian``: the
 initial inverse-curvature scaling is the inverse diagonal of the Hessian
 at the start, and the covariance comes from the Hessian at the minimum.
 Where a diagonal entry is not positive (Conway's profiled Hessian in some
-yields at the default start, approx's at templates of a few entries),
-``approx`` and ``conway`` take the yield's expected curvature,
-``sum 2 s c_k^2 / m`` over bins, in its place; scaled by 1 instead, the
-line search crept in that yield, and BFGS, which skips updates without
-positive curvature along the step, never learned its scale.  It is
-formed only where some entry is bad, counts as no evaluation, and the
-curvature reset and the restart return to this scaling.
+yields at the equal split, approx's at templates of a few entries; rarely
+after the EM step), ``approx`` and ``conway`` take the yield's expected
+curvature, ``sum 2 s c_k^2 / m`` over bins, in its place; scaled by 1
+instead, the line search crept in that yield, and BFGS, which skips
+updates without positive curvature along the step, never learned its
+scale.  It is formed only where some entry is bad, counts as no
+evaluation, and the curvature reset and the restart return to this
+scaling.
 For ``exact`` it spans yields and amplitude factors and the yield block of
 its full inverse is returned, so the template uncertainty propagates into
 the yield errors.  Each Hessian counts as one evaluation.
@@ -316,14 +322,16 @@ def _directions(hinv: np.ndarray, g: np.ndarray, held: np.ndarray | None) -> np.
 
 
 def default_start(cost: CostFunction) -> np.ndarray:
-    """Default start point: the observed total split equally over the yields.
+    """Default start point: one EM step from the observed total split equally over the yields.
 
-    Exact-method amplitude factors start at 1, their large-template
-    asymptotic value.
+    The step (``_PerBin._em_step``) moves the yields towards the plain
+    Poisson fit at the cost of two products over bins, and counts as no
+    evaluation; a split that is not finite stays as it is.  Exact-method
+    amplitude factors start at 1, their large-template asymptotic value.
     """
     K = cost.model.ncomponents
     start = np.ones(cost.nparams)
-    start[:K] = cost.model.data.total / K
+    start[:K] = cost._em_step(np.full(K, cost.model.data.total / K))
     return start
 
 

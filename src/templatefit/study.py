@@ -153,13 +153,15 @@ def _fit_toys(args) -> list[PullRecord]:
         return records
     data, templates = data[toys], templates[toys]
     K = templates.shape[1]
-    # the default start: the data total split equally over the yields
-    start = np.repeat(np.add.reduce(data, axis=-1)[:, None] / K, K, axis=1)
+    # the data total split equally over the yields; each stack takes it one
+    # EM step on, as default_start does
+    split = np.repeat(np.add.reduce(data, axis=-1)[:, None] / K, K, axis=1)
     for m in methods:
         if m == Method.EXACT.value:
             results = [_fit_exact(config, counts[t]) for t in toys]
         else:
-            results = minimize_stack(CostStack.from_counts(m, data, templates), start)
+            stack = CostStack.from_counts(m, data, templates)
+            results = minimize_stack(stack, stack._em_step(split))
         records += [_record(m, *keys[t], config.signal_yield, r) for t, r in zip(toys, results)]
     return records
 

@@ -56,6 +56,11 @@ def _starts(costs) -> np.ndarray:
     return np.array([default_start(c) for c in costs])
 
 
+def _equal_splits(costs) -> np.ndarray:
+    """The data total of each cost split equally over its yields: the point before the EM step."""
+    return np.array([np.full(c.nparams, c.model.data.total / c.nparams) for c in costs])
+
+
 def _bits(value) -> bytes:
     a = np.asarray(value)
     return repr((a.shape, a.dtype.str)).encode() + a.tobytes()
@@ -304,24 +309,52 @@ def test_stacked_derivatives_equal_single_calls(method):
     )
 
 
-def test_a_three_bin_row_stacks_with_fifteen_bin_rows():
-    # zero template bins leave one row 3 active bins, padded to 15 in the stack
-    wide = _costs("approx", 10000, n=3)
-    model = _models(4, 50, 1)[0]
+def _three_bin_model(model: TemplateModel) -> TemplateModel:
+    """``model`` with data and templates cut to the first 3 of its 15 bins."""
     first = np.arange(15) < 3
-    narrow = TemplateModel(
+    return TemplateModel(
         edges=model.edges,
         data=BinnedSample.from_counts(np.where(first, model.data.sumw, 0.0)),
         components=tuple(
             BinnedSample.from_counts(np.where(first, c.sumw + 1.0, 0.0)) for c in model.components
         ),
     )
+
+
+def test_a_three_bin_row_stacks_with_fifteen_bin_rows():
+    # zero template bins leave one row 3 active bins, padded to 15 in the stack
+    wide = _costs("approx", 10000, n=3)
+    narrow = _three_bin_model(_models(4, 50, 1)[0])
     costs = [wide[0], CostFunction("approx", narrow), wide[2]]
     assert [c.nbins_active for c in costs] == [15, 3, 15]
     Y = np.array([[240.0, 760.0], [30.0, 20.0], [0.0, 800.0]])
     _assert_rows_equal_single_calls(costs, _stack(costs), Y)
     for cost, end in zip(costs, minimize_stack(_stack(costs), _starts(costs))):
         assert_same_minimum(end, minimize(cost))
+
+
+@pytest.mark.parametrize("method", PROFILED)
+def test_stacked_em_step_equals_default_start(method):
+    # run_study's stacked start: the split of each toy's data total, one EM
+    # step on, equals default_start of the toy's cost by bytes, whatever the
+    # active-bin counts of the rows next to it
+    wide = _costs(method, 50, n=6)
+    narrow = [CostFunction(method, _three_bin_model(m)) for m in _models(7, 50, 4)]
+    costs = [wide[0], narrow[0], narrow[1], wide[1], wide[2], narrow[2], wide[3], wide[4]]
+    costs += [narrow[3], wide[5]]
+    assert {3, 15} < {c.nbins_active for c in costs}
+    data, templates = _counts(costs)
+    split = np.repeat(np.add.reduce(data, axis=-1)[:, None] / 2, 2, axis=1)
+    rows = CostStack.from_counts(method, data, templates)._em_step(split)
+    for cost, row in zip(costs, rows):
+        assert _bits(row) == _bits(default_start(cost))
+    # a split that is not finite stays as it is
+    split[1] = math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = CostStack.from_counts(method, data, templates)._em_step(split)
+    assert rows[1].tolist() == [math.inf, math.inf]
+    assert _bits(rows[2]) == _bits(default_start(costs[2]))
 
 
 def _small_template_costs(method: str, n: int = 40) -> list:
@@ -344,7 +377,8 @@ def test_start_scaling_equal_in_stack_and_alone(method):
     # whose diagonal is positive keep its inverse
     costs = _small_template_costs(method)
     assert len({c.nbins_active for c in costs}) > 2
-    X = _starts(costs)
+    # the EM step of the default start leaves no such diagonal entry here
+    X = _equal_splits(costs)
     lower = np.zeros(costs[0].nparams)
     d2 = np.array([np.diag(c.hessian(x)) for c, x in zip(costs, X)])
     bad = d2 <= 0.0

@@ -183,6 +183,25 @@ class TestMinimize:
         assert res.qmin <= ref.fun + 1e-6
         assert res.yields[0] == pytest.approx(ref.x[0], rel=1e-4)
 
+    def test_conway_plateau_without_data_reaches_the_bound(self):
+        # the second bin holds no data, so once V mu0 >= 1 Conway's factor
+        # sits at 0 and the cost is flat in the second yield; from the equal
+        # split the fit stopped on that plateau, hessian_not_pd at (200, 100)
+        # with qmin 50, while the cost at (200, 0) is 0
+        res = fit(make_model([200, 0], [[50, 0], [0, 50]]), "conway")
+        assert res.status == "on_bound"
+        assert res.yields.tolist() == [200.0, 0.0]
+        assert res.qmin < 1e-9
+
+    def test_conway_tiny_templates_reach_the_bound_minimum(self):
+        # from the equal split this fit stalled at (0, 1.930), qmin 0.0017;
+        # scipy L-BFGS-B reaches (0, 2) with qmin ~ 2e-15
+        res = fit(make_model([2, 0], [[4, 2], [4, 0]]), "conway")
+        assert res.status == "on_bound"
+        assert res.yields[0] < 1e-9
+        assert res.yields[1] == pytest.approx(2.0, rel=1e-6)
+        assert res.qmin < 1e-9
+
     def test_singular_held_block_of_the_curvature_model(self):
         # BFGS roundoff zeroes the inverse curvature of the signal yield while
         # it is held on its bound; the step then resets the curvature instead
@@ -319,9 +338,16 @@ def scaled_scipy_minimum(cost: CostFunction) -> float:
     return float(ref.fun)
 
 
+def _equal_split(cost) -> np.ndarray:
+    """The data total split equally over the yields: the default start before its EM step."""
+    return np.full(cost.nparams, cost.model.data.total / cost.nparams)
+
+
 class TestStartScaling:
     """Where the start Hessian's diagonal is not positive, the first step is
-    scaled by the expected curvature of the yield instead of by 1."""
+    scaled by the expected curvature of the yield instead of by 1.  The EM
+    step of the default start avoids such points in these fits, so they
+    start from the equal split."""
 
     @pytest.mark.parametrize("toy", [1, 5])
     @pytest.mark.parametrize("method", ["approx", "conway"])
@@ -330,16 +356,18 @@ class TestStartScaling:
         # toys 1 and 5) and 95,124 and 99,456 (conway)
         cfg = tf.ToyConfig(seed=5, nbins=15, n_mc=1)
         cost = CostFunction(method, tf.to_model(cfg, tf.draw(cfg, tf.rng_stream(5, toy))))
-        assert (np.diag(cost.hessian(default_start(cost))) <= 0.0).any()
-        res = minimize(cost)
+        start = _equal_split(cost)
+        assert (np.diag(cost.hessian(start)) <= 0.0).any()
+        res = minimize(cost, start)
         assert res.converged and res.n_evaluations < 1000
 
     def test_weighted_conway_with_negative_start_curvature(self):
         # the narrow peak's yield curves downwards at the default start;
         # scaled by 1, this fit took 31 evaluations
         cost = CostFunction("conway", weighted_k4_model(3, 200), weighted=True)
-        assert np.diag(cost.hessian(default_start(cost)))[0] < 0.0
-        res = minimize(cost)
+        start = _equal_split(cost)
+        assert np.diag(cost.hessian(start))[0] < 0.0
+        res = minimize(cost, start)
         assert res.converged and res.n_evaluations < 31
         ref = scaled_scipy_minimum(cost)
         assert res.qmin <= ref + 1e-5 + 1e-9 * abs(ref)
@@ -377,6 +405,35 @@ class TestDefaultStart:
         assert start.shape == (32,)
         np.testing.assert_allclose(start[:2], [75.0, 75.0])
         np.testing.assert_array_equal(start[2:], np.ones(30))
+
+    def test_one_em_step_from_the_equal_split(self):
+        # y_k sum_b c_kb n_b/m_b / sum_b c_kb, with c = a/M and m = c.y
+        cost = CostFunction(Method.APPROX, make_model([30, 70], [[3, 1], [1, 4]]))
+        c = np.array([[3, 1], [1, 4]]) / np.array([[4.0], [5.0]])
+        y = np.full(2, 50.0)
+        step = y * (c @ (np.array([30.0, 70.0]) / (y @ c))) / c.sum(axis=1)
+        np.testing.assert_allclose(default_start(cost), step, rtol=1e-14)
+        assert default_start(cost)[0] < 50.0 < default_start(cost)[1]
+
+    @pytest.mark.parametrize("method", ["approx", "conway"])
+    def test_weighted_wide_model_starts_finite_and_nonnegative(self, method):
+        cost = CostFunction(method, weighted_k4_model(7, 4000), weighted=True)
+        start = default_start(cost)
+        assert start.shape == (4,)
+        assert np.isfinite(start).all() and (start >= 0.0).all()
+        assert math.isfinite(cost(start))
+
+    @pytest.mark.parametrize("method", ["approx", "conway", "exact"])
+    def test_overflowing_data_total_keeps_its_error(self, method):
+        # the equal split of an overflowing total is not finite; the EM step
+        # leaves it so, without an inf * 0 warning, and the fit refuses it
+        with np.errstate(over="ignore"):
+            cost = CostFunction(method, make_model([1e308, 1e308], [[3, 1], [1, 4]]))
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isinf(default_start(cost)[:2]).all()
+            with pytest.raises(ValueError, match="start point must be finite"):
+                minimize(cost)
 
 
 class TestHesse:

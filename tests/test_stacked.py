@@ -146,7 +146,7 @@ def test_fit_evaluation_counts_frozen():
     cfg = tf.ToyConfig(seed=4)
     model = tf.to_model(cfg, tf.draw(cfg, tf.rng_stream(4, 0)))
     counts = {m: fit(model, m).n_evaluations for m in ("approx", "conway", "exact")}
-    assert counts == {"approx": 14, "conway": 14, "exact": 2858}
+    assert counts == {"approx": 9, "conway": 11, "exact": 1338}
 
 
 def test_stacked_calls_stay_under_the_element_cap():
