@@ -212,9 +212,35 @@ class _Counted:
         return self._cost.hessian(x[0])[None]
 
 
-class _Stacked:
-    """The rows of a :class:`~templatefit.likelihood.CostStack` as one batch.
+class _Segment:
+    """One stack's rows in a :class:`_Stacked` batch.
 
+    ``stack`` holds the rows not yet narrowed away, ``run`` the positions in
+    it of the running ones (``None`` while all of them run) and ``y`` the
+    point each of its rows was last evaluated at.
+    """
+
+    __slots__ = ("stack", "run", "y")
+
+    def __init__(self, stack: CostStack):
+        self.stack, self.run, self.y = stack, None, None
+
+    def __len__(self) -> int:
+        return len(self.stack) if self.run is None else len(self.run)
+
+
+def _joined(parts: list) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+class _Stacked:
+    """The rows of one or more cost stacks of one parameter count as one batch.
+
+    The batch holds each stack's rows in turn, a segment per stack, and a
+    round evaluates every segment by its own stack's kernels.  A row that
+    stops stays in its stack at its last point, its outputs dropped, until
+    at most half of the segment's rows still run: ``take`` then narrows the
+    stack to them, so a round does at most twice the kernel work it needs.
     Every round evaluates each running row once, so all running rows have
     made the same number of evaluations, ``calls``.  A row's ``ndof`` is its
     active-bin count minus the yields; it has no ``betas``.
@@ -223,37 +249,75 @@ class _Stacked:
     # the numeric failures of a stack; a plain ValueError there is a bug
     numeric = (np.linalg.LinAlgError, ArithmeticError)
 
-    def __init__(self, stack: CostStack):
-        self._all = self._stack = stack
+    def __init__(self, *stacks: CostStack):
+        self._all = stacks
+        self._segments = [_Segment(stack) for stack in stacks]
         self.calls = 0
-        self.ncomponents = stack.nparams
-        self.lower = np.zeros(stack.nparams)
-        self.ndof = (stack.nbins_active - stack.nparams).tolist()
+        self.ncomponents = stacks[0].nparams
+        self.lower = np.zeros(self.ncomponents)
+        self.ndof = [d for stack in stacks for d in (stack.nbins_active - stack.nparams).tolist()]
 
     betas = staticmethod(lambda point: None)
 
     def keep(self, rows: np.ndarray) -> None:
         """Drop every running row but ``rows``, positions among the running ones."""
-        if len(rows) < len(self._stack):
-            self._stack = self._stack.take(rows)
+        segments, lo = [], 0
+        for seg in self._segments:
+            a, b = np.searchsorted(rows, [lo, lo + len(seg)]).tolist()
+            mine = rows[a:b] - lo
+            lo += len(seg)
+            if len(mine) < len(seg) and len(mine):
+                run = mine if seg.run is None else seg.run[mine]
+                if 2 * len(run) <= len(seg.stack):
+                    seg.stack, seg.y, run = seg.stack.take(run), seg.y[run], None
+                seg.run = run
+            if len(mine):
+                segments.append(seg)
+        self._segments = segments
 
     def start(self, x: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         fx, g = self.trial(x)
         self.calls += 1
-        stack = self._stack
-        d2 = np.diagonal(stack.hessian(x), axis1=-2, axis2=-1)
+        segments = self._segments
+        d2 = _joined(
+            [np.diagonal(seg.stack.hessian(seg.y), axis1=-2, axis2=-1) for seg in segments]
+        )
         return fx, g, _initial_inverse_diag(
-            d2, lambda: stack._expected_curvature(stack._inside(x)[0])
+            d2,
+            lambda: _joined(
+                [seg.stack._expected_curvature(seg.stack._inside(seg.y)[0]) for seg in segments]
+            ),
         )
 
     def trial(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         self.calls += 1
-        return self._stack.value_and_gradient(x)
+        values, gradients, lo = [], [], 0
+        for seg in self._segments:
+            n = len(seg)
+            xs = x if n == len(x) else x[lo : lo + n]
+            lo += n
+            if seg.run is None:
+                seg.y = xs
+                v, g = seg.stack.value_and_gradient(xs)
+            else:
+                seg.y = _put(seg.y, seg.run, xs)
+                v, g = seg.stack.value_and_gradient(seg.y)
+                v, g = v[seg.run], g[seg.run]
+            values.append(v)
+            gradients.append(g)
+        return _joined(values), _joined(gradients)
 
     def hessian(self, x: np.ndarray, rows) -> np.ndarray:
-        """Hessians at ``x`` of the costs at ``rows``, positions in the whole batch."""
-        stack = self._all if len(rows) == len(self._all) else self._all.take(rows)
-        return stack.hessian(x)
+        """Hessians at ``x`` of the costs at ``rows``, ascending positions in the whole batch."""
+        rows = np.asarray(rows)
+        out, lo = [], 0
+        for stack in self._all:
+            a, b = np.searchsorted(rows, [lo, lo + len(stack)]).tolist()
+            if b > a:
+                mine = stack if b - a == len(stack) else stack.take(rows[a:b] - lo)
+                out.append(mine.hessian(x[a:b]))
+            lo += len(stack)
+        return _joined(out)
 
 
 def _gradient_rows(x: np.ndarray, lower: np.ndarray) -> tuple[list, list]:
@@ -418,39 +482,69 @@ def minimize_stack(
     or an ``ArithmeticError`` is fitted again row by row, so the error
     fails only the fit that caused it.  Other exceptions propagate.
     """
-    _check_options(gtol, max_calls)
-    x = np.array(start, dtype=np.float64)
-    if x.shape != (len(stack), stack.nparams):
-        raise ValueError(f"start must have shape {(len(stack), stack.nparams)}, got {x.shape}")
-    out: list = [None] * len(x)
-    errors = _start_errors(x, np.zeros(stack.nparams))
-    for i, error in errors.items():
-        out[i] = error
-    # rows of one active-bin count next to each other reduce in one run
-    rows = np.argsort(stack.nbins_active, kind="stable")
-    if errors:
-        rows = rows[[i not in errors for i in rows.tolist()]]
-    if len(rows) < len(stack) or np.count_nonzero(rows != np.arange(len(rows))):
-        stack, x = stack.take(rows), x[rows]
-    # at most _STACK_ELEMENTS per-bin elements at the widest row
-    size = max(1, _STACK_ELEMENTS // max(1, stack.nparams * int(stack.nbins_active.max(initial=0))))
-    ends: list = []
-    for lo in range(0, len(x), size):
-        hi = min(lo + size, len(x))
-        chunk = stack if hi - lo == len(stack) else stack.take(np.arange(lo, hi))
-        try:
-            ends += _fit_rows(_Stacked(chunk), x[lo:hi], gtol, max_calls)
-        except _Stacked.numeric as exc:
-            if hi - lo == 1:
-                ends.append(exc)
-                continue
-            # row by row, so the error fails only the fit that caused it
-            for j in range(lo, hi):
-                row = chunk.take([j - lo])
-                ends += minimize_stack(row, x[j : j + 1], gtol=gtol, max_calls=max_calls)
-    for i, end in zip(rows.tolist(), ends):
-        out[i] = end
+    (out,) = _minimize_stacks([stack], [start], gtol, max_calls)
     return out
+
+
+def _minimize_stacks(
+    stacks: list[CostStack], starts: list, gtol: float = DEFAULT_GTOL, max_calls: int = DEFAULT_MAX_CALLS
+) -> list[list[FitResult | Exception]]:
+    """:func:`minimize_stack` of each of ``stacks``, all of one parameter count, from ``starts``.
+
+    Each stack is ordered and cut into chunks as :func:`minimize_stack`
+    says, and the ``i``-th chunks of all stacks run in one loop, a segment
+    each, so a round costs the loop's own bookkeeping once for them all.
+    """
+    _check_options(gtol, max_calls)
+    outs, chunks = [], []
+    for stack, start in zip(stacks, starts):
+        x = np.array(start, dtype=np.float64)
+        if x.shape != (len(stack), stack.nparams):
+            raise ValueError(f"start must have shape {(len(stack), stack.nparams)}, got {x.shape}")
+        out: list = [None] * len(x)
+        errors = _start_errors(x, np.zeros(stack.nparams))
+        for i, error in errors.items():
+            out[i] = error
+        # rows of one active-bin count next to each other reduce in one run
+        rows = np.argsort(stack.nbins_active, kind="stable")
+        if errors:
+            rows = rows[[i not in errors for i in rows.tolist()]]
+        if len(rows) < len(stack) or np.count_nonzero(rows != np.arange(len(rows))):
+            stack, x = stack.take(rows), x[rows]
+        # at most _STACK_ELEMENTS per-bin elements at the widest row
+        size = max(1, _STACK_ELEMENTS // max(1, stack.nparams * int(stack.nbins_active.max(initial=0))))
+        for n, lo in enumerate(range(0, len(x), size)):
+            hi = min(lo + size, len(x))
+            chunk = stack if hi - lo == len(stack) else stack.take(np.arange(lo, hi))
+            if n == len(chunks):
+                chunks.append([])
+            chunks[n].append((out, chunk, x[lo:hi], rows[lo:hi].tolist()))
+        outs.append(out)
+    for group in chunks:
+        ends = iter(_fit_segments([g[1] for g in group], [g[2] for g in group], gtol, max_calls))
+        for out, _, _, rows in group:
+            for i in rows:
+                out[i] = next(ends)
+    return outs
+
+
+def _fit_segments(stacks: list[CostStack], xs: list, gtol: float, max_calls: int) -> list:
+    """The ends of the rows of ``stacks`` from ``xs``, fitted in one loop, in order.
+
+    A ``LinAlgError`` or ``ArithmeticError`` fits every row again alone, so
+    the error fails only the fit that caused it.
+    """
+    try:
+        return _fit_rows(_Stacked(*stacks), _joined(xs), gtol, max_calls)
+    except _Stacked.numeric as exc:
+        if sum(map(len, stacks)) == 1:
+            return [exc]
+        return [
+            end
+            for stack, x in zip(stacks, xs)
+            for j in range(len(stack))
+            for end in _fit_segments([stack.take([j])], [x[j : j + 1]], gtol, max_calls)
+        ]
 
 
 def _fit_rows(f, x: np.ndarray, gtol: float, max_calls: int) -> list:
@@ -537,9 +631,10 @@ class _Rows:
         self.hinv0 = hinv0
         self.hinv = _diag(self.hinv0)
         self.best_x, self.best_f = x, fx
-        # value before the last step, -inf before the first step and after the
-        # restart; fprev - fx is the decrease the convergence test reads
-        self.fprev = np.full(n, -np.inf)
+        # value before the last step, +inf before the first step and after the
+        # restart; fprev - fx is the decrease the convergence test reads, so
+        # a fit converges only after an accepted step
+        self.fprev = np.full(n, np.inf)
         # accepted steps: per row in rounds where some row rejects its trial,
         # and ``steps`` for the rounds where every row accepts
         self.iterations = np.zeros(n, dtype=np.int64)
@@ -618,6 +713,16 @@ def _descend(f, x: np.ndarray, lower: np.ndarray, gtol: float, max_calls: int) -
             converged = None
             if np.fmin.reduce(pg) < gtol:
                 converged = (pg < gtol) & (s.fprev[b] - s.fx[b] < _FTOL)
+                c = converged.nonzero()[0]
+                if len(c):
+                    # and so must the decrease the curvature model still
+                    # expects, -g.p / 2 over the free parameters (MINUIT's
+                    # estimated distance to the minimum): along nearly
+                    # collinear templates the gradient is tiny far from it
+                    pc = _directions(
+                        (s.hinv if b is _ALL else s.hinv[b])[c], gb[c], held[c] if any_held else None
+                    )
+                    converged[c] = _dot(pc, gb[c]) > -2.0 * _FTOL
             if f.calls >= max_calls or converged is not None and np.count_nonzero(converged):
                 status = np.zeros(len(s), dtype=np.int8)
                 status[b] = _BUDGET if f.calls >= max_calls else np.where(converged, _CONVERGED, 0)
@@ -703,7 +808,7 @@ def _descend(f, x: np.ndarray, lower: np.ndarray, gtol: float, max_calls: int) -
             s.fprev = np.where(accepted, s.fx, s.fprev)
             s.iterations = s.iterations + accepted
         if s.restart is not None:
-            s.fprev = np.where(s.restart, -np.inf, s.fprev)
+            s.fprev = np.where(s.restart, np.inf, s.fprev)
             s.restart = None
         if t is _ALL:
             s.x, s.fx, s.g = s.xt, ft, gt

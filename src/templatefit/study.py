@@ -30,7 +30,7 @@ import numpy as np
 
 from .histogram import TemplateModel
 from .likelihood import CostFunction, CostStack, Method
-from .minimize import fit, minimize, minimize_stack
+from .minimize import _minimize_stacks, fit, minimize
 from .toys import ToyConfig, ToyDraw, draw_counts, to_model
 
 __all__ = [
@@ -134,7 +134,7 @@ def _fit_exact(config: ToyConfig, counts: np.ndarray):
 
 
 def _fit_toys(args) -> list[PullRecord]:
-    """Draw a chunk of toys as counts and fit them: one lockstep stack per profiled method."""
+    """Draw a chunk of toys as counts and fit them: one lockstep loop for every profiled method."""
     config, tasks, methods = args
     by_n_mc: dict[int, list[int]] = {}
     for n_mc, toy_index in tasks:
@@ -156,12 +156,16 @@ def _fit_toys(args) -> list[PullRecord]:
     # the data total split equally over the yields; each stack takes it one
     # EM step on, as default_start does
     split = np.repeat(np.add.reduce(data, axis=-1)[:, None] / K, K, axis=1)
+    profiled = [m for m in methods if m != Method.EXACT.value]
+    stacks = [CostStack.from_counts(m, data, templates) for m in profiled]
+    # the EM step reads only the counts, which every method's stack shares
+    starts = [stacks[0]._em_step(split)] * len(stacks) if stacks else []
+    fitted = dict(zip(profiled, _minimize_stacks(stacks, starts)))
     for m in methods:
-        if m == Method.EXACT.value:
-            results = [_fit_exact(config, counts[t]) for t in toys]
+        if m in fitted:
+            results = fitted[m]
         else:
-            stack = CostStack.from_counts(m, data, templates)
-            results = minimize_stack(stack, stack._em_step(split))
+            results = [_fit_exact(config, counts[t]) for t in toys]
         records += [_record(m, *keys[t], config.signal_yield, r) for t, r in zip(toys, results)]
     return records
 

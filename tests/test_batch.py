@@ -27,7 +27,7 @@ from templatefit import (
     minimize_stack,
     run_study,
 )
-from templatefit.minimize import _Counted, _Stacked
+from templatefit.minimize import _Counted, _minimize_stacks, _Stacked
 from templatefit.study import records_to_csv
 
 PROFILED = ["approx", "conway"]
@@ -84,6 +84,16 @@ def assert_same_minimum(end, single) -> None:
             assert type(a) is float and float.hex(a) == float.hex(b), field.name
         else:
             assert type(a) is type(b) and a == b, field.name
+
+
+def _fields(end) -> tuple:
+    """Every field of a result, arrays and floats by their bits, or an error's type and text."""
+    if isinstance(end, Exception):
+        return type(end), str(end)
+    return tuple(
+        _bits(v) if isinstance(v, np.ndarray) else float.hex(v) if isinstance(v, float) else v
+        for v in dataclasses.astuple(end)
+    )
 
 
 def _minimize_or_error(cost, start, **options):
@@ -168,6 +178,65 @@ def test_bound_restart_stall_budget_and_failed_starts_in_one_batch():
         "start point must be finite",
         "cost is not finite at the start point",
     }
+
+
+def test_stacks_of_two_methods_in_one_loop_equal_each_stack_alone(monkeypatch):
+    # an approx and a conway stack of the same counts share every round of
+    # one loop; rows stop at many rounds, so stopped rows stay in their
+    # stack for a while and a stack is narrowed once half its rows stopped
+    with np.errstate(over="ignore"):
+        huge = TemplateModel(
+            edges=np.arange(16.0),
+            data=BinnedSample.from_counts(np.r_[1e308, 1e308, np.zeros(13)]),
+            components=(
+                BinnedSample.from_counts(np.r_[3.0, 1.0, np.zeros(13)]),
+                BinnedSample.from_counts(np.r_[1.0, 4.0, np.zeros(13)]),
+            ),
+        )
+    models = _models(33, 50, 50) + [_on_bound_model(), huge] + _models(34, 10000, 10)
+    bad = np.array([[-5.0, 500.0], [np.nan, 500.0], [0.0, 0.0]])
+    costs, stacks, starts = {}, [], []
+    for method in PROFILED:
+        with np.errstate(over="ignore"):
+            costs[method] = [CostFunction(method, m) for m in models]
+            starts.append(np.concatenate([_starts(costs[method]), bad]))
+            costs[method] += [costs[method][0]] * len(bad)
+            stacks.append(_stack(costs[method]))
+    loops, narrowed, waiting = [], [], []
+    build, keep = _Stacked.__init__, _Stacked.keep
+
+    def counting(self, *stacks):
+        loops.append(len(stacks))
+        build(self, *stacks)
+
+    def spying(self, rows):
+        before = {id(seg): len(seg.stack) for seg in self._segments}
+        keep(self, rows)
+        narrowed.extend(seg for seg in self._segments if len(seg.stack) < before[id(seg)])
+        waiting.extend(seg for seg in self._segments if seg.run is not None)
+
+    monkeypatch.setattr(_Stacked, "__init__", counting)
+    monkeypatch.setattr(_Stacked, "keep", spying)
+    statuses, errors, restarts = set(), set(), 0
+    for options in (dict(gtol=1e-12), dict(max_calls=12), dict()):
+        loops.clear()
+        with np.errstate(over="ignore"):
+            together = _minimize_stacks(stacks, starts, **options)
+        assert loops == [2]
+        for method, stack, start, ends in zip(PROFILED, stacks, starts, together):
+            alone = minimize_stack(stack, start, **options)
+            assert [_fields(end) for end in ends] == [_fields(end) for end in alone]
+            for cost, x, end in zip(costs[method], start, ends):
+                with np.errstate(over="ignore"):
+                    assert_same_minimum(end, _minimize_or_error(cost, x, **options))
+                if isinstance(end, Exception):
+                    errors.add(str(end))
+                else:
+                    statuses.add(end.status)
+                    restarts += end.restarted
+    assert {"converged", "on_bound", "stalled", "budget"} <= statuses
+    assert restarts > 0 and len(errors) == 3
+    assert len(narrowed) >= 2 and waiting
 
 
 @pytest.mark.parametrize("method", PROFILED)

@@ -7,12 +7,18 @@ statistical tests only check values to a tolerance, while ensembles and
 the fit records built on them depend on every bit.
 
 To print the table for new cases, run ``python tests/test_frozen_bits.py``.
+
+The records of one ``run_study`` call are frozen too, by the SHA-256 of
+their CSV: every bit of the lockstep loop that fits them shows there.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from templatefit import BinnedSample, CostFunction, TemplateModel
+from templatefit import BinnedSample, CostFunction, TemplateModel, ToyConfig, run_study
+from templatefit.study import records_to_csv
 
 
 def _model(data, comps, data_w2=None, comp_w2=None):
@@ -267,6 +273,16 @@ def test_cases_cover_every_branch():
     assert "nan" in FROZEN["conway-dead-empty"]["beta"]
     exact_betas = FROZEN["exact-plain"]["beta"].split()
     assert any(b not in ("nan", "0x1.0000000000000p+0") for b in exact_betas)
+
+
+# batch 0 of perfbench's ensemble-fast workload at seed 101
+STUDY = (ToyConfig(seed=101_000_000), (50, 10000), 10, ("approx", "conway"))
+STUDY_DIGEST = "026795276d4845ec6951c7a709af5e03e62bf08bea3c7361d4967dd38a4f5c5f"
+
+
+def test_study_records_bit_exact():
+    records = run_study(*STUDY)
+    assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == STUDY_DIGEST
 
 
 def _table() -> str:

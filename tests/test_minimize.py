@@ -59,6 +59,18 @@ class TestMinimize:
         assert res.yields[0] == pytest.approx(100.0, rel=1e-12)
         assert res.converged
 
+    def test_approx_takes_a_step_before_it_converges(self):
+        # nearly collinear templates leave the gradient at the default start
+        # below gtol; when no step yet counted as a cost decrease below 1e-6,
+        # this fit ended converged after 0 iterations at qmin 559.2852
+        model = make_model([15914, 14787, 6793], [[14460, 15518, 4396], [8271, 7870, 2276]])
+        cost = CostFunction(Method.APPROX, model)
+        res = minimize(cost)
+        assert res.converged and res.n_iterations > 0
+        ref = scaled_scipy_minimum(cost)
+        assert res.qmin <= ref + 1e-5 + 1e-9 * abs(ref)
+        assert res.qmin == pytest.approx(559.21151, abs=1e-5)
+
     def test_k1_matches_golden_section(self):
         rng = np.random.default_rng(10)
         for _ in range(5):
