@@ -26,6 +26,14 @@ each sum over bins on a fit's own bins, one run of rows per active-bin
 count; every operation on the state is elementwise, a reduction along the
 last axis or one BLAS product per row.  Stacked rows equal single calls
 bit for bit, so a fit's result does not depend on the batch it ran in.
+That is also why one loop can step the rows of several stacks with one
+parameter count (``run_study``'s approx and conway stacks of a chunk),
+each stack a segment evaluated by its own kernels: the loop's own
+bookkeeping is then paid once per round for all of them.  A row that
+stops stays in its stack at its last point, its outputs dropped, until at
+most half of the stack's rows still run; ``CostStack.take`` then narrows
+the stack to those, so a round does at most twice the kernel work it
+needs, and a stack is copied at most once per halving of its rows.
 One function, ``_fit_rows``, turns the end of every fit into its
 :class:`FitResult`, with its status and covariance, whichever path ran it.
 
@@ -65,6 +73,15 @@ and every point counts as one evaluation.
 A quasi-Newton step moves only the free parameters: one on its lower
 bound whose gradient points out of the domain is held there.
 
+At a new point a fit converges once the projected gradient is below
+``gtol`` and both the last step's cost decrease and the decrease the
+curvature model still expects, ``-g.p/2`` for the quasi-Newton step ``p``
+(MINUIT's estimated distance to the minimum), are below 1e-6; the start
+and the restart point have no last step, so a fit takes one from there
+first.  Along nearly collinear templates the gradient is tiny far from
+the minimum, and only the last test sees it.  A line search that fails
+ends the fit as converged where the projected gradient is below ``gtol``.
+
 Every fit reports why it stopped in ``FitResult.status``, with its
 evaluation, iteration and restart counts.
 """
@@ -94,7 +111,7 @@ _GRAD_STEP = math.sqrt(_EPS)  # central-difference gradient step scale
 
 DEFAULT_GTOL = 1e-4
 DEFAULT_MAX_CALLS = 100_000
-_FTOL = 1e-6  # convergence threshold on the cost decrease between iterations
+_FTOL = 1e-6  # convergence threshold on the last and the expected cost decrease
 _TRIALS = 50  # line-search trials per iteration
 
 # a stacked cost call holds at most this many per-bin elements (rows x
@@ -293,9 +310,8 @@ class _Stacked:
         self.calls += 1
         values, gradients, lo = [], [], 0
         for seg in self._segments:
-            n = len(seg)
-            xs = x if n == len(x) else x[lo : lo + n]
-            lo += n
+            xs = x[lo : lo + len(seg)]
+            lo += len(seg)
             if seg.run is None:
                 seg.y = xs
                 v, g = seg.stack.value_and_gradient(xs)
@@ -448,7 +464,8 @@ def minimize(
         Start vector, defaults to :func:`default_start`.
     gtol : float
         Convergence threshold on the projected-gradient sup norm, positive;
-        the cost decrease between iterations must also fall below 1e-6.
+        the cost decrease of the last step and the decrease the curvature
+        model still expects must also fall below 1e-6.
     max_calls : int
         Evaluation budget, at least 1; when exhausted the best point seen
         so far is returned with status ``budget``.
@@ -487,7 +504,10 @@ def minimize_stack(
 
 
 def _minimize_stacks(
-    stacks: list[CostStack], starts: list, gtol: float = DEFAULT_GTOL, max_calls: int = DEFAULT_MAX_CALLS
+    stacks: list[CostStack],
+    starts: list,
+    gtol: float = DEFAULT_GTOL,
+    max_calls: int = DEFAULT_MAX_CALLS,
 ) -> list[list[FitResult | Exception]]:
     """:func:`minimize_stack` of each of ``stacks``, all of one parameter count, from ``starts``.
 
@@ -512,7 +532,8 @@ def _minimize_stacks(
         if len(rows) < len(stack) or np.count_nonzero(rows != np.arange(len(rows))):
             stack, x = stack.take(rows), x[rows]
         # at most _STACK_ELEMENTS per-bin elements at the widest row
-        size = max(1, _STACK_ELEMENTS // max(1, stack.nparams * int(stack.nbins_active.max(initial=0))))
+        widest = int(stack.nbins_active.max(initial=0))
+        size = max(1, _STACK_ELEMENTS // max(1, stack.nparams * widest))
         for n, lo in enumerate(range(0, len(x), size)):
             hi = min(lo + size, len(x))
             chunk = stack if hi - lo == len(stack) else stack.take(np.arange(lo, hi))
@@ -716,12 +737,9 @@ def _descend(f, x: np.ndarray, lower: np.ndarray, gtol: float, max_calls: int) -
                 c = converged.nonzero()[0]
                 if len(c):
                     # and so must the decrease the curvature model still
-                    # expects, -g.p / 2 over the free parameters (MINUIT's
-                    # estimated distance to the minimum): along nearly
-                    # collinear templates the gradient is tiny far from it
-                    pc = _directions(
-                        (s.hinv if b is _ALL else s.hinv[b])[c], gb[c], held[c] if any_held else None
-                    )
+                    # expects, -g.p/2 over the free parameters
+                    hc = (s.hinv if b is _ALL else s.hinv[b])[c]
+                    pc = _directions(hc, gb[c], held[c] if any_held else None)
                     converged[c] = _dot(pc, gb[c]) > -2.0 * _FTOL
             if f.calls >= max_calls or converged is not None and np.count_nonzero(converged):
                 status = np.zeros(len(s), dtype=np.int8)

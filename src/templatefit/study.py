@@ -4,10 +4,11 @@ Every toy index owns one generation stream, so all requested methods fit
 the identical toy and the records do not depend on the worker count or
 on which other methods were requested.  ``run_study`` draws the toys of a
 chunk as one array of counts.  For ``approx`` and ``conway`` it builds one
-``CostStack`` per method straight from those counts and steps its fits in
-lockstep (``minimize_stack``), whatever their active-bin counts; the
-records are written from its results, without the per-toy models, cost
-functions and per-bin diagnostics of a ``fit``.  ``exact`` fits build the
+``CostStack`` per method straight from those counts and steps the fits of
+both stacks in one lockstep loop, whatever their active-bin counts (the
+multi-stack form of ``minimize_stack``); the records are written from its
+results, without the per-toy models, cost functions and per-bin
+diagnostics of a ``fit``.  ``exact`` fits build the
 toy's model and cost function and run one by one through ``minimize``.
 Every fit's result equals its single ``fit`` call bit for bit (stacked
 data is padded to the widest fit and every sum over bins covers a fit's
@@ -158,9 +159,7 @@ def _fit_toys(args) -> list[PullRecord]:
     split = np.repeat(np.add.reduce(data, axis=-1)[:, None] / K, K, axis=1)
     profiled = [m for m in methods if m != Method.EXACT.value]
     stacks = [CostStack.from_counts(m, data, templates) for m in profiled]
-    # the EM step reads only the counts, which every method's stack shares
-    starts = [stacks[0]._em_step(split)] * len(stacks) if stacks else []
-    fitted = dict(zip(profiled, _minimize_stacks(stacks, starts)))
+    fitted = dict(zip(profiled, _minimize_stacks(stacks, [s._em_step(split) for s in stacks])))
     for m in methods:
         if m in fitted:
             results = fitted[m]
@@ -182,11 +181,12 @@ def run_study(
 
     The toys are drawn and fitted in chunks of at most 512 (n_mc, toy
     index) pairs, one chunk per worker task when ``jobs > 1``.  A chunk's
-    ``approx`` and ``conway`` fits each run as one
+    ``approx`` and ``conway`` fits each make one
     :class:`~templatefit.likelihood.CostStack`, built from the drawn
-    counts and stepped in lockstep by
-    :func:`~templatefit.minimize.minimize_stack`; its ``exact`` fits run
-    one by one through :func:`~templatefit.minimize.minimize`.  With
+    counts, and one lockstep loop steps the rows of both, as
+    :func:`~templatefit.minimize.minimize_stack` steps one stack's; its
+    ``exact`` fits run one by one through
+    :func:`~templatefit.minimize.minimize`.  With
     ``jobs > 1`` the pool has at most one worker per chunk.  Returns
     ``len(methods) * len(n_mc_grid) * n_toys`` records sorted by (method,
     n_mc, toy_index); every fit's result equals its single ``fit`` call
