@@ -253,12 +253,9 @@ def _joined(parts: list) -> np.ndarray:
 class _Stacked:
     """The rows of one or more cost stacks of one parameter count as one batch.
 
-    The batch holds each stack's rows in turn, a segment per stack, and a
-    round evaluates every segment by its own stack's kernels.  A row that
-    stops stays in its stack at its last point, its outputs dropped, until
-    at most half of the segment's rows still run: ``take`` then narrows the
-    stack to them, so a round does at most twice the kernel work it needs.
-    Every round evaluates each running row once, so all running rows have
+    The batch holds each stack's rows in turn, a segment per stack; stopped
+    rows stay in their segment until half of it has stopped, as the module
+    docstring says.  Every round evaluates each running row once, so all running rows have
     made the same number of evaluations, ``calls``.  A row's ``ndof`` is its
     active-bin count minus the yields; it has no ``betas``.
     """
@@ -731,23 +728,17 @@ def _descend(f, x: np.ndarray, lower: np.ndarray, gtol: float, max_calls: int) -
             held = _at_bound(xb, lower) & (gb > 0.0)
             any_held = np.count_nonzero(held)
             pg = np.maximum.reduce(np.abs(np.where(held, 0.0, gb) if any_held else gb), axis=-1)
+            p = _directions(s.hinv if b is _ALL else s.hinv[b], gb, held if any_held else None)
+            pgd = _dot(p, gb)
             converged = None
             if np.fmin.reduce(pg) < gtol:
-                converged = (pg < gtol) & (s.fprev[b] - s.fx[b] < _FTOL)
-                c = converged.nonzero()[0]
-                if len(c):
-                    # and so must the decrease the curvature model still
-                    # expects, -g.p/2 over the free parameters
-                    hc = (s.hinv if b is _ALL else s.hinv[b])[c]
-                    pc = _directions(hc, gb[c], held[c] if any_held else None)
-                    converged[c] = _dot(pc, gb[c]) > -2.0 * _FTOL
+                # -pgd/2 is the decrease the curvature model still expects
+                converged = (pg < gtol) & (s.fprev[b] - s.fx[b] < _FTOL) & (pgd > -2.0 * _FTOL)
             if f.calls >= max_calls or converged is not None and np.count_nonzero(converged):
                 status = np.zeros(len(s), dtype=np.int8)
                 status[b] = _BUDGET if f.calls >= max_calls else np.where(converged, _CONVERGED, 0)
                 f.keep(s.stop(status, f.calls, out))
                 continue  # begin again with the rows that go on
-            p = _directions(s.hinv if b is _ALL else s.hinv[b], gb, held if any_held else None)
-            pgd = _dot(p, gb)
             if np.fmax.reduce(pgd) >= 0.0:  # curvature estimate went bad; reset
                 reset = pgd >= 0.0
                 r = np.arange(len(s))[b][reset]

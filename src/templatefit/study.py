@@ -6,9 +6,11 @@ on which other methods were requested.  ``run_study`` draws the toys of a
 chunk as one array of counts.  For ``approx`` and ``conway`` it builds one
 ``CostStack`` per method straight from those counts and steps the fits of
 both stacks in one lockstep loop, whatever their active-bin counts (the
-multi-stack form of ``minimize_stack``); the records are written from its
-results, without the per-toy models, cost functions and per-bin
-diagnostics of a ``fit``.  ``exact`` fits build the
+multi-stack form of ``minimize_stack``).  A fit that stops stays in its
+stack, its outputs dropped, until at most half of the stack still runs,
+and the stack is then narrowed to the running fits.  The records are
+written from the results, without the per-toy models, cost functions and
+per-bin diagnostics of a ``fit``.  ``exact`` fits build the
 toy's model and cost function and run one by one through ``minimize``.
 Every fit's result equals its single ``fit`` call bit for bit (stacked
 data is padded to the widest fit and every sum over bins covers a fit's
