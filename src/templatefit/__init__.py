@@ -16,10 +16,7 @@ harness with pull statistics and timing, and a command line interface
 
 from .histogram import (
     BinnedSample,
-    EffectiveCount,
     TemplateModel,
-    bin_expectation,
-    effective,
     model_from_dict,
 )
 from .likelihood import (
@@ -27,15 +24,6 @@ from .likelihood import (
     CostFunction,
     CostStack,
     Method,
-    beta_approx,
-    beta_conway,
-    q_approx,
-    q_approx_weighted,
-    q_conway,
-    q_conway_weighted,
-    q_exact,
-    q_poisson,
-    var_beta,
 )
 from .minimize import (
     FitResult,
@@ -63,24 +51,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinnedSample",
-    "EffectiveCount",
     "TemplateModel",
-    "bin_expectation",
-    "effective",
     "model_from_dict",
     "BetaDiagnostics",
     "CostFunction",
     "CostStack",
     "Method",
-    "beta_approx",
-    "beta_conway",
-    "q_approx",
-    "q_approx_weighted",
-    "q_conway",
-    "q_conway_weighted",
-    "q_exact",
-    "q_poisson",
-    "var_beta",
     "FitResult",
     "default_start",
     "fit",

@@ -7,11 +7,9 @@ template components and their normalizations.  All containers validate at
 construction and are immutable afterwards, so they can be shared freely
 across concurrent workers.
 
-Weighted bins are reduced to :class:`EffectiveCount` values, the
-equivalent unweighted count ``(sum w)^2 / sum w^2`` together with the
-scale factor ``sum w / sum w^2``.  An empty bin maps to ``(0, 1)`` so the
-weighted formulas degrade to the unweighted zero-count case without
-special handling downstream.
+The weighted cost functions (:mod:`templatefit.likelihood`) reduce each
+bin to the equivalent unweighted count ``(sum w)^2 / sum w^2`` and the
+scale factor ``sum w / sum w^2``; an empty bin maps to ``(0, 1)``.
 """
 
 from __future__ import annotations
@@ -22,10 +20,7 @@ import numpy as np
 
 __all__ = [
     "BinnedSample",
-    "EffectiveCount",
     "TemplateModel",
-    "effective",
-    "bin_expectation",
     "model_from_dict",
 ]
 
@@ -97,32 +92,6 @@ class BinnedSample:
     def is_unweighted(self) -> bool:
         """True when sumw2 equals sumw in every bin (unit weights)."""
         return bool(np.array_equal(self.sumw, self.sumw2))
-
-
-@dataclass(frozen=True)
-class EffectiveCount:
-    """Equivalent unweighted count of a weighted bin.
-
-    ``n_eff = (sum w)^2 / sum w^2`` and ``s = sum w / sum w^2``.  For unit
-    weights this is the plain count with ``s = 1``.
-    """
-
-    n_eff: float
-    s: float
-
-
-def effective(sample: BinnedSample, bin: int) -> EffectiveCount:
-    """Effective count and scale factor of one bin of a sample.
-
-    An empty bin (zero sum of squared weights) returns ``(0, 1)``.
-    """
-    if not 0 <= bin < sample.nbins:
-        raise IndexError(f"bin {bin} out of range for {sample.nbins} bins")
-    w = float(sample.sumw[bin])
-    w2 = float(sample.sumw2[bin])
-    if w2 == 0.0:
-        return EffectiveCount(0.0, 1.0)
-    return EffectiveCount(w * w / w2, w / w2)
 
 
 @dataclass(frozen=True)
@@ -206,26 +175,6 @@ class TemplateModel:
         return self.data.is_unweighted() and all(
             comp.is_unweighted() for comp in self.components
         )
-
-
-def bin_expectation(model: TemplateModel, yields, bin: int) -> float:
-    """Model expectation of one bin, ``sum_k yields[k] * a_k[bin] / norms[k]``.
-
-    Linear in the yields and nonnegative for nonnegative yields.
-    """
-    y = np.asarray(yields, dtype=np.float64)
-    if y.shape != (model.ncomponents,):
-        raise ValueError(
-            f"expected {model.ncomponents} yields, got shape {y.shape}"
-        )
-    if not np.all(np.isfinite(y)) or np.any(y < 0):
-        raise ValueError("yields must be finite and nonnegative")
-    if not 0 <= bin < model.nbins:
-        raise IndexError(f"bin {bin} out of range for {model.nbins} bins")
-    total = 0.0
-    for k in range(model.ncomponents):
-        total += y[k] * float(model.components[k].sumw[bin]) / float(model.norms[k])
-    return total
 
 
 def _sample_from_dict(obj: dict, what: str) -> BinnedSample:

@@ -32,6 +32,11 @@ construction but not the only conceivable one.  A weighted variant of
 Bins whose pooled template content is zero carry no information about
 the yields; they are skipped entirely and excluded from the degrees of
 freedom.
+
+:class:`CostFunction` evaluates one fit's cost, :class:`CostStack` the
+unweighted profiled costs of many fits at once.  One per-bin kernel per
+method computes the factors and cost terms for the value, the
+per-bin :meth:`CostFunction.diagnostics` and the closed-form derivatives.
 """
 
 from __future__ import annotations
@@ -49,15 +54,6 @@ __all__ = [
     "BetaDiagnostics",
     "CostFunction",
     "CostStack",
-    "q_poisson",
-    "beta_approx",
-    "beta_conway",
-    "var_beta",
-    "q_approx",
-    "q_conway",
-    "q_exact",
-    "q_approx_weighted",
-    "q_conway_weighted",
 ]
 
 # lower bound used by the optimizer for the exact-method amplitude factors;
@@ -73,84 +69,6 @@ class Method(enum.Enum):
     EXACT = "exact"
     CONWAY = "conway"
     APPROX = "approx"
-
-
-def q_poisson(n: float, mu: float) -> float:
-    """Poisson goodness-of-fit contribution ``2 (mu - n - n ln(mu/n))``.
-
-    Zero exactly at ``mu == n`` and positive elsewhere.  ``n == 0`` gives
-    ``2 mu`` (the ``n ln n`` term has limit zero) and ``mu == 0`` with
-    ``n > 0`` returns ``+inf``, so impossible models surface as an
-    infinite cost instead of an exception.
-    """
-    if not (math.isfinite(n) and math.isfinite(mu)) or n < 0 or mu < 0:
-        raise ValueError(f"n and mu must be finite and nonnegative, got n={n}, mu={mu}")
-    if n == 0.0:
-        return 2.0 * mu
-    if mu == 0.0:
-        return math.inf
-    return max(0.0, 2.0 * (mu - n - n * math.log(mu / n)))
-
-
-def beta_approx(n: float, a: float, mu0: float) -> float:
-    """Per-bin template scale factor ``(n + a) / (mu0 + a)`` of the symmetric cost.
-
-    This is the exact stationary point of
-    ``q_poisson(n, beta*mu0) + q_poisson(a, beta*a)`` in ``beta``.  For
-    large ``a`` the factor tends to 1.  ``mu0 + a`` must be positive;
-    bins with empty templates are skipped by the cost functions.
-    """
-    if n < 0 or a < 0 or mu0 < 0:
-        raise ValueError("n, a and mu0 must be nonnegative")
-    denom = mu0 + a
-    if denom <= 0.0:
-        raise ValueError("mu0 + a must be positive (skip bins with empty templates)")
-    return (n + a) / denom
-
-
-def beta_conway(n: float, mu0: float, var_beta: float) -> float:
-    """Nonnegative root of the per-bin score equation of Conway's cost.
-
-    Solves ``beta^2 + (V mu0 - 1) beta - V n = 0`` for the only
-    nonnegative root, using the cancellation-free branch of the quadratic
-    formula.  Positive for ``n > 0``.
-    """
-    if var_beta <= 0 or not math.isfinite(var_beta):
-        raise ValueError(f"var_beta must be positive and finite, got {var_beta}")
-    if n < 0 or mu0 < 0:
-        raise ValueError("n and mu0 must be nonnegative")
-    b = var_beta * mu0 - 1.0
-    disc = math.sqrt(b * b + 4.0 * var_beta * n)
-    if b > 0.0:
-        return 2.0 * var_beta * n / (b + disc)
-    return 0.5 * (disc - b)
-
-
-def var_beta(model: TemplateModel, yields, bin: int, *, weighted: bool = False) -> float:
-    """Propagated variance of the per-bin scale factor for Conway's cost.
-
-    ``V = sum_k (y_k / M_k)^2 v_k / (sum_k (y_k / M_k) a_k)^2`` with
-    ``v_k`` the template content ``a_k``, or the per-bin sum of squared
-    template weights when ``weighted`` is set.  Raises when the bin
-    expectation vanishes, which signals that the bin cannot constrain the
-    factor and must be skipped.
-    """
-    y = np.asarray(yields, dtype=np.float64)
-    if y.shape != (model.ncomponents,):
-        raise ValueError(f"expected {model.ncomponents} yields, got shape {y.shape}")
-    if not 0 <= bin < model.nbins:
-        raise IndexError(f"bin {bin} out of range for {model.nbins} bins")
-    num = 0.0
-    den = 0.0
-    for k, comp in enumerate(model.components):
-        scale = y[k] / float(model.norms[k])
-        a_k = float(comp.sumw[bin])
-        v_k = float(comp.sumw2[bin]) if weighted else a_k
-        num += scale * scale * v_k
-        den += scale * a_k
-    if den == 0.0:
-        raise ValueError(f"bin {bin} has zero expectation and must be skipped")
-    return num / (den * den)
 
 
 @dataclass(frozen=True)
@@ -283,13 +201,15 @@ class _PerBin:
     # addition is commutative, so relabeling components permutes operands
     # without changing any bit of the result (exact for two components)
 
-    def _approx(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Factor ``(n + a)/(mu0 + a)``, data terms, ``beta - 1 - ln beta`` and ``m`` per bin.
+    def _expectation(self, y: np.ndarray) -> np.ndarray:
+        """``m = sum_k y_k a_k / M_k`` per bin: the expectation before the effective-count
+        scale ``s``, so ``mu0 = s m``."""
+        return np.add.reduce((y / self._norms)[..., :, None] * self._a, axis=-2)
 
-        ``m = sum_k y_k a_k / M_k`` is the expectation before the effective-count
-        scale ``s`` (``mu0 = s m``).
-        """
-        m = np.add.reduce((y / self._norms)[..., :, None] * self._a, axis=-2)
+    def _approx(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Factor ``(n + a)/(mu0 + a)``, data terms, ``beta - 1 - ln beta`` and ``m`` per bin,
+        ``m`` from :meth:`_expectation`."""
+        m = self._expectation(y)
         mu0 = self._s * m if self.weighted else m
         a = self._a_eff
         beta = self._na / (mu0 + a)
@@ -359,7 +279,7 @@ class _PerBin:
         lie inside the domain; ``m`` is 1 where it vanishes, as in
         :meth:`_profile`.
         """
-        m = np.add.reduce((y / self._norms)[..., :, None] * self._a, axis=-2)
+        m = self._expectation(y)
         return self._bin_matvec(self._c * self._c, 2.0 * self._s / np.where(m > 0.0, m, 1.0))
 
     def _em_step(self, y: np.ndarray) -> np.ndarray:
@@ -369,14 +289,14 @@ class _PerBin:
         The Richardson-Lucy / Shepp-Vardi step (IEEE TMI 1 (1982) 113),
         whose fixed point is the Barlow-Beeston fit without template
         uncertainty (CPC 77 (1993) 219); it keeps the yields nonnegative.
-        ``m`` is formed as in :meth:`_approx` and is 1 where it vanishes;
+        ``m`` is :meth:`_expectation`'s and is 1 where it vanishes;
         yield vectors that are not finite come back unchanged.
         """
         finite = np.isfinite(y).all(axis=-1)[..., None]
         if not finite.all():
             # a stand-in of 0 keeps inf * 0 out of the step
             return np.where(finite, self._em_step(np.where(finite, y, 0.0)), y)
-        m = np.add.reduce((y / self._norms)[..., :, None] * self._a, axis=-2)
+        m = self._expectation(y)
         ratio = self._n / np.where(m > 0.0, m, 1.0)
         return y * self._bin_matvec(self._c, ratio) / self._bin_matvec(self._c, self._s)
 
@@ -847,48 +767,3 @@ class CostStack(_PerBin):
         if bad is not None:
             H[bad] = np.nan
         return H
-
-
-def _profiled(
-    method: Method, model: TemplateModel, yields, weighted: bool = False
-) -> tuple[float, BetaDiagnostics]:
-    cost = CostFunction(method, model, weighted=weighted)
-    y = cost.validate(yields)
-    return cost(y), cost.diagnostics(y)
-
-
-def q_approx(model: TemplateModel, yields) -> tuple[float, BetaDiagnostics]:
-    """Symmetric-approximation cost and per-bin diagnostics at the given yields."""
-    return _profiled(Method.APPROX, model, yields)
-
-
-def q_conway(model: TemplateModel, yields) -> tuple[float, BetaDiagnostics]:
-    """Conway cost and per-bin diagnostics at the given yields."""
-    return _profiled(Method.CONWAY, model, yields)
-
-
-def q_approx_weighted(model: TemplateModel, yields) -> tuple[float, BetaDiagnostics]:
-    """Weighted symmetric-approximation cost using effective counts."""
-    return _profiled(Method.APPROX, model, yields, weighted=True)
-
-
-def q_conway_weighted(model: TemplateModel, yields) -> tuple[float, BetaDiagnostics]:
-    """Weighted Conway cost using effective counts and weight-based variances."""
-    return _profiled(Method.CONWAY, model, yields, weighted=True)
-
-
-def q_exact(model: TemplateModel, yields, betas) -> float:
-    """Exact cost at the given yields and per-(bin, component) amplitude factors.
-
-    ``betas`` is an (nbins, K) matrix; entries at slots without template
-    content are ignored (their amplitude is fixed to zero), all other
-    entries must be positive; ``ValueError`` otherwise, from ``validate``.
-    """
-    cost = CostFunction(Method.EXACT, model)
-    B = np.asarray(betas, dtype=np.float64)
-    if B.shape != (model.nbins, model.ncomponents):
-        raise ValueError(
-            f"expected betas of shape {(model.nbins, model.ncomponents)}, got {B.shape}"
-        )
-    y = np.asarray(yields, dtype=np.float64)
-    return cost(cost.validate(np.concatenate([y, B[cost.exact_slots()]])))

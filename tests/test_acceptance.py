@@ -15,10 +15,9 @@ from scipy import stats
 import templatefit as tf
 from templatefit import (
     BinnedSample,
+    CostFunction,
     TemplateModel,
     ToyConfig,
-    beta_approx,
-    beta_conway,
     fit,
     run_study,
     summarize,
@@ -60,7 +59,7 @@ def all_nmc50():
 
 
 def test_criterion_1_score_equations():
-    """Analytic factors zero the per-bin score for 10^4 randomized bins in < 5 s."""
+    """The per-bin kernels' factors zero the per-bin score for 10^4 randomized bins in < 5 s."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
     n = rng.uniform(0.0, 100.0, 10_000)
@@ -73,20 +72,28 @@ def test_criterion_1_score_equations():
             t = np.where(pos, nn * np.log(np.where(pos, mm / np.where(pos, nn, 1.0), 1.0)), 0.0)
         return 2.0 * (mm - nn - t)
 
+    def kernel(method):
+        # the per-bin kernel that fits run, on one row of 10^4 bins with data
+        # n, pooled template content a and expectation mu0 at y = 1 (norm 1,
+        # template row mu0); the template variance v = mu0^2/a makes V = 1/a
+        cost = object.__new__(CostFunction)
+        cost.method, cost.weighted = tf.Method(method), False
+        cost._set_fields(np.ones(1), n, mu0[None], (mu0 * mu0 / a)[None], 1.0, a)
+        return cost._approx(np.ones(1)) if method == "approx" else cost._conway(np.ones(1))
+
     # the central difference [f(b+h) - f(b-h)] / 2h is evaluated through its
     # exact algebraic form: the objective is a sum of terms linear in beta
     # plus logarithms, so the difference reduces to log1p with no subtractive
     # cancellation; naive evaluation hits its rounding floor (~1e-7) at the
     # small-beta corner points and cannot meet the 1e-8 bound there
-    beta_a = np.array([beta_approx(nn, aa, mm) for nn, aa, mm in zip(n, a, mu0)])
+    beta_a = kernel("approx")[0]
     h = 1e-6 * beta_a
     logdiff = np.log1p(2.0 * h / (beta_a - h)) / (2.0 * h)
     score_a = 2.0 * (mu0 + a) - 2.0 * (n + a) * logdiff
     q_a = qp(n, beta_a * mu0) + qp(a, beta_a * a)
     ok_a = np.abs(score_a) < 1e-8 * (1.0 + np.abs(q_a))
 
-    v = 1.0 / a
-    beta_c = np.array([beta_conway(nn, mm, vv) for nn, mm, vv in zip(n, mu0, v)])
+    _, beta_c, _, _, v = kernel("conway")
     pos = beta_c > 0.0  # a zero root sits on the constraint, no score condition
     h = 1e-6 * beta_c[pos]
     logdiff = np.log1p(2.0 * h / (beta_c[pos] - h)) / (2.0 * h)
@@ -238,10 +245,12 @@ def test_criterion_7_weighted_reduction():
             components=(BinnedSample.from_counts(c1), BinnedSample.from_counts(c2)),
         )
         y = rng.uniform(10.0, 400.0, 2)
-        qa, da = tf.q_approx(model, y)
-        qaw, daw = tf.q_approx_weighted(model, y)
-        qc, _ = tf.q_conway(model, y)
-        qcw, _ = tf.q_conway_weighted(model, y)
+        approx, conway = CostFunction("approx", model), CostFunction("conway", model)
+        approx_w = CostFunction("approx", model, weighted=True)
+        conway_w = CostFunction("conway", model, weighted=True)
+        qa, da = approx(y), approx.diagnostics(y)
+        qaw, daw = approx_w(y), approx_w.diagnostics(y)
+        qc, qcw = conway(y), conway_w(y)
         if qa > 0:
             worst = max(worst, abs(qaw - qa) / qa)
         if qc > 0:

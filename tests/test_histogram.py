@@ -1,16 +1,10 @@
-"""Container validation, effective counts, and bin expectations."""
+"""Container validation, and the effective counts and bin expectations the costs take from it."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from templatefit import (
-    BinnedSample,
-    TemplateModel,
-    bin_expectation,
-    effective,
-    model_from_dict,
-)
+from templatefit import BinnedSample, CostFunction, TemplateModel, model_from_dict
 
 
 def make_model(data, comps, edges=None, names=()):
@@ -19,6 +13,21 @@ def make_model(data, comps, edges=None, names=()):
     if edges is None:
         edges = np.arange(data.nbins + 1, dtype=float)
     return TemplateModel(edges=edges, data=data, components=comps, names=names)
+
+
+def effective(sample):
+    # the effective counts and scales per bin that the weighted costs take
+    # from a data sample (one unit template entry per bin keeps every bin active)
+    ones = BinnedSample.from_counts(np.ones(sample.nbins))
+    model = TemplateModel(edges=np.arange(sample.nbins + 1.0), data=sample, components=(ones,))
+    cost = CostFunction("approx", model, weighted=True)
+    return cost._n, cost._s
+
+
+def expectation(model, y):
+    # the kernel's expectation m per active bin
+    cost = CostFunction("approx", model)
+    return cost._approx(cost.validate(y))[3]
 
 
 class TestBinnedSample:
@@ -66,47 +75,40 @@ class TestBinnedSample:
 class TestEffective:
     def test_unit_weights(self):
         s = BinnedSample.from_counts([3])
-        e = effective(s, 0)
-        assert e.n_eff == 3.0
-        assert e.s == 1.0
+        n_eff, scale = effective(s)
+        assert n_eff[0] == 3.0
+        assert scale[0] == 1.0
 
     def test_weights_two_two(self):
         # two entries of weight 2: sumw=4, sumw2=8
         s = BinnedSample([4.0], [8.0])
-        e = effective(s, 0)
-        assert e.n_eff == pytest.approx(2.0, rel=1e-15)
-        assert e.s == pytest.approx(0.5, rel=1e-15)
+        (n_eff,), (scale,) = effective(s)
+        assert n_eff == pytest.approx(2.0, rel=1e-15)
+        assert scale == pytest.approx(0.5, rel=1e-15)
         # consistency: n_eff * s == (sum w)^3 / (sum w^2)^2
-        assert e.n_eff * e.s == pytest.approx(4.0**3 / 8.0**2, rel=1e-14)
+        assert n_eff * scale == pytest.approx(4.0**3 / 8.0**2, rel=1e-14)
 
     def test_empty_bin_convention(self):
         s = BinnedSample([0.0], [0.0])
-        e = effective(s, 0)
-        assert (e.n_eff, e.s) == (0.0, 1.0)
-
-    def test_out_of_range(self):
-        s = BinnedSample.from_counts([1, 2])
-        with pytest.raises(IndexError):
-            effective(s, 2)
-        with pytest.raises(IndexError):
-            effective(s, -1)
+        (n_eff,), (scale,) = effective(s)
+        assert (n_eff, scale) == (0.0, 1.0)
 
     @given(st.lists(st.floats(1.0, 50.0), min_size=1, max_size=20))
     def test_unweighted_identity_property(self, counts):
         counts = [round(c) for c in counts]
         s = BinnedSample.from_counts(counts)
+        n_eff, scale = effective(s)
         for b in range(s.nbins):
-            e = effective(s, b)
-            assert e.n_eff == counts[b]
-            assert e.s == 1.0
+            assert n_eff[b] == counts[b]
+            assert scale[b] == 1.0
 
     def test_neff_below_sumw_for_unequal_weights(self):
         # weights {1, 3}: sumw=4, sumw2=10 -> n_eff=1.6 < 4
-        e = effective(BinnedSample([4.0], [10.0]), 0)
-        assert e.n_eff < 4.0
+        (n_eff,), _ = effective(BinnedSample([4.0], [10.0]))
+        assert n_eff < 4.0
         # equal weights {2, 2} reach the bound n_eff * mean_w = sumw
-        eq = effective(BinnedSample([4.0], [8.0]), 0)
-        assert eq.n_eff * 2.0 == pytest.approx(4.0)
+        (n_eq,), _ = effective(BinnedSample([4.0], [8.0]))
+        assert n_eq * 2.0 == pytest.approx(4.0)
 
 
 class TestTemplateModel:
@@ -146,32 +148,29 @@ class TestBinExpectation:
     def test_single_component_proportionality(self):
         # y=100, a[bin]=10, M=100 -> 10
         m = make_model([5, 5], [[10, 90]])
-        assert bin_expectation(m, [100.0], 0) == pytest.approx(10.0, rel=1e-15)
+        assert expectation(m, [100.0])[0] == pytest.approx(10.0, rel=1e-15)
 
     def test_zero_yields(self):
         m = make_model([5, 5], [[10, 90], [1, 1]])
-        assert bin_expectation(m, [0.0, 0.0], 0) == 0.0
+        assert expectation(m, [0.0, 0.0])[0] == 0.0
 
     def test_two_component_value(self):
         # a=(4,30), M=(100,1000), y=(250,750) -> 32.5
         m = make_model([5, 5], [[4, 96], [30, 970]])
-        assert bin_expectation(m, [250.0, 750.0], 0) == pytest.approx(32.5, rel=1e-14)
+        assert expectation(m, [250.0, 750.0])[0] == pytest.approx(32.5, rel=1e-14)
 
     def test_linear_in_yields(self):
         m = make_model([5, 5, 5], [[4, 6, 2], [30, 1, 9]])
         y = np.array([11.0, 7.0])
-        for b in range(3):
-            base = bin_expectation(m, y, b)
-            assert bin_expectation(m, 3.0 * y, b) == pytest.approx(3.0 * base, rel=1e-14)
+        base = expectation(m, y)
+        np.testing.assert_allclose(expectation(m, 3.0 * y), 3.0 * base, rtol=1e-14)
 
     def test_validation(self):
         m = make_model([5, 5], [[1, 1]])
         with pytest.raises(ValueError):
-            bin_expectation(m, [-1.0], 0)
+            expectation(m, [-1.0])
         with pytest.raises(ValueError):
-            bin_expectation(m, [1.0, 2.0], 0)
-        with pytest.raises(IndexError):
-            bin_expectation(m, [1.0], 5)
+            expectation(m, [1.0, 2.0])
 
 
 class TestJsonSchema:

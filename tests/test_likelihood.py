@@ -3,7 +3,9 @@
 Frozen expected values were computed with independent oracles: the
 Poisson pmf ratio for the single-bin statistic, one-dimensional numeric
 scans/minimizations for the profiled factors, and direct evaluation of
-the variance formula.
+the variance formula.  The values under test are read from
+:class:`CostFunction`, its call, diagnostics and per-bin kernels: the code
+that fits run.
 """
 
 import math
@@ -15,22 +17,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.optimize import minimize_scalar
 
-import templatefit as tf
-from templatefit import (
-    BinnedSample,
-    CostFunction,
-    Method,
-    TemplateModel,
-    beta_approx,
-    beta_conway,
-    q_approx,
-    q_approx_weighted,
-    q_conway,
-    q_conway_weighted,
-    q_exact,
-    q_poisson,
-    var_beta,
-)
+from templatefit import BinnedSample, CostFunction, Method, TemplateModel
 
 
 def make_model(data, comps, data_w2=None, comp_w2=None, names=()):
@@ -57,50 +44,72 @@ def qp_ref(n, mu):
     return 2.0 * (mu - n - n * math.log(mu / n))
 
 
+def profiled(method, model, y, weighted=False):
+    # the cost and per-bin diagnostics that a fit of ``method`` evaluates at y
+    cost = CostFunction(method, model, weighted=weighted)
+    return cost(y), cost.diagnostics(y)
+
+
+def bin_factor(method, n, a, mu0):
+    # the kernel's factor of one bin with data n, template content a and
+    # expectation mu0: K = 1, so y = mu0 gives m = (mu0/a) a and V = 1/a
+    return profiled(method, make_model([n], [[a]]), [mu0])[1].beta[0]
+
+
+def poisson_term(n, mu):
+    # the exact cost of a one-bin model at expectation mu and unit amplitude
+    # factor: the Poisson data term alone
+    return CostFunction(Method.EXACT, make_model([n], [[1.0]]))([mu, 1.0])
+
+
+def factor_variance(model, y, weighted=False):
+    # Conway's factor variance V per active bin, as the kernel forms it
+    cost = CostFunction(Method.CONWAY, model, weighted=weighted)
+    return cost._conway(cost.validate(y))[4]
+
+
+def exact_cost(model, y, betas):
+    # the exact cost at yields y and an (nbins, K) matrix of amplitude factors
+    cost = CostFunction(Method.EXACT, model)
+    return cost(cost.validate([*y, *np.asarray(betas)[cost.exact_slots()]]))
+
+
 class TestQPoisson:
     def test_saturated(self):
-        assert q_poisson(5.0, 5.0) == 0.0
+        assert poisson_term(5.0, 5.0) == 0.0
 
     def test_zero_count_limit(self):
-        assert q_poisson(0.0, 3.0) == 6.0
+        assert poisson_term(0.0, 3.0) == 6.0
 
     def test_frozen_value_and_pmf_oracle(self):
-        val = q_poisson(10.0, 9.0)
+        val = poisson_term(10.0, 9.0)
         assert val == pytest.approx(0.10721031315652585, rel=1e-13)
         oracle = -2.0 * math.log(stats.poisson.pmf(10, 9) / stats.poisson.pmf(10, 10))
         assert val == pytest.approx(oracle, rel=1e-12)
 
     def test_impossible_model(self):
-        assert q_poisson(3.0, 0.0) == math.inf
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            q_poisson(-1.0, 2.0)
-        with pytest.raises(ValueError):
-            q_poisson(1.0, -2.0)
-        with pytest.raises(ValueError):
-            q_poisson(float("nan"), 2.0)
+        assert poisson_term(3.0, 0.0) == math.inf
 
     @given(
         st.floats(0.0, 1e4),
         st.floats(1e-9, 1e4),
     )
     def test_nonnegative(self, n, mu):
-        assert q_poisson(n, mu) >= 0.0
+        assert poisson_term(n, mu) >= 0.0
 
     @given(st.floats(1e-6, 1e4))
     def test_zero_iff_saturated(self, n):
-        assert q_poisson(n, n) == 0.0
-        assert q_poisson(n, n * 1.5) > 0.0
-        assert q_poisson(n, n * 0.5) > 0.0
+        assert poisson_term(n, n) == 0.0
+        assert poisson_term(n, n * 1.5) > 0.0
+        assert poisson_term(n, n * 0.5) > 0.0
 
 
 class TestBetaApprox:
     def test_no_scaling_needed(self):
-        assert beta_approx(5.0, 5.0, 5.0) == 1.0
+        assert bin_factor(Method.APPROX, 5.0, 5.0, 5.0) == 1.0
 
     def test_frozen_value(self):
-        assert beta_approx(10.0, 2.0, 6.0) == 1.5
+        assert bin_factor(Method.APPROX, 10.0, 2.0, 6.0) == 1.5
 
     def test_is_argmin_of_bin_objective(self):
         # 1-d scan oracle around the analytic stationary point
@@ -111,25 +120,19 @@ class TestBetaApprox:
             method="bounded",
             options={"xatol": 1e-12},
         )
-        assert beta_approx(n, a, mu0) == pytest.approx(res.x, abs=1e-9)
+        assert bin_factor(Method.APPROX, n, a, mu0) == pytest.approx(res.x, abs=1e-9)
 
     def test_large_template_limit(self):
-        assert beta_approx(7.0, 1e12, 3.0) == pytest.approx(1.0, abs=1e-10)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            beta_approx(1.0, -1.0, 2.0)
-        with pytest.raises(ValueError):
-            beta_approx(1.0, 0.0, 0.0)
+        assert bin_factor(Method.APPROX, 7.0, 1e12, 3.0) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestBetaConway:
     def test_saturated_bin(self):
         for v in (0.01, 0.5, 10.0):
-            assert beta_conway(6.0, 6.0, v) == pytest.approx(1.0, rel=1e-14)
+            assert bin_factor(Method.CONWAY, 6.0, 1.0 / v, 6.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_frozen_value(self):
-        val = beta_conway(10.0, 6.0, 0.5)
+        val = bin_factor(Method.CONWAY, 10.0, 2.0, 6.0)
         assert val == pytest.approx((-2.0 + math.sqrt(24.0)) / 2.0, rel=1e-14)
         assert val == pytest.approx(1.4494897427831779, rel=1e-13)
         # satisfies the quadratic
@@ -145,30 +148,24 @@ class TestBetaConway:
             method="bounded",
             options={"xatol": 1e-12},
         )
-        assert beta_conway(n, mu0, v) == pytest.approx(res.x, abs=1e-7)
+        assert bin_factor(Method.CONWAY, n, 1.0 / v, mu0) == pytest.approx(res.x, abs=1e-7)
 
     def test_empty_count_root(self):
         # V*mu0 = 1 collapses the quadratic to beta^2 = 0
-        assert beta_conway(0.0, 4.0, 0.25) == 0.0
+        assert bin_factor(Method.CONWAY, 0.0, 4.0, 4.0) == 0.0
         # below that the root is 1 - V*mu0
-        assert beta_conway(0.0, 4.0, 0.1) == pytest.approx(0.6, rel=1e-14)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            beta_conway(1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            beta_conway(-1.0, 1.0, 1.0)
+        assert bin_factor(Method.CONWAY, 0.0, 10.0, 4.0) == pytest.approx(0.6, rel=1e-14)
 
 
 class TestVarBeta:
     def test_single_component_is_one_over_a(self):
         m = make_model([5, 5], [[10, 90]])
-        assert var_beta(m, [123.0], 0) == pytest.approx(0.1, rel=1e-14)
+        assert factor_variance(m, [123.0])[0] == pytest.approx(0.1, rel=1e-14)
 
     def test_two_component_frozen(self):
         # y=(250,750), M=(100,1000), a=(4,30)
         m = make_model([5, 5], [[4, 96], [30, 970]])
-        assert var_beta(m, [250.0, 750.0], 0) == pytest.approx(
+        assert factor_variance(m, [250.0, 750.0])[0] == pytest.approx(
             0.03964497041420118, rel=1e-13
         )
 
@@ -176,14 +173,20 @@ class TestVarBeta:
         # with equal bin contents and one dominant component the variance
         # collapses to 1/a; exact when the other yield vanishes
         m = make_model([5, 5], [[6, 94], [6, 194]])
-        assert var_beta(m, [77.0, 0.0], 0) == pytest.approx(1.0 / 6.0, rel=1e-13)
-        almost = var_beta(m, [77.0, 1e-6], 0)
+        assert factor_variance(m, [77.0, 0.0])[0] == pytest.approx(1.0 / 6.0, rel=1e-13)
+        almost = factor_variance(m, [77.0, 1e-6])[0]
         assert almost == pytest.approx(1.0 / 6.0, rel=1e-6)
 
     def test_zero_expectation_signals_skip(self):
+        # a bin without template content is not active; one whose content
+        # sits in a component of zero yield is dead and has no factor
         m = make_model([5, 5], [[0, 100], [0, 200]])
-        with pytest.raises(ValueError, match="skip"):
-            var_beta(m, [10.0, 10.0], 0)
+        assert CostFunction(Method.CONWAY, m).nbins_active == 1
+        m = make_model([0, 5], [[0, 100], [4, 200]])
+        cost = CostFunction(Method.CONWAY, m)
+        live = cost._conway(np.array([10.0, 0.0]))[0]
+        np.testing.assert_array_equal(live, [False, True])
+        assert math.isnan(cost.diagnostics([10.0, 0.0]).beta[0])
 
     def test_weighted_uses_sumw2(self):
         # template weights {2,2}: sumw=4, sumw2=8 -> V = 8/16 = 0.5
@@ -192,22 +195,22 @@ class TestVarBeta:
             [[4, 96]],
             comp_w2=[[8, 96]],
         )
-        assert var_beta(m, [200.0], 0, weighted=True) == pytest.approx(0.5, rel=1e-14)
-        assert var_beta(m, [200.0], 0, weighted=False) == pytest.approx(0.25, rel=1e-14)
+        assert factor_variance(m, [200.0], weighted=True)[0] == pytest.approx(0.5, rel=1e-14)
+        assert factor_variance(m, [200.0], weighted=False)[0] == pytest.approx(0.25, rel=1e-14)
 
 
 class TestQApprox:
     def test_saturated_model(self):
         # data equals expectation in every bin at these yields
         m = make_model([10, 90], [[10, 90]])
-        q, diag = q_approx(m, [100.0])
+        q, diag = profiled(Method.APPROX, m, [100.0])
         assert q == 0.0
         np.testing.assert_allclose(diag.beta, [1.0, 1.0])
 
     def test_single_bin_frozen(self):
         # bin 0: n=10, a=2, mu0=6 at y=300, M=100; bin 1 saturates exactly
         m = make_model([10, 294], [[2, 98]])
-        q, diag = q_approx(m, [300.0])
+        q, diag = profiled(Method.APPROX, m, [300.0])
         assert diag.beta[0] == pytest.approx(1.5, rel=1e-14)
         assert diag.contributions[1] == 0.0
         assert q == pytest.approx(0.4853498807238683, rel=1e-12)
@@ -217,7 +220,7 @@ class TestQApprox:
         rng = np.random.default_rng(1)
         m = make_model(rng.poisson(20, 9), [rng.poisson(5, 9) + 1, rng.poisson(3, 9)])
         y = [55.0, 23.0]
-        q, diag = q_approx(m, y)
+        q, diag = profiled(Method.APPROX, m, y)
         assert q == pytest.approx(diag.contributions.sum(), rel=1e-13)
 
     def test_infinite_template_limit(self):
@@ -231,14 +234,14 @@ class TestQApprox:
         m = make_model(n, [a1 * 1e6, a2 * 1e6])
         for _ in range(5):
             y = truth * rng.uniform(0.9, 1.1, size=2)
-            q, _ = q_approx(m, y)
-            mu0 = np.array([tf.bin_expectation(m, y, b) for b in range(m.nbins)])
+            q, _ = profiled(Method.APPROX, m, y)
+            mu0 = (y / m.norms) @ m.component_sumw()
             plain = sum(qp_ref(n[b], mu0[b]) for b in range(m.nbins))
             assert q == pytest.approx(plain, abs=1e-3)
 
     def test_zero_template_bins_skipped(self):
         m = make_model([7, 10, 3], [[0, 5, 5], [0, 2, 8]])
-        q, diag = q_approx(m, [10.0, 10.0])
+        q, diag = profiled(Method.APPROX, m, [10.0, 10.0])
         assert math.isnan(diag.beta[0])
         assert diag.contributions[0] == 0.0
         assert math.isfinite(q)
@@ -248,30 +251,30 @@ class TestQApprox:
     def test_impossible_model_is_infinite(self):
         # active bin with data but zero expectation at these yields
         m = make_model([7, 10], [[0, 5], [4, 2]])
-        q, _ = q_approx(m, [10.0, 0.0])
+        q, _ = profiled(Method.APPROX, m, [10.0, 0.0])
         assert q == math.inf
 
     def test_validation(self):
         m = make_model([7, 10], [[1, 5]])
         with pytest.raises(ValueError):
-            q_approx(m, [-1.0])
+            profiled(Method.APPROX, m, [-1.0])
         with pytest.raises(ValueError):
-            q_approx(m, [float("nan")])
+            profiled(Method.APPROX, m, [float("nan")])
         with pytest.raises(ValueError):
-            q_approx(m, [1.0, 2.0])
+            profiled(Method.APPROX, m, [1.0, 2.0])
 
 
 class TestQConway:
     def test_saturated_model(self):
         m = make_model([10, 90], [[10, 90]])
-        q, diag = q_conway(m, [100.0])
+        q, diag = profiled(Method.CONWAY, m, [100.0])
         assert q == 0.0
         np.testing.assert_allclose(diag.beta, [1.0, 1.0])
 
     def test_single_bin_frozen(self):
         # bin 0: n=10, mu0=6, a=2 -> V=1/2, beta=1.44949; bin 1 saturates
         m = make_model([10, 294], [[2, 98]])
-        q, diag = q_conway(m, [300.0])
+        q, diag = profiled(Method.CONWAY, m, [300.0])
         assert diag.beta[0] == pytest.approx(1.4494897427831779, rel=1e-12)
         assert q == pytest.approx(0.5902395870171736, rel=1e-12)
         beta = diag.beta[0]
@@ -279,14 +282,14 @@ class TestQConway:
 
     def test_small_variance_limit(self):
         m = make_model([10, 294], [[2 * 10**6, 98 * 10**6]])
-        q, diag = q_conway(m, [300.0])
+        q, diag = profiled(Method.CONWAY, m, [300.0])
         assert diag.beta[0] == pytest.approx(1.0, abs=1e-5)
         assert q == pytest.approx(qp_ref(10, 6) + qp_ref(294, 294), abs=1e-3)
 
     def test_contributions_sum_to_q(self):
         rng = np.random.default_rng(3)
         m = make_model(rng.poisson(20, 7), [rng.poisson(5, 7) + 1, rng.poisson(3, 7)])
-        q, diag = q_conway(m, [50.0, 20.0])
+        q, diag = profiled(Method.CONWAY, m, [50.0, 20.0])
         assert q == pytest.approx(diag.contributions.sum(), rel=1e-13)
 
     def test_empty_bin_root_without_fp_warning(self):
@@ -308,7 +311,7 @@ class TestQExact:
     def test_saturated_at_unit_betas(self):
         m = make_model([10, 90], [[5, 45], [5, 45]])
         # mu(bin) = y1*a1/M1 + y2*a2/M2 = 10, 90 at y=(50, 50)
-        q = q_exact(m, [50.0, 50.0], np.ones((2, 2)))
+        q = exact_cost(m, [50.0, 50.0], np.ones((2, 2)))
         assert q == 0.0
 
     def test_two_component_bin_contribution(self):
@@ -322,7 +325,7 @@ class TestQExact:
 
     def test_component_terms_vanish_at_unit_betas(self):
         m = make_model([10, 1000], [[3, 97], [4, 996]])
-        q = q_exact(m, [250.0, 750.0], np.ones((2, 2)))
+        q = exact_cost(m, [250.0, 750.0], np.ones((2, 2)))
         # only the data terms remain
         expected = qp_ref(10, 10.5) + qp_ref(1000, 250 * 0.97 + 750 * 0.996)
         assert q == pytest.approx(expected, rel=1e-12)
@@ -338,23 +341,21 @@ class TestQExact:
             a[1] = 3.0
         m = make_model(n, [a])
         for y in (100.0, 250.0, 317.5):
-            qa, diag = q_approx(m, [y])
+            qa, diag = profiled(Method.APPROX, m, [y])
             betas = np.where(np.isnan(diag.beta), 1.0, diag.beta)[:, None]
-            qe = q_exact(m, [y], betas)
+            qe = exact_cost(m, [y], betas)
             assert qe == pytest.approx(qa, rel=1e-13, abs=1e-13)
 
     def test_beta_matrix_validation(self):
         m = make_model([10, 20], [[3, 7]])
         with pytest.raises(ValueError):
-            q_exact(m, [10.0], np.zeros((2, 1)))
-        with pytest.raises(ValueError):
-            q_exact(m, [10.0], np.ones((3, 1)))
+            exact_cost(m, [10.0], np.zeros((2, 1)))
 
     def test_nan_on_empty_slots_allowed(self):
         m = make_model([10, 20], [[0, 7], [2, 5]])
         betas = np.ones((2, 2))
         betas[0, 0] = np.nan  # slot without content; must be ignored
-        q = q_exact(m, [10.0, 10.0], betas)
+        q = exact_cost(m, [10.0, 10.0], betas)
         assert math.isfinite(q)
 
 
@@ -425,8 +426,8 @@ class TestCostFunctionStructure:
         m = make_model(n, [c1, c2])
         mp = make_model(n, [c2, c1])
         y = np.array([40.0, 70.0])
-        assert q_approx(m, y)[0] == q_approx(mp, y[::-1])[0]
-        assert q_conway(m, y)[0] == q_conway(mp, y[::-1])[0]
+        assert profiled(Method.APPROX, m, y)[0] == profiled(Method.APPROX, mp, y[::-1])[0]
+        assert profiled(Method.CONWAY, m, y)[0] == profiled(Method.CONWAY, mp, y[::-1])[0]
 
     def test_permutation_symmetry_k3(self):
         rng = np.random.default_rng(6)
@@ -436,8 +437,8 @@ class TestCostFunctionStructure:
         perm = [2, 0, 1]
         m = make_model(n, comps)
         mp = make_model(n, [comps[i] for i in perm])
-        qa = q_approx(m, y)[0]
-        qb = q_approx(mp, y[perm])[0]
+        qa = profiled(Method.APPROX, m, y)[0]
+        qb = profiled(Method.APPROX, mp, y[perm])[0]
         assert qb == pytest.approx(qa, rel=1e-12)
 
 
@@ -453,7 +454,7 @@ class TestScoreEquations:
         for _ in range(500):
             n, a, mu0 = rng.uniform(0.0, 100.0, size=3)
             a = max(a, 1e-3)
-            beta = beta_approx(n, a, mu0)
+            beta = bin_factor(Method.APPROX, n, a, mu0)
             obj = lambda b: qp_ref(n, b * mu0) + qp_ref(a, b * a)
             qb = obj(beta)
             assert abs(self._score(obj, beta)) < 1e-8 * (1.0 + abs(qb)) * 100
@@ -464,7 +465,7 @@ class TestScoreEquations:
             n, a, mu0 = rng.uniform(0.0, 100.0, size=3)
             a = max(a, 1e-3)
             v = 1.0 / a
-            beta = beta_conway(n, mu0, v)
+            beta = bin_factor(Method.CONWAY, n, a, mu0)
             if beta <= 1e-9:
                 continue  # constrained at zero, score need not vanish
             obj = lambda b: qp_ref(n, b * mu0) + (b - 1.0) ** 2 / v
@@ -490,11 +491,11 @@ class TestWeighted:
             c2 = rng.poisson(3, nb)
             m = make_model(n, [c1, c2])
             y = rng.uniform(5.0, 300.0, size=2)
-            qa, da = q_approx(m, y)
-            qaw, daw = q_approx_weighted(m, y)
+            qa, da = profiled(Method.APPROX, m, y)
+            qaw, daw = profiled(Method.APPROX, m, y, weighted=True)
             assert qaw == pytest.approx(qa, rel=1e-12, abs=1e-12)
-            qc, dc = q_conway(m, y)
-            qcw, dcw = q_conway_weighted(m, y)
+            qc, dc = profiled(Method.CONWAY, m, y)
+            qcw, dcw = profiled(Method.CONWAY, m, y, weighted=True)
             assert qcw == pytest.approx(qc, rel=1e-12, abs=1e-12)
             # integer counts make the weighted factor formula reduce exactly
             np.testing.assert_array_equal(
@@ -509,14 +510,14 @@ class TestWeighted:
             [[4, 96]],
             data_w2=[8, 192],
         )
-        q, diag = q_approx_weighted(m, [200.0])
+        q, diag = profiled(Method.APPROX, m, [200.0], weighted=True)
         assert diag.beta[0] == pytest.approx(0.75, rel=1e-14)
         assert diag.contributions[1] == pytest.approx(0.0, abs=1e-12)
         assert q == pytest.approx(qp_ref(2, 3) + qp_ref(4, 3), rel=1e-12)
 
     def test_weighted_empty_data_bin(self):
         m = make_model([0, 100], [[5, 95]], data_w2=[0, 100])
-        q, diag = q_approx_weighted(m, [80.0])
+        q, diag = profiled(Method.APPROX, m, [80.0], weighted=True)
         mu0 = 80.0 * 5 / 100
         expected_beta = 5.0 / (mu0 + 5.0)
         assert diag.beta[0] == pytest.approx(expected_beta, rel=1e-13)
@@ -525,7 +526,7 @@ class TestWeighted:
 
     def test_weighted_conway_small_variance_limit(self):
         m = make_model([10, 294], [[2 * 10**6, 98 * 10**6]])
-        q, diag = q_conway_weighted(m, [300.0])
+        q, diag = profiled(Method.CONWAY, m, [300.0], weighted=True)
         assert diag.beta[0] == pytest.approx(1.0, abs=1e-5)
 
 
@@ -545,9 +546,9 @@ def test_all_costs_nonnegative(nbins, seed):
         c2[-1] = 1
     m = make_model(n, [c1, c2])
     y = rng.uniform(0.0, 200.0, size=2)
-    assert q_approx(m, y)[0] >= 0.0
-    assert q_conway(m, y)[0] >= 0.0
-    assert q_approx_weighted(m, y)[0] >= 0.0
+    assert profiled(Method.APPROX, m, y)[0] >= 0.0
+    assert profiled(Method.CONWAY, m, y)[0] >= 0.0
+    assert profiled(Method.APPROX, m, y, weighted=True)[0] >= 0.0
     cost = CostFunction(Method.EXACT, m)
     betas = rng.uniform(0.5, 2.0, size=cost.nparams - 2)
     assert cost(np.concatenate([y, betas])) >= 0.0
