@@ -42,7 +42,6 @@ from .toys import (
     bin_probabilities,
     draw,
     draw_counts,
-    poisson,
     rng_stream,
     to_model,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "bin_probabilities",
     "draw",
     "draw_counts",
-    "poisson",
     "rng_stream",
     "to_model",
     "__version__",

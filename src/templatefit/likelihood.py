@@ -36,7 +36,11 @@ freedom.
 :class:`CostFunction` evaluates one fit's cost, :class:`CostStack` the
 unweighted profiled costs of many fits at once.  One per-bin kernel per
 method computes the factors and cost terms for the value, the
-per-bin :meth:`CostFunction.diagnostics` and the closed-form derivatives.
+per-bin :meth:`CostFunction.diagnostics` and the closed-form derivatives,
+with one expression for the bin expectation and one path for weighted and
+unweighted costs: the effective-count scale ``s`` is 1 for unweighted
+costs and pad bins, and scaling by 1 is exact.  A cost function evaluates
+a single vector as a one-row stack.
 """
 
 from __future__ import annotations
@@ -201,16 +205,17 @@ class _PerBin:
     # addition is commutative, so relabeling components permutes operands
     # without changing any bit of the result (exact for two components)
 
-    def _expectation(self, y: np.ndarray) -> np.ndarray:
+    def _expectation(self, y: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
         """``m = sum_k y_k a_k / M_k`` per bin: the expectation before the effective-count
-        scale ``s``, so ``mu0 = s m``."""
-        return np.add.reduce((y / self._norms)[..., :, None] * self._a, axis=-2)
+        scale ``s``, so ``mu0 = s m``; ``a`` defaults to the template contents."""
+        a = self._a if a is None else a
+        return np.add.reduce((y / self._norms)[..., :, None] * a, axis=-2)
 
     def _approx(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Factor ``(n + a)/(mu0 + a)``, data terms, ``beta - 1 - ln beta`` and ``m`` per bin,
         ``m`` from :meth:`_expectation`."""
         m = self._expectation(y)
-        mu0 = self._s * m if self.weighted else m
+        mu0 = self._s * m
         a = self._a_eff
         beta = self._na / (mu0 + a)
         terms = _qp_terms(self._n, self._npos, beta * mu0, self._nlogn)
@@ -226,7 +231,7 @@ class _PerBin:
         finite; callers mask them out.
         """
         scale = y / self._norms
-        mu0_raw = np.add.reduce(scale[..., :, None] * self._a, axis=-2)
+        mu0_raw = self._expectation(y)
         vnum = np.add.reduce((scale * scale)[..., :, None] * self._v, axis=-2)
         live = mu0_raw > 0.0
         if np.count_nonzero(live) == live.size:
@@ -235,7 +240,7 @@ class _PerBin:
         else:
             mu0g = np.where(live, mu0_raw, 1.0)
             var = np.where(live, vnum / (mu0g * mu0g), 1.0)
-        mu0 = self._s * mu0_raw if self.weighted else mu0_raw
+        mu0 = self._s * mu0_raw
         b = var * mu0 - 1.0
         # (4 V) n and V (4 n) round alike: scaling by a power of two is exact
         disc = np.sqrt(b * b + var * self._4n)
@@ -303,7 +308,7 @@ class _PerBin:
     def _value_and_gradient(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and gradients in the yields; NaN gradients where the value is infinite."""
         value, live, beta, m, var = self._profile(y)
-        dm = (2.0 * beta * self._s if self.weighted else 2.0 * beta) - self._2n / m
+        dm = 2.0 * beta * self._s - self._2n / m
         if self.method is Method.APPROX:
             gradient = self._bin_matvec(self._c, dm)
         else:
@@ -496,16 +501,14 @@ class CostFunction(_PerBin):
     def __call__(self, params):
         """Cost of one parameter vector, or of every row of an ``(m, nparams)`` stack.
 
-        A vector gives a ``float``; a stack gives ``m`` values, each equal bit
-        for bit to the cost of its row alone.
+        A vector gives a ``float``, the value of the one-row stack of it; a
+        stack gives ``m`` values, each equal bit for bit to the cost of its
+        row alone.
         """
         p = np.asarray(params, dtype=np.float64)
         if p.ndim == 2 and p.shape[1] == self.nparams:
             return self._stacked(p)
-        p = self._checked(p)
-        if self._outside(p):
-            return math.inf
-        return max(0.0, float(self._total(p)))
+        return float(self._stacked(self._checked(p)[None])[0])
 
     def _stacked(self, p: np.ndarray) -> np.ndarray:
         p, bad = self._inside(p)
@@ -537,7 +540,7 @@ class CostFunction(_PerBin):
         B = np.ones(p.shape[:-1] + self._a.shape)
         B[..., self._slot_comp, self._slot_bin] = betas
         aB = self._a * B
-        mu = np.add.reduce((p[..., :K] / self._norms)[..., :, None] * aB, axis=-2)
+        mu = self._expectation(p[..., :K], aB)
         return _qp_terms(self._n, self._npos, mu, self._nlogn), betas - 1.0 - np.log(betas), mu, aB
 
     def value_and_gradient(self, params) -> tuple[float, np.ndarray]:
@@ -642,7 +645,6 @@ class CostStack(_PerBin):
     outside the domain evaluate to ``+inf`` with NaN derivatives.
     """
 
-    weighted = False
     # the per-bin fields of ``_set_fields``, one row per fit
     _BIN_FIELDS = (
         "_n", "_a", "_v", "_s", "_a_eff", "_nlogn", "_npos", "_2n", "_4n", "_na", "_c", "_d",
@@ -680,6 +682,7 @@ class CostStack(_PerBin):
         out = object.__new__(cls)
         out.method = method
         out._domain_lo = np.zeros(templates.shape[1])
+        out._data_totals = np.add.reduce(data, axis=-1)  # each row's data total
         out._set_counts(np.count_nonzero(active, axis=-1))
         # each row's active bins, in order, then its pad bins
         bins = np.argsort(~active, axis=-1, kind="stable")[:, : out._width]
@@ -722,7 +725,7 @@ class CostStack(_PerBin):
         """The stack of the costs at ``rows``, in that order."""
         out = object.__new__(type(self))
         out.method, out._domain_lo = self.method, self._domain_lo
-        out._norms = self._norms[rows]
+        out._norms, out._data_totals = self._norms[rows], self._data_totals[rows]
         out._set_counts(self._counts[rows])
         for name in self._BIN_FIELDS:
             setattr(out, name, getattr(self, name)[rows, ..., : out._width])

@@ -40,7 +40,7 @@ One function, ``_fit_rows``, turns the end of every fit into its
 Every fit starts, unless told otherwise, from :func:`default_start`: the
 data total split equally over the yields and taken one EM step of the
 plain Poisson template fit on, which costs no evaluation and brings the
-yields near the minimum; ``run_study``'s stacks take the same step.
+yields near the minimum; ``run_study``'s stacks start from ``default_start(stack)``.
 
 Every method's Hessian is closed form, ``CostFunction.hessian``: the
 initial inverse-curvature scaling is the inverse diagonal of the Hessian
@@ -164,10 +164,10 @@ class _Counted:
     Every evaluation goes through the cost function's own methods, so a
     subclass that overrides them is honoured.  Costs with closed-form
     gradients (``approx``, ``conway``) give the value and gradient in one
-    pass, counting as one evaluation.  ``exact`` takes its value by the
-    vector call, at the start too, and its gradient from a stencil whose
-    points ``values`` evaluates in stacked calls of at most ``rows``, each
-    counting as one evaluation.  Every method's Hessian is closed form and
+    pass, counting as one evaluation.  ``exact`` takes its value by a
+    one-row stacked call, at the start too, and its gradient from a stencil
+    whose points ``values`` evaluates in stacked calls of at most ``rows``,
+    each counting as one evaluation.  Every method's Hessian is closed form and
     counts as one evaluation.
     """
 
@@ -209,7 +209,7 @@ class _Counted:
         """
         self.calls += 1
         if not self.closed_form:
-            return np.array([self._cost(x[0])]), None
+            return self._cost(x), None
         try:
             value, gradient = self._cost.value_and_gradient(x[0])
         except ValueError:
@@ -398,14 +398,19 @@ def _directions(hinv: np.ndarray, g: np.ndarray, held: np.ndarray | None) -> np.
     return p
 
 
-def default_start(cost: CostFunction) -> np.ndarray:
+def default_start(cost: CostFunction | CostStack) -> np.ndarray:
     """Default start point: one EM step from the observed total split equally over the yields.
 
     The step (``_PerBin._em_step``) moves the yields towards the plain
     Poisson fit at the cost of two products over bins, and counts as no
     evaluation; a split that is not finite stays as it is.  Exact-method
     amplitude factors start at 1, their large-template asymptotic value.
+    A :class:`~templatefit.likelihood.CostStack` gets the ``(T, K)`` starts
+    of its rows, each its row's cost function's start bit for bit.
     """
+    if isinstance(cost, CostStack):
+        K = cost.nparams
+        return cost._em_step(np.repeat(cost._data_totals[:, None] / K, K, axis=1))
     K = cost.model.ncomponents
     start = np.ones(cost.nparams)
     start[:K] = cost._em_step(np.full(K, cost.model.data.total / K))

@@ -33,7 +33,7 @@ import numpy as np
 
 from .histogram import TemplateModel
 from .likelihood import CostFunction, CostStack, Method
-from .minimize import _minimize_stacks, fit, minimize
+from .minimize import _minimize_stacks, default_start, fit, minimize
 from .toys import ToyConfig, ToyDraw, draw_counts, to_model
 
 __all__ = [
@@ -159,13 +159,9 @@ def _fit_toys(args) -> list[PullRecord]:
     active = np.count_nonzero(np.add.reduce(templates, axis=-2) > 0.0, axis=-1)
     toys = toys[np.argsort(active[toys], kind="stable")]
     data, templates = data[toys], templates[toys]
-    K = templates.shape[1]
-    # the data total split equally over the yields; each stack takes it one
-    # EM step on, as default_start does
-    split = np.repeat(np.add.reduce(data, axis=-1)[:, None] / K, K, axis=1)
     profiled = [m for m in methods if m != Method.EXACT.value]
     stacks = [CostStack.from_counts(m, data, templates) for m in profiled]
-    fitted = dict(zip(profiled, _minimize_stacks(stacks, [s._em_step(split) for s in stacks])))
+    fitted = dict(zip(profiled, _minimize_stacks(stacks, [default_start(s) for s in stacks])))
     for m in methods:
         if m in fitted:
             results = fitted[m]
@@ -254,22 +250,18 @@ def summarize(records) -> list[PullStats]:
 
 
 def bench(
-    model: TemplateModel,
-    methods=("exact", "conway", "approx"),
-    repetitions: int = 11,
-    *,
-    warmup: int = 2,
+    model: TemplateModel, methods=("exact", "conway", "approx"), repetitions: int = 11
 ) -> dict[str, float]:
     """Median wall-clock seconds of one full fit (minimize plus covariance) per method.
 
-    All methods are timed on the identical model.  After ``warmup``
-    discarded rounds, each of the ``repetitions`` rounds times one fit per
+    All methods are timed on the identical model.  After two discarded
+    warm-up rounds, each of the ``repetitions`` rounds times one fit per
     method, so a slow phase of the host hits every method alike.
     """
     if repetitions < 3:
         raise ValueError(f"need at least 3 repetitions, got {repetitions}")
     methods = _normalize_methods(methods)
-    for _ in range(warmup):
+    for _ in range(2):
         for m in methods:
             fit(model, m)
     times = {m: [] for m in methods}

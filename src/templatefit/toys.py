@@ -10,16 +10,20 @@ The background density is taken as ``exp(-slope * x)`` on the range, a
 decay constant equal to the configured slope.
 
 Streams are counter-based (Philox keyed by seed and toy index), and the
-Poisson sampler consumes only raw uniforms from the stream, so draws are
-reproducible for a given (seed, toy_index) pair independent of the
-backing library's own distribution samplers.
+Poisson samplers (``_poisson_block``, which draws every toy) consume only
+raw uniforms from the stream, so draws are reproducible for a given
+(seed, toy_index) pair independent of the backing library's own
+distribution samplers.  :class:`ToyConfig` rejects non-finite fields and
+shapes without finite bin probabilities on the range, so every Poisson
+mean is finite and nonnegative.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, fields
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,7 +35,6 @@ __all__ = [
     "ToyDraw",
     "bin_probabilities",
     "rng_stream",
-    "poisson",
     "draw",
     "draw_counts",
     "to_model",
@@ -61,18 +64,26 @@ class ToyConfig:
         lo, hi = self.range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"range must be a finite interval, got {self.range}")
-        if self.nbins < 1:
-            raise ValueError(f"nbins must be at least 1, got {self.nbins}")
+        if not isinstance(self.nbins, numbers.Integral) or self.nbins < 1:
+            raise ValueError(f"nbins must be an integer of at least 1, got {self.nbins!r}")
+        for name in ("signal_yield", "background_yield", "signal_mean", "signal_sigma",
+                     "background_slope", "n_mc"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.signal_sigma <= 0:
             raise ValueError(f"signal_sigma must be positive, got {self.signal_sigma}")
         if self.signal_yield < 0 or self.background_yield < 0:
             raise ValueError("yields must be nonnegative")
         if self.n_mc < 0:
             raise ValueError(f"n_mc must be nonnegative, got {self.n_mc}")
+        if not all(np.isfinite(p).all() for p in self._shapes()):
+            raise ValueError(f"the shapes have no finite bin probabilities on {self.range}")
 
-    def to_dict(self) -> dict:
-        """JSON-ready plain dict (field names as attribute names)."""
-        return {**asdict(self), "range": list(self.range)}
+    def _shapes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only per-bin probabilities of the signal and background shapes."""
+        return _shape_probabilities(
+            self.range, self.nbins, self.signal_mean, self.signal_sigma, self.background_slope
+        )
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ToyConfig":
@@ -110,25 +121,25 @@ def bin_probabilities(config: ToyConfig) -> tuple[np.ndarray, np.ndarray]:
     Each vector sums to one; the signal uses the normal CDF, the
     background the closed-form integral of the truncated exponential.
     """
-    signal, background = _shape_probabilities(
-        config.range, config.nbins, config.signal_mean, config.signal_sigma, config.background_slope
-    )
+    signal, background = config._shapes()
     return signal.copy(), background.copy()
 
 
 @functools.lru_cache(maxsize=64)
 def _shape_probabilities(range_, nbins, mean, sigma, slope) -> tuple[np.ndarray, np.ndarray]:
     # cached per shape: every toy of a study draws from the same probabilities
+    # a shape out of reach of the range gives NaN here, which ToyConfig rejects
     lo, hi = range_
     edges = np.linspace(lo, hi, nbins + 1)
     z = (edges - mean) / sigma
     cdf = np.array([normal_cdf(v) for v in z])
-    signal = np.diff(cdf) / (cdf[-1] - cdf[0])
-    if slope == 0.0:
-        background = np.diff(edges) / (hi - lo)
-    else:
-        expo = np.exp(-slope * edges)
-        background = -np.diff(expo) / (expo[0] - expo[-1])
+    with np.errstate(all="ignore"):
+        signal = np.diff(cdf) / (cdf[-1] - cdf[0])
+        if slope == 0.0:
+            background = np.diff(edges) / (hi - lo)
+        else:
+            expo = np.exp(-slope * edges)
+            background = -np.diff(expo) / (expo[0] - expo[-1])
     signal.flags.writeable = False
     background.flags.writeable = False
     return signal, background
@@ -154,27 +165,6 @@ def _key(seed: int, toy_index: int) -> tuple[int, int]:
 
 _PTRS_SWITCH = 30.0
 _SPARE = 32  # uniforms a block draw takes beyond one attempt per mean, for rejections
-
-
-def poisson(rng: np.random.Generator, mu: float) -> int:
-    """One Poisson draw built from raw uniforms of the stream.
-
-    Sequential-search inversion below mean 30, transformed rejection with
-    squeeze above.  Both are exact samplers; using them instead of the
-    generator's own keeps draws stable across library versions.  Takes
-    one uniform below mean 30 and two per rejection attempt above.
-    """
-    if mu < 0 or not math.isfinite(mu):
-        raise ValueError(f"mean must be finite and nonnegative, got {mu}")
-    if mu == 0.0:
-        return 0
-    if mu < _PTRS_SWITCH:
-        return _inversion(mu, rng.random())
-    ptrs = _ptrs_constants(mu)
-    while True:
-        k = _ptrs_attempt(ptrs, rng.random(), rng.random())
-        if k is not None:
-            return k
 
 
 def _inversion(mu: float, u: float) -> int:
@@ -224,11 +214,14 @@ def _plan(means: list[float]) -> tuple[list, int]:
 def _poisson_block(rng: np.random.Generator, means: list[float], plan=None) -> list[int]:
     """Poisson draws for ``means``, in order, from uniforms taken in one block.
 
-    Each draw reads the uniforms that the scalar :func:`poisson` calls would
-    read, in the same order, so the counts equal theirs; the block runs past
-    the last uniform used, so the stream is left further on than the scalar
-    calls leave it.  ``plan`` is ``_plan(means)``, made once for draws that
-    share their means.
+    Sequential-search inversion below mean 30 takes one uniform per draw,
+    transformed rejection with squeeze above takes two per attempt.  Both
+    are exact samplers; using them instead of the generator's own keeps
+    draws stable across library versions.  Each draw reads the uniforms
+    that one such sampler call per mean would read, in the same order; the
+    block runs past the last uniform used, so a stream serves one block.
+    The means are finite and nonnegative, as :func:`_means` gives them;
+    ``plan`` is ``_plan(means)``, made once for draws that share their means.
     """
     ptrs, first = _plan(means) if plan is None else plan
     u = rng.random(first + _SPARE).tolist()
@@ -258,9 +251,7 @@ def _poisson_block(rng: np.random.Generator, means: list[float], plan=None) -> l
 def _means(config: ToyConfig) -> list[float]:
     """Poisson means of a toy's bins in draw order: data signal, data background,
     signal template, background template."""
-    p_sig, p_bkg = _shape_probabilities(
-        config.range, config.nbins, config.signal_mean, config.signal_sigma, config.background_slope
-    )
+    p_sig, p_bkg = config._shapes()
     means = np.concatenate(
         [
             config.signal_yield * p_sig,

@@ -1,12 +1,16 @@
-"""Every public name has a use outside the tests.
+"""Every public name has a use outside the tests, and every other name has one in the code.
 
 A name in ``templatefit.__all__`` must appear in the package's own code
 (other than its definition, ``__init__.py`` and the ``__all__`` lists), in
 the benchmark harness under ``perfbench/`` (its tests excluded) or in
-README.md.  A function only the tests call is a second copy of what the
-fits compute, and the tests should check the code the fits run instead.
+README.md.  Every other function, class and method the package defines,
+dunders aside, must appear in the package's code or in that harness code;
+README mentions do not count for them.  A function only the tests call is
+a second copy of what the fits compute, and the tests should check the
+code the fits run instead.
 """
 
+import ast
 import io
 import re
 import tokenize
@@ -29,21 +33,37 @@ def _code_names(path: Path) -> set[str]:
     return names
 
 
-def _used_names() -> set[str]:
+PACKAGE = sorted((ROOT / "src" / "templatefit").glob("*.py"))
+
+
+def _code_uses() -> set[str]:
     used = set()
-    for path in (ROOT / "src" / "templatefit").glob("*.py"):
+    for path in PACKAGE:
         if path.name != "__init__.py":
             used |= _code_names(path)
     bench = ROOT / "perfbench"
     for path in bench.rglob("*.py"):
         if bench / "tests" not in path.parents:
             used |= _code_names(path)
-    used |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     return used
 
 
 def test_every_public_name_has_a_use_outside_the_tests():
     public = [name for name in tf.__all__ if name != "__version__"]
-    unused = sorted(set(public) - _used_names())
+    used = _code_uses() | set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    unused = sorted(set(public) - used)
     assert not unused, f"public names that only tests use: {unused}"
+
+
+def test_every_private_name_has_a_use_in_the_code():
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined = {
+        node.name
+        for path in PACKAGE
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, kinds)
+    }
+    private = {n for n in defined - set(tf.__all__) if not (n.startswith("__") and n.endswith("__"))}
+    unused = sorted(private - _code_uses())
+    assert not unused, f"functions, classes and methods that only tests use: {unused}"
 

@@ -364,6 +364,17 @@ def test_bad_toy_input_is_a_one_line_error(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("config", [{"signal_mean": float("nan")}, {"nbins": 15.5}])
+def test_bad_toy_config_file_is_a_one_line_error(tmp_path, capsys, config):
+    out = tmp_path / "out.csv"
+    argv = ["toy-study", "--seed", "1", "--n-toys", "3", "--n-mc", "50", "--methods", "approx"]
+    argv += ["--input", write_input(tmp_path, config), "--output", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad toy config: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "templatefit", "--help"],

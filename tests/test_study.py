@@ -256,15 +256,15 @@ class TestBench:
     def test_returns_positive_medians(self):
         cfg = ToyConfig(seed=12, nbins=5, n_mc=200)
         model = tf.to_model(cfg, tf.draw(cfg, tf.rng_stream(12, 0)))
-        times = bench(model, ["approx", "conway"], repetitions=3, warmup=1)
+        times = bench(model, ["approx", "conway"], repetitions=3)
         assert set(times) == {"approx", "conway"}
         assert all(t > 0 for t in times.values())
 
     def test_methods_timed_round_robin(self, monkeypatch):
         calls = []
         monkeypatch.setattr(study, "fit", lambda model, m: calls.append(m))
-        bench(None, ["approx", "conway"], repetitions=3, warmup=1)
-        assert calls == ["approx", "conway"] * 4
+        bench(None, ["approx", "conway"], repetitions=3)
+        assert calls == ["approx", "conway"] * 5  # two warm-up rounds, three timed
 
     def test_repetitions_validated(self):
         cfg = ToyConfig(seed=12, nbins=5)
