@@ -40,7 +40,7 @@ per-bin :meth:`CostFunction.diagnostics` and the closed-form derivatives,
 with one expression for the bin expectation and one path for weighted and
 unweighted costs: the effective-count scale ``s`` is 1 for unweighted
 costs and pad bins, and scaling by 1 is exact.  A cost function evaluates
-a single vector as a one-row stack.
+a single vector and a stack of them on one value path.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ class _PerBin:
             return p, None
         # the stand-in rows keep the kernels from raising floating-point
         # warnings on behalf of the rejected ones
-        return np.where(bad[:, None], 1.0, p), bad
+        return np.where(bad[..., None], 1.0, p), bad
 
     def _approx_total(self, terms: np.ndarray, slot: np.ndarray):
         return self._bin_sum(terms, -1) + 2.0 * self._bin_dot(slot, self._a_eff)
@@ -501,21 +501,19 @@ class CostFunction(_PerBin):
     def __call__(self, params):
         """Cost of one parameter vector, or of every row of an ``(m, nparams)`` stack.
 
-        A vector gives a ``float``, the value of the one-row stack of it; a
-        stack gives ``m`` values, each equal bit for bit to the cost of its
-        row alone.
+        A vector gives a ``float``; a stack gives ``m`` values, each equal bit
+        for bit to the cost of its row alone.  Both take the one value path.
         """
         p = np.asarray(params, dtype=np.float64)
         if p.ndim == 2 and p.shape[1] == self.nparams:
             return self._stacked(p)
-        return float(self._stacked(self._checked(p)[None])[0])
+        return float(self._stacked(self._checked(p)))
 
     def _stacked(self, p: np.ndarray) -> np.ndarray:
+        # parameter vectors along the last axis: one vector or a stack of them
         p, bad = self._inside(p)
         q = _nonneg(self._total(p))
-        if bad is not None:
-            q[bad] = math.inf
-        return q
+        return q if bad is None else np.where(bad, math.inf, q)
 
     def _total(self, p: np.ndarray):
         """Unclipped cost of each parameter vector along the last axis of ``p``.

@@ -164,10 +164,10 @@ class _Counted:
     Every evaluation goes through the cost function's own methods, so a
     subclass that overrides them is honoured.  Costs with closed-form
     gradients (``approx``, ``conway``) give the value and gradient in one
-    pass, counting as one evaluation.  ``exact`` takes its value by a
-    one-row stacked call, at the start too, and its gradient from a stencil
-    whose points ``values`` evaluates in stacked calls of at most ``rows``,
-    each counting as one evaluation.  Every method's Hessian is closed form and
+    pass, counting as one evaluation.  ``exact`` takes its value by the
+    vector call, at the start too, and its gradient from a stencil whose
+    points ``values`` evaluates in stacked calls of at most ``rows``, each
+    counting as one evaluation.  Every method's Hessian is closed form and
     counts as one evaluation.
     """
 
@@ -209,7 +209,7 @@ class _Counted:
         """
         self.calls += 1
         if not self.closed_form:
-            return self._cost(x), None
+            return np.array([self._cost(x[0])]), None
         try:
             value, gradient = self._cost.value_and_gradient(x[0])
         except ValueError:
