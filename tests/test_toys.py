@@ -323,8 +323,7 @@ class TestFrozenDraws:
         # the block draw's counts, and the stream left where the scalar loop left it
         assert sum(_poisson_block(rng_stream(77, int(mu)), [mu] * 50)) == total
         rng = rng_stream(77, int(mu))
-        for _ in range(50):
-            _reference_poisson(rng, mu)
+        assert sum(_reference_poisson(rng, mu) for _ in range(50)) == total
         assert rng.random().hex() == next_uniform
 
 
