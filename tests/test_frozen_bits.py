@@ -10,6 +10,9 @@ To print the table for new cases, run ``python tests/test_frozen_bits.py``.
 
 The records of one ``run_study`` call are frozen too, by the SHA-256 of
 their CSV: every bit of the lockstep loop that fits them shows there.
+So are one weighted ``approx`` fit and one weighted ``conway`` fit of
+:func:`~templatefit.fit`: yields, errors, ``qmin``, status and evaluation
+count.
 """
 
 import hashlib
@@ -17,7 +20,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from templatefit import BinnedSample, CostFunction, TemplateModel, ToyConfig, run_study
+from templatefit import BinnedSample, CostFunction, TemplateModel, ToyConfig, fit, run_study
 from templatefit.study import records_to_csv
 
 
@@ -58,6 +61,18 @@ DEAD_WEIGHTED = _model(
     [[5.5, 10.0, 2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 4.0, 7.5, 3.0, 9.0]],
     data_w2=[10.25, 16.0, 8.0, 0.0, 0.0, 0.0],
     comp_w2=[[7.25, 12.5, 2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 5.0, 9.75, 3.0, 11.5]],
+)
+
+# two weighted components over eight bins; both weighted fits converge inside
+FIT_WEIGHTED = _model(
+    [31.5, 48.25, 62.0, 40.75, 22.5, 13.0, 6.25, 2.0],
+    [[20.5, 34.0, 41.25, 27.0, 12.5, 6.0, 2.5, 0.75],
+     [3.0, 5.5, 9.25, 14.0, 17.5, 19.0, 15.25, 11.0]],
+    data_w2=[40.25, 60.0, 80.5, 52.0, 30.25, 18.5, 9.0, 3.25],
+    comp_w2=[
+        [28.0, 45.5, 60.25, 38.0, 17.75, 9.5, 3.0, 1.0],
+        [4.5, 8.0, 12.25, 21.0, 26.5, 27.75, 22.0, 16.5],
+    ],
 )
 
 # a Conway bin with no data and a negative quadratic coefficient: the
@@ -275,6 +290,40 @@ def test_cases_cover_every_branch():
     assert any(b not in ("nan", "0x1.0000000000000p+0") for b in exact_betas)
 
 
+def _fit(method):
+    r = fit(FIT_WEIGHTED, method, weighted=True)
+    return {
+        "yields": _hex(r.yields),
+        "errors": _hex(r.yield_errors),
+        "qmin": float.hex(r.qmin),
+        "status": r.status,
+        "n_evaluations": r.n_evaluations,
+    }
+
+
+FROZEN_FITS = {
+    "approx": {
+        "yields": "0x1.a858555ef9950p+7 0x1.d1f5e88417b96p+3",
+        "errors": "0x1.ce938fe6ce0f5p+4 0x1.b8afb93726ac8p+3",
+        "qmin": "0x1.30fb6cfd62d5ap-2",
+        "status": "converged",
+        "n_evaluations": 14,
+    },
+    "conway": {
+        "yields": "0x1.a87ae151eea5ep+7 0x1.c18fbabbcf132p+3",
+        "errors": "0x1.e6eb35411738ap+4 0x1.f39635e5f859bp+3",
+        "qmin": "0x1.d8ab55e925fecp-3",
+        "status": "converged",
+        "n_evaluations": 11,
+    },
+}
+
+
+@pytest.mark.parametrize("method", sorted(FROZEN_FITS))
+def test_weighted_fit_bit_exact(method):
+    assert _fit(method) == FROZEN_FITS[method]
+
+
 # batch 0 of perfbench's ensemble-fast workload at seed 101
 STUDY = (ToyConfig(seed=101_000_000), (50, 10000), 10, ("approx", "conway"))
 STUDY_DIGEST = "026795276d4845ec6951c7a709af5e03e62bf08bea3c7361d4967dd38a4f5c5f"
@@ -299,6 +348,13 @@ def _table() -> str:
                 tail = "" if i + 3 >= len(words) else " "
                 lines.append(f'            "{" ".join(words[i:i + 3])}{tail}"')
             lines.append("        ),")
+        lines.append("    },")
+    lines.append("}")
+    lines.append("FROZEN_FITS = {")
+    for method in sorted(FROZEN_FITS):
+        lines.append(f'    "{method}": {{')
+        for key, value in _fit(method).items():
+            lines.append(f'        "{key}": {value!r},'.replace("'", '"'))
         lines.append("    },")
     lines.append("}")
     return "\n".join(lines)
