@@ -34,7 +34,7 @@ the yields; they are skipped entirely and excluded from the degrees of
 freedom.
 
 :class:`CostFunction` evaluates one fit's cost, :class:`CostStack` the
-unweighted profiled costs of many fits at once.  One per-bin kernel per
+profiled costs of many fits at once.  One per-bin kernel per
 method computes the factors and cost terms for the value, the
 per-bin :meth:`CostFunction.diagnostics` and the closed-form derivatives,
 with one expression for the bin expectation and one path for weighted and
@@ -65,6 +65,7 @@ __all__ = [
 BETA_FLOOR = 1e-10
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
+_TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float
 
 
 class Method(enum.Enum):
@@ -172,6 +173,17 @@ class _PerBin:
         self._c = a / norms[..., None]
         self._d = v / (norms * norms)[..., None]
 
+    def _take(self, rows) -> "CostStack":
+        """The stack of the costs at ``rows`` of the leading axis, in that order; a cost
+        function has no such axis, and ``rows=None`` makes it a one-row stack of its arrays."""
+        out = object.__new__(CostStack if isinstance(self, CostFunction) else type(self))
+        out.method, out._domain_lo = self.method, self._domain_lo
+        out._norms, out._data_totals = self._norms[rows], self._data_totals[rows]
+        out._set_counts(self._counts[rows])
+        for name in CostStack._BIN_FIELDS:
+            setattr(out, name, getattr(self, name)[rows, ..., : out._width])
+        return out
+
     def _outside(self, p: np.ndarray) -> np.ndarray:
         """Which parameter vectors along the last axis lie outside the domain."""
         # NaN fails both comparisons
@@ -211,6 +223,11 @@ class _PerBin:
         a = self._a if a is None else a
         return np.add.reduce((y / self._norms)[..., :, None] * a, axis=-2)
 
+    def _moments(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``m`` from :meth:`_expectation` and Conway's ``sum_k v_k (y_k/M_k)^2`` per bin."""
+        scale = y / self._norms
+        return self._expectation(y), np.add.reduce((scale * scale)[..., :, None] * self._v, axis=-2)
+
     def _approx(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Factor ``(n + a)/(mu0 + a)``, data terms, ``beta - 1 - ln beta`` and ``m`` per bin,
         ``m`` from :meth:`_expectation`."""
@@ -230,16 +247,23 @@ class _PerBin:
         Dead bins, without expectation, get variance 1 so their entries stay
         finite; callers mask them out.
         """
-        scale = y / self._norms
-        mu0_raw = self._expectation(y)
-        vnum = np.add.reduce((scale * scale)[..., :, None] * self._v, axis=-2)
-        live = mu0_raw > 0.0
-        if np.count_nonzero(live) == live.size:
+        mu0_raw, vnum = self._moments(y)
+        sq = mu0_raw * mu0_raw
+        if np.count_nonzero(sq >= _TINY) == sq.size:
             live = None
-            var = vnum / (mu0_raw * mu0_raw)
+            var = vnum / sq
         else:
-            mu0g = np.where(live, mu0_raw, 1.0)
-            var = np.where(live, vnum / (mu0g * mu0g), 1.0)
+            live = mu0_raw > 0.0
+            low = live & (sq < _TINY)
+            if np.count_nonzero(low):
+                # m^2 underflows at tiny yields; V does not change when all
+                # yields scale alike, so take it there at a largest yield of 1
+                top = np.fmax.reduce(y, axis=-1, keepdims=True)
+                m1, vnum1 = self._moments(y / np.where(top > 0.0, top, 1.0))
+                sq, vnum = np.where(low, m1 * m1, sq), np.where(low, vnum1, vnum)
+            var = np.where(live, vnum / np.where(live, sq, 1.0), 1.0)
+            if np.count_nonzero(live) == live.size:
+                live = None
         mu0 = self._s * mu0_raw
         b = var * mu0 - 1.0
         # (4 V) n and V (4 n) round alike: scaling by a power of two is exact
@@ -420,8 +444,9 @@ class CostFunction(_PerBin):
         # one index of the active bins, taken from every array: cheaper than
         # a boolean mask on the (K, nbins) ones, and contiguous
         idx = np.flatnonzero(active)
-        self._nbins_active = idx.size
-        self.ndof = self._nbins_active - K
+        # the active-bin count and data total, 0-d: a stack holds one per row
+        self._counts, self._data_totals = np.array(idx.size), np.array(model.data.total)
+        self.ndof = idx.size - K
 
         norms = np.asarray(model.norms, dtype=np.float64)
         a = A.take(idx, axis=1)
@@ -462,7 +487,7 @@ class CostFunction(_PerBin):
     @property
     def nbins_active(self) -> int:
         """Number of bins entering the cost (pooled template content > 0)."""
-        return self._nbins_active
+        return int(self._counts)
 
     @property
     def lower_bounds(self) -> np.ndarray:
@@ -478,6 +503,10 @@ class CostFunction(_PerBin):
             raise ValueError("slot layout exists only for the exact method")
         bins = np.flatnonzero(self._active)[self._slot_bin]
         return bins, self._slot_comp.copy()
+
+    def _row(self) -> "CostStack":
+        """This profiled cost as a one-row :class:`CostStack` that shares its arrays."""
+        return self._take(None)
 
     def _checked(self, params) -> np.ndarray:
         p = np.asarray(params, dtype=np.float64)
@@ -626,7 +655,7 @@ class CostFunction(_PerBin):
 
 
 class CostStack(_PerBin):
-    """The unweighted profiled costs of several fits, evaluated together.
+    """The profiled costs of several fits, evaluated together.
 
     Built from count arrays by :meth:`from_counts` and narrowed by
     :meth:`take`.  The rows share one method (``approx`` or ``conway``) and
@@ -640,7 +669,9 @@ class CostStack(_PerBin):
     function on it alone, whatever the other rows hold, so a minimizer can
     step many fits at the cost of one NumPy dispatch per elementwise
     operation; rows ordered by active-bin count make the fewest runs.  Rows
-    outside the domain evaluate to ``+inf`` with NaN derivatives.
+    outside the domain evaluate to ``+inf`` with NaN derivatives.  A
+    profiled cost function, weighted or not, fits as a one-row stack of its
+    own arrays.
     """
 
     # the per-bin fields of ``_set_fields``, one row per fit
@@ -719,15 +750,7 @@ class CostStack(_PerBin):
         """Active-bin count of every row."""
         return self._counts
 
-    def take(self, rows) -> "CostStack":
-        """The stack of the costs at ``rows``, in that order."""
-        out = object.__new__(type(self))
-        out.method, out._domain_lo = self.method, self._domain_lo
-        out._norms, out._data_totals = self._norms[rows], self._data_totals[rows]
-        out._set_counts(self._counts[rows])
-        for name in self._BIN_FIELDS:
-            setattr(out, name, getattr(self, name)[rows, ..., : out._width])
-        return out
+    take = _PerBin._take  # the stack of the costs at ``rows``, in that order
 
     # --- reductions over bins, per run of rows with one active-bin count -------
     # strided slices of the padded block give the bits of the compact calls

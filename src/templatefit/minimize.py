@@ -14,18 +14,17 @@ out not positive.
 One loop runs every fit, on a batch of fits in lockstep: its state holds
 one row per fit, and every round evaluates each row's next point (a
 line-search trial or the restart point) in one call.  A row leaves the
-batch when its fit stops.  :func:`minimize` and :func:`fit` run a batch of
-one, which evaluates through the cost function's own methods.
+batch when its fit stops.  Every ``approx`` and ``conway`` fit runs on
+stacked rows, :func:`minimize`'s as a one-row stack on the cost's arrays.
 :func:`minimize_stack` fits the rows of a
 :class:`~templatefit.likelihood.CostStack` (``CostStack.from_counts``
 builds one from count arrays, with no cost functions) in stacks of at
 most 2^14 per-bin elements (rows x components x the most active bins), so
 a round costs one NumPy dispatch per elementwise operation for the whole
-stack.  The stack pads every fit's bins to the widest fit's and takes
-each sum over bins on a fit's own bins, one run of rows per active-bin
-count; every operation on the state is elementwise, a reduction along the
-last axis or one BLAS product per row.  Stacked rows equal single calls
-bit for bit, so a fit's result does not depend on the batch it ran in.
+stack.  Every operation on the loop's state is elementwise, a reduction
+along the last axis or one BLAS product per row, and stacked rows equal
+single calls bit for bit (see ``CostStack``), so a fit's result does not
+depend on the batch it ran in.
 That is also why one loop can step the rows of several stacks with one
 parameter count (``run_study``'s approx and conway stacks of a chunk),
 each stack a segment evaluated by its own kernels: the loop's own
@@ -35,14 +34,14 @@ most half of the stack's rows still run; ``CostStack.take`` then narrows
 the stack to those, so a round does at most twice the kernel work it
 needs, and a stack is copied at most once per halving of its rows.
 One function, ``_fit_rows``, turns the end of every fit into its
-:class:`FitResult`, with its status and covariance, whichever path ran it.
+:class:`FitResult`, with its status and covariance, ``exact``'s too.
 
 Every fit starts, unless told otherwise, from :func:`default_start`: the
 data total split equally over the yields and taken one EM step of the
 plain Poisson template fit on, which costs no evaluation and brings the
 yields near the minimum; ``run_study``'s stacks start from ``default_start(stack)``.
 
-Every method's Hessian is closed form, ``CostFunction.hessian``: the
+Every method's Hessian is closed form, a stack's or a cost's ``hessian``: the
 initial inverse-curvature scaling is the inverse diagonal of the Hessian
 at the start, and the covariance comes from the Hessian at the minimum.
 Where a diagonal entry is not positive (Conway's profiled Hessian in some
@@ -59,16 +58,16 @@ its full inverse is returned, so the template uncertainty propagates into
 the yield errors.  Each Hessian counts as one evaluation.
 
 ``approx`` and ``conway`` profile their per-bin factors analytically, so
-``value_and_gradient`` gives the value and the exact gradient in one
-kernel pass, which counts as one evaluation: every line-search trial is
-one such pass, whose gradient is kept when the trial is accepted.
+``CostStack.value_and_gradient`` gives the value and the exact gradient in
+one kernel pass, which counts as one evaluation: every line-search trial
+is one such pass, whose gradient is kept when the trial is accepted.
 
 ``exact`` fits its amplitude factors numerically and takes its gradient by
 central finite differences; its parameter count varies from fit to fit,
-so it always runs as a batch of one.  Every gradient stencil, the start's
-too, is evaluated in stacked ``cost(X)`` calls of at most 2^14 per-bin
-elements.  Every stacked value equals the single-point call bit for bit
-and every point counts as one evaluation.
+so it runs as a batch of one, through the cost's own methods.  Every
+gradient stencil, the start's too, is evaluated in stacked ``cost(X)``
+calls of at most 2^14 per-bin elements.  Every stacked value equals the
+single-point call bit for bit and every point counts as one evaluation.
 
 A quasi-Newton step moves only the free parameters: one on its lower
 bound whose gradient points out of the domain is held there.
@@ -159,16 +158,10 @@ class FitResult:
 
 
 class _Counted:
-    """One cost function as a batch of one, with its evaluation count.
+    """One ``exact`` cost function as a batch of one, with its evaluation count.
 
-    Every evaluation goes through the cost function's own methods, so a
-    subclass that overrides them is honoured.  Costs with closed-form
-    gradients (``approx``, ``conway``) give the value and gradient in one
-    pass, counting as one evaluation.  ``exact`` takes its value by the
-    vector call, at the start too, and its gradient from a stencil whose
-    points ``values`` evaluates in stacked calls of at most ``rows``, each
-    counting as one evaluation.  Every method's Hessian is closed form and
-    counts as one evaluation.
+    Every evaluation, counted as the module docstring says, goes through the
+    cost function's own methods, so a subclass that overrides them is honoured.
     """
 
     def __init__(self, cost: CostFunction):
@@ -177,8 +170,6 @@ class _Counted:
         self.lower = cost.lower_bounds
         self.ncomponents = cost.model.ncomponents
         self.ndof = [cost.ndof]
-        self.betas = cost.diagnostics
-        self.closed_form = cost.method is not Method.EXACT
         self.rows = max(1, _STACK_ELEMENTS // max(1, cost.model.ncomponents * cost.nbins_active))
 
     def values(self, points) -> list[float]:
@@ -195,29 +186,14 @@ class _Counted:
 
     def start(self, x: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Value, gradient and initial inverse-curvature diagonal at the start point."""
-        fx, g = self.trial(x)
+        fx, _ = self.trial(x)
         d2 = np.diag(self.hessian(x)[0])[None]
-        if g is None:  # exact: the stencil gradient, and 1 where the diagonal is bad
-            return fx, self.gradient(x[0], fx[0], lower)[None], _initial_inverse_diag(d2)
-        return fx, g, _initial_inverse_diag(d2, lambda: self._cost._expected_curvature(x[0])[None])
+        return fx, self.gradient(x[0], fx[0], lower)[None], _initial_inverse_diag(d2)
 
-    def trial(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Value at the point ``x[0]`` and, for a closed-form cost, its gradient from the same pass.
-
-        The gradient is ``None`` for ``exact``: the loop takes the stencil
-        gradient once it accepts the point.
-        """
+    def trial(self, x: np.ndarray) -> tuple[np.ndarray, None]:
+        """Value at ``x[0]``; the loop takes the stencil gradient of a point it accepts."""
         self.calls += 1
-        if not self.closed_form:
-            return np.array([self._cost(x[0])]), None
-        try:
-            value, gradient = self._cost.value_and_gradient(x[0])
-        except ValueError:
-            if np.count_nonzero(np.isfinite(x)) == x.size:
-                raise
-            # a diverged step, outside the domain
-            return np.array([math.inf]), np.full(x.shape, math.nan)
-        return np.array([value]), gradient[None]
+        return np.array([self._cost(x[0])]), None
 
     def gradient(self, x: np.ndarray, f0: float, lower: np.ndarray) -> np.ndarray:
         """Finite-difference gradient of ``exact`` at ``x``, whose value is ``f0``."""
@@ -408,12 +384,9 @@ def default_start(cost: CostFunction | CostStack) -> np.ndarray:
     A :class:`~templatefit.likelihood.CostStack` gets the ``(T, K)`` starts
     of its rows, each its row's cost function's start bit for bit.
     """
-    if isinstance(cost, CostStack):
-        K = cost.nparams
-        return cost._em_step(np.repeat(cost._data_totals[:, None] / K, K, axis=1))
-    K = cost.model.ncomponents
-    start = np.ones(cost.nparams)
-    start[:K] = cost._em_step(np.full(K, cost.model.data.total / K))
+    K = cost._norms.shape[-1]
+    start = np.ones(cost._data_totals.shape + (cost.nparams,))
+    start[..., :K] = cost._em_step(np.repeat(cost._data_totals[..., None] / K, K, axis=-1))
     return start
 
 
@@ -427,16 +400,6 @@ def _start_errors(x: np.ndarray, lower: np.ndarray) -> dict[int, ValueError]:
         )
         for i in bad.nonzero()[0].tolist()
     }
-
-
-def _start_point(cost: CostFunction, start) -> np.ndarray:
-    x = np.array(default_start(cost) if start is None else start, dtype=np.float64)
-    if x.shape != (cost.nparams,):
-        raise ValueError(f"start must have {cost.nparams} entries")
-    errors = _start_errors(x[None], cost.lower_bounds)
-    if errors:
-        raise errors[0]
-    return x
 
 
 def _check_options(gtol: float, max_calls: int) -> None:
@@ -457,6 +420,8 @@ def minimize(
 
     A batch of one through the lockstep loop of :func:`minimize_stack`,
     with the cost's ``ndof`` and the per-bin ``betas`` at the minimum.
+    ``approx`` and ``conway`` fit as a one-row stack on the cost's arrays,
+    so a subclass's ``value_and_gradient`` and ``hessian`` are not called.
 
     Parameters
     ----------
@@ -472,9 +437,16 @@ def minimize(
         Evaluation budget, at least 1; when exhausted the best point seen
         so far is returned with status ``budget``.
     """
-    x = _start_point(cost, start)
+    x = np.array(default_start(cost) if start is None else start, dtype=np.float64)
+    if x.shape != (cost.nparams,):
+        raise ValueError(f"start must have {cost.nparams} entries")
+    errors = _start_errors(x[None], cost.lower_bounds)
+    if errors:
+        raise errors[0]
     _check_options(gtol, max_calls)
-    (result,) = _fit_rows(_Counted(cost), x[None], gtol, max_calls)
+    f = _Counted(cost) if cost.method is Method.EXACT else _Stacked(cost._row())
+    f.betas = cost.diagnostics
+    (result,) = _fit_rows(f, x[None], gtol, max_calls)
     if isinstance(result, Exception):
         raise result
     return result

@@ -66,8 +66,11 @@ class ToyConfig:
             raise ValueError(f"range must be a finite interval, got {self.range}")
         if not isinstance(self.nbins, numbers.Integral) or self.nbins < 1:
             raise ValueError(f"nbins must be an integer of at least 1, got {self.nbins!r}")
+        for name in ("n_mc", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("signal_yield", "background_yield", "signal_mean", "signal_sigma",
-                     "background_slope", "n_mc"):
+                     "background_slope"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.signal_sigma <= 0:

@@ -2,7 +2,8 @@
 
 ``minimize_stack`` steps the fits of one method in lockstep on a
 ``CostStack`` built from count arrays, whatever their active-bin counts;
-``minimize`` runs a batch of one through the cost function's own methods.
+``minimize`` fits a profiled cost function as a one-row stack that shares
+its arrays.
 A fit's result must not depend on the fits stacked with it, which rests
 on every stacked row of the kernels (padded bins included) and of the
 minimizer's arithmetic equalling the single call bit for bit.
@@ -27,7 +28,7 @@ from templatefit import (
     minimize_stack,
     run_study,
 )
-from templatefit.minimize import _Counted, _minimize_stacks, _Stacked
+from templatefit.minimize import _minimize_stacks, _Stacked
 from templatefit.study import records_to_csv
 
 PROFILED = ["approx", "conway"]
@@ -458,7 +459,7 @@ def test_start_scaling_equal_in_stack_and_alone(method):
         _, _, hinv0 = _Stacked(stack).start(X, lower)
         expected = stack._expected_curvature(X)
     for cost, x, row, e, d, b in zip(costs, X, hinv0, expected, d2, bad):
-        _, _, alone = _Counted(cost).start(x[None], lower)
+        _, _, alone = _Stacked(cost._row()).start(x[None], lower)
         assert _bits(row) == _bits(alone[0])
         assert _bits(e) == _bits(cost._expected_curvature(x))
         assert (e > 0.0).all()

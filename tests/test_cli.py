@@ -364,7 +364,9 @@ def test_bad_toy_input_is_a_one_line_error(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("config", [{"signal_mean": float("nan")}, {"nbins": 15.5}])
+@pytest.mark.parametrize(
+    "config", [{"signal_mean": float("nan")}, {"nbins": 15.5}, {"n_mc": 50.5}]
+)
 def test_bad_toy_config_file_is_a_one_line_error(tmp_path, capsys, config):
     out = tmp_path / "out.csv"
     argv = ["toy-study", "--seed", "1", "--n-toys", "3", "--n-mc", "50", "--methods", "approx"]

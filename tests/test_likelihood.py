@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.optimize import minimize_scalar
 
-from templatefit import BinnedSample, CostFunction, Method, TemplateModel
+import templatefit as tf
+from templatefit import BinnedSample, CostFunction, CostStack, Method, TemplateModel
 
 
 def make_model(data, comps, data_w2=None, comp_w2=None, names=()):
@@ -188,6 +189,16 @@ class TestVarBeta:
         np.testing.assert_array_equal(live, [False, True])
         assert math.isnan(cost.diagnostics([10.0, 0.0]).beta[0])
 
+    def test_scale_invariant_where_the_expectation_squared_underflows(self):
+        # m^2 is below the smallest normal float at these yields; V is taken
+        # at the yields scaled to a largest entry of 1, dead bins kept at 1
+        m = make_model([5, 7, 0], [[4, 96, 0], [30, 970, 8]])
+        y = np.array([250.0, 750.0])
+        for factor in (1e-160, 1e-300):
+            np.testing.assert_allclose(factor_variance(m, factor * y), factor_variance(m, y))
+        dead = factor_variance(m, [1e-300, 0.0])
+        assert dead[2] == 1.0 and dead[0] == pytest.approx(1.0 / 4.0)
+
     def test_weighted_uses_sumw2(self):
         # template weights {2,2}: sumw=4, sumw2=8 -> V = 8/16 = 0.5
         m = make_model(
@@ -291,6 +302,25 @@ class TestQConway:
         m = make_model(rng.poisson(20, 7), [rng.poisson(5, 7) + 1, rng.poisson(3, 7)])
         q, diag = profiled(Method.CONWAY, m, [50.0, 20.0])
         assert q == pytest.approx(diag.contributions.sum(), rel=1e-13)
+
+    @pytest.mark.parametrize("factor", [1e-200, 1e-300])
+    def test_tiny_yields_keep_a_finite_cost(self, factor):
+        # V once read vnum/m^2 = 0/0 here, and the cost 0.0; as the yields
+        # shrink towards 0 the cost grows, in a cost function and a stack row
+        cfg = tf.ToyConfig(seed=3, n_mc=200)
+        model = tf.to_model(cfg, tf.draw(cfg, tf.rng_stream(3, 0)))
+        cost = CostFunction(Method.CONWAY, model)
+        stack = CostStack.from_counts(
+            Method.CONWAY, model.data.sumw[None], model.component_sumw()[None]
+        )
+        x = tf.default_start(cost)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            above = cost(1e-160 * x)
+            q = cost(factor * x)
+            row = stack._profile(factor * x[None])[0][0]
+        assert math.isfinite(q) and q > above
+        assert float.hex(float(row)) == float.hex(q)
 
     def test_empty_bin_root_without_fp_warning(self):
         # bin 0 has no data and V*mu0 < 1: the root branch that is not

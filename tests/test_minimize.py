@@ -11,6 +11,7 @@ import templatefit as tf
 from templatefit import (
     BinnedSample,
     CostFunction,
+    CostStack,
     Method,
     TemplateModel,
     default_start,
@@ -126,7 +127,8 @@ class TestMinimize:
         assert res.n_evaluations >= 5
 
     @pytest.mark.parametrize("method", ["approx", "exact"])
-    def test_nonfinite_start_rejected_before_any_evaluation(self, method):
+    def test_nonfinite_start_rejected_before_any_evaluation(self, method, monkeypatch):
+        # exact evaluates through the cost's own call, approx on a one-row CostStack
         class _Counting(CostFunction):
             calls = 0
 
@@ -134,17 +136,23 @@ class TestMinimize:
                 self.calls += 1
                 return super().__call__(params)
 
-            def value_and_gradient(self, params):
-                self.calls += 1
-                return super().value_and_gradient(params)
-
+        stack_calls = []
+        for name in ("value_and_gradient", "hessian"):
+            evaluate = getattr(CostStack, name)
+            monkeypatch.setattr(
+                CostStack, name, lambda st, y, f=evaluate: stack_calls.append(y) or f(st, y)
+            )
         cost = _Counting(method, make_model([40, 10], [[10, 30], [5, 5]]))
+        if method == "approx":  # the counters see a fit's evaluations
+            minimize(cost)
+            assert stack_calls and cost.calls == 0
+            stack_calls.clear()
         for bad in (math.inf, math.nan):
             start = default_start(cost)
             start[0] = bad
             with pytest.raises(ValueError, match="finite"):
                 minimize(cost, start=start)
-        assert cost.calls == 0
+        assert cost.calls == 0 and not stack_calls
 
     @pytest.mark.parametrize("gtol", [0.0, -1.0, math.nan])
     def test_nonpositive_gtol_rejected(self, gtol):
@@ -228,14 +236,13 @@ class TestMinimize:
         assert res.status == "on_bound" and res.yields[0] < 1e-9
         assert res.qmin <= ref.fun + 1e-6
 
-    def test_indefinite_hessian_at_the_minimum(self):
-        class _Indefinite(CostFunction):
-            def hessian(self, params):
-                return -super().hessian(params)
-
+    def test_indefinite_hessian_at_the_minimum(self, monkeypatch):
+        # a profiled fit takes its Hessians from a one-row CostStack
+        hessian = CostStack.hessian
+        monkeypatch.setattr(CostStack, "hessian", lambda stack, y: -hessian(stack, y))
         cfg = tf.ToyConfig(seed=4)
         model = tf.to_model(cfg, tf.draw(cfg, tf.rng_stream(4, 0)))
-        res = minimize(_Indefinite(Method.APPROX, model))
+        res = minimize(CostFunction(Method.APPROX, model))
         assert res.status == "hessian_not_pd" and not res.converged
         assert res.covariance is None and math.isfinite(res.qmin)
 
@@ -475,46 +482,48 @@ class TestHesse:
         res = minimize(cost)
         np.testing.assert_array_equal(res.covariance, res.covariance.T)
 
-    def test_fit_covariance_is_hesse_at_minimum(self):
-        self._check_covariance_is_hesse_at_minimum("approx")
+    def test_fit_covariance_is_hesse_at_minimum(self, monkeypatch):
+        self._check_covariance_is_hesse_at_minimum("approx", monkeypatch)
 
-    def test_exact_fit_covariance_is_hesse_at_minimum(self):
-        self._check_covariance_is_hesse_at_minimum("exact")
+    def test_exact_fit_covariance_is_hesse_at_minimum(self, monkeypatch):
+        self._check_covariance_is_hesse_at_minimum("exact", monkeypatch)
 
     @staticmethod
-    def _check_covariance_is_hesse_at_minimum(method):
+    def _check_covariance_is_hesse_at_minimum(method, monkeypatch):
         # the fit reuses the cost at its minimum instead of evaluating it
         # again, and counts every cost, gradient and Hessian pass
-        class _Recording(CostFunction):
-            def __init__(self, *args):
-                super().__init__(*args)
-                self.points = []  # (kind, point) of every evaluation
+        points = []  # (kind, point) of every evaluation
 
+        # exact evaluates through the cost's own methods
+        class _Recording(CostFunction):
             def __call__(self, params):
                 # a stencil stacks its points into one call; record each row
-                rows = np.atleast_2d(params)
-                self.points.extend(("value", tuple(row)) for row in rows)
+                points.extend(("value", tuple(row)) for row in np.atleast_2d(params))
                 return super().__call__(params)
 
-            def value_and_gradient(self, params):
-                self.points.append(("value", tuple(params)))
-                return super().value_and_gradient(params)
-
             def hessian(self, params):
-                self.points.append(("hessian", tuple(params)))
+                points.append(("hessian", tuple(params)))
                 return super().hessian(params)
+
+        # approx and conway on a one-row CostStack
+        for kind, name in (("value", "value_and_gradient"), ("hessian", "hessian")):
+            def recording(stack, y, kind=kind, evaluate=getattr(CostStack, name)):
+                points.extend((kind, tuple(row)) for row in y)
+                return evaluate(stack, y)
+
+            monkeypatch.setattr(CostStack, name, recording)
 
         cfg = tf.ToyConfig(seed=4)
         model = tf.to_model(cfg, tf.draw(cfg, tf.rng_stream(4, 0)))
         cost = _Recording(method, model)
         res = minimize(cost)
         assert res.converged
-        assert res.n_evaluations == len(cost.points)
+        assert res.n_evaluations == len(points)
         at = tuple(res.yields)
         if method == "exact":  # with the amplitude factors at the minimum
             bins, comps = cost.exact_slots()
             at += tuple(res.betas.beta[bins, comps])
-        assert cost.points.count(("value", at)) == 1
+        assert points.count(("value", at)) == 1
         cov = hesse(cost, at)
         np.testing.assert_array_equal(res.covariance, cov)
         assert cov.flags.c_contiguous

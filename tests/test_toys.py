@@ -55,6 +55,8 @@ class TestToyConfig:
             {"signal_mean": 100.0},  # no signal probability on the range
             {"background_slope": -1000.0},  # the background overflows
             {"nbins": 15.5},
+            {"n_mc": 50.5},
+            {"seed": 2.7},  # would draw seed 2
         ],
     )
     def test_rejects_non_finite_fields_and_shapes_out_of_reach(self, fields):
