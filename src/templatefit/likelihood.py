@@ -756,23 +756,23 @@ class CostStack(_PerBin):
     # strided slices of the padded block give the bits of the compact calls
 
     def _per_run(self, op, shape: tuple, *args: np.ndarray) -> np.ndarray:
-        if self._runs is None:
-            return op(*args)
         out = np.empty(shape)
         for lo, hi, b in self._runs:
             op(*(x[lo:hi, ..., :b] for x in args), out=out[lo:hi])
         return out
 
     def _bin_sum(self, x, axis):
-        return self._per_run(_sum, x.shape[:-1], x)
+        return _sum(x) if self._runs is None else self._per_run(_sum, x.shape[:-1], x)
 
     def _bin_dot(self, x, z):
-        return self._per_run(_dot, x.shape[:-1], x, z)
+        return _dot(x, z) if self._runs is None else self._per_run(_dot, x.shape[:-1], x, z)
 
     def _bin_matvec(self, A, v):
-        return self._per_run(_matvec, A.shape[:-1], A, v)
+        return _matvec(A, v) if self._runs is None else self._per_run(_matvec, A.shape[:-1], A, v)
 
     def _bin_gram(self, L, R):
+        if self._runs is None:
+            return _gram(L, R)
         return self._per_run(_gram, (*L.shape[:-1], R.shape[-2]), L, R)
 
     def value_and_gradient(self, y) -> tuple[np.ndarray, np.ndarray]:
