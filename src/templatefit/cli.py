@@ -17,12 +17,11 @@ from pathlib import Path
 from .histogram import model_from_dict
 from .likelihood import Method
 from .minimize import fit, gof
-from .study import bench, records_to_csv, run_study, stats_to_csv, summarize
+from .study import _check_bench, _check_study, bench, records_to_csv, run_study
+from .study import stats_to_csv, summarize
 from .toys import ToyConfig, draw, rng_stream, to_model
 
 __all__ = ["main", "run"]
-
-_METHOD_NAMES = tuple(m.value for m in Method)
 
 
 class _CliError(Exception):
@@ -42,13 +41,8 @@ def _build_parser() -> _Parser:
 
     p_fit = sub.add_parser("fit", help="fit one JSON input file")
     p_fit.add_argument("--input", required=True, help="input JSON path")
-    p_fit.add_argument("--method", default="approx", choices=_METHOD_NAMES)
+    p_fit.add_argument("--method", default="approx", choices=[m.value for m in Method])
     p_fit.add_argument("--output", default=None, help="result JSON path (default: stdout)")
-    p_fit.add_argument(
-        "--weighted",
-        action="store_true",
-        help="force the effective-count cost even for unit-weight input",
-    )
 
     p_study = sub.add_parser("toy-study", help="pull study over repeated toy fits")
     p_study.add_argument("--seed", required=True, type=int)
@@ -79,28 +73,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_methods(raw: str) -> list[str]:
-    names = [s.strip() for s in raw.split(",") if s.strip()]
-    if not names:
-        raise _CliError("no methods given")
-    for n in names:
-        if n not in _METHOD_NAMES:
-            raise _CliError(f"unknown method {n!r}; choose from {', '.join(_METHOD_NAMES)}")
-    if len(set(names)) != len(names):
-        raise _CliError(f"duplicate methods in {raw!r}")
-    return names
-
-
-def _parse_n_mc(raw: str) -> list[int]:
+def _library(call, *args, **kwargs):
+    """``call(*args, **kwargs)``, whose ``ValueError`` is an input error."""
     try:
-        values = [int(s) for s in raw.split(",") if s.strip()]
+        return call(*args, **kwargs)
     except ValueError as exc:
-        raise _CliError(f"bad --n-mc list: {exc}") from None
-    if not values or any(v < 0 for v in values):
-        raise _CliError("--n-mc needs a comma list of nonnegative integers")
-    if len(set(values)) != len(values):
-        raise _CliError(f"duplicate template sizes in {raw!r}")
-    return values
+        raise _CliError(str(exc)) from None
+
+
+def _parse_methods(raw: str) -> list[str]:
+    return [s.strip() for s in raw.split(",") if s.strip()]
+
+
+def _parse_n_mc(raw: str) -> list:
+    """The JSON numbers of a comma list, such as 50 or 50.5; the library checks their values."""
+    try:
+        return [json.loads(s) for s in raw.split(",") if s.strip()]
+    except ValueError:
+        raise _CliError(f"bad --n-mc list {raw!r}: its entries must be numbers") from None
 
 
 def _load_json(path: str) -> dict:
@@ -121,20 +111,9 @@ def _write(path: Path, text: str) -> None:
 
 
 def _cmd_fit(args) -> int:
-    obj = _load_json(args.input)
-    try:
-        model = model_from_dict(obj)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
-    weighted = args.weighted or not model.is_unweighted()
-    if weighted and args.method == "exact":
-        raise _CliError(
-            "method 'exact' does not support weighted input (sumw2 differs from sumw)"
-        )
-    try:
-        result = fit(model, args.method, weighted=weighted)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    model = _library(model_from_dict, _load_json(args.input))
+    # weighted input (sumw2 differs from sumw) selects the weighted cost
+    result = _library(fit, model, args.method, weighted=not model.is_unweighted())
     p_value = None
     if result.ndof > 0:
         p_value = gof(result)
@@ -172,12 +151,9 @@ def _toy_config(obj: dict, **overrides) -> ToyConfig:
 
 
 def _cmd_toy_study(args) -> int:
-    methods = _parse_methods(args.methods)
-    grid = _parse_n_mc(args.n_mc)
-    if args.n_toys < 1:
-        raise _CliError("--n-toys must be at least 1")
-    if args.jobs < 1:
-        raise _CliError("--jobs must be at least 1")
+    grid, methods = _library(
+        _check_study, _parse_n_mc(args.n_mc), args.n_toys, _parse_methods(args.methods), args.jobs
+    )
     overrides = {"seed": args.seed}
     if args.bins is not None:
         overrides["nbins"] = args.bins
@@ -203,9 +179,7 @@ def _cmd_toy_study(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    methods = _parse_methods(args.methods)
-    if args.repetitions < 3:
-        raise _CliError("--repetitions must be at least 3")
+    methods = _library(_check_bench, _parse_methods(args.methods), args.repetitions)
     config = _toy_config({}, nbins=args.bins, n_mc=args.n_mc, seed=args.seed)
     toy = draw(config, rng_stream(config.seed, 0))
     try:

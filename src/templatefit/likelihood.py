@@ -433,7 +433,6 @@ class CostFunction(_PerBin):
             )
         self.method = method
         self.model = model
-        self.weighted = bool(weighted)
 
         K = model.ncomponents
         A = model.component_sumw()

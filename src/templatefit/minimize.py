@@ -920,8 +920,6 @@ def gof(result: FitResult) -> float:
     Only meaningful for converged fits.  Raises for ``ndof <= 0``, where
     the statistic carries no degrees of freedom.
     """
-    if result.ndof <= 0:
-        raise ValueError(f"goodness of fit undefined for ndof={result.ndof}")
     return chi2_sf(result.qmin, result.ndof)
 
 

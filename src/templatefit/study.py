@@ -34,7 +34,7 @@ import numpy as np
 from .histogram import TemplateModel
 from .likelihood import CostFunction, CostStack, Method
 from .minimize import _minimize_stacks, default_start, fit, minimize
-from .toys import ToyConfig, ToyDraw, draw_counts, to_model
+from .toys import ToyConfig, ToyDraw, _integer, draw_counts, to_model
 
 __all__ = [
     "PullRecord",
@@ -90,12 +90,33 @@ class PullStats:
 def _normalize_methods(methods) -> tuple[str, ...]:
     if isinstance(methods, (str, Method)):
         methods = [methods]
-    names = tuple(Method(m).value for m in methods)
+    try:
+        names = tuple(Method(m).value for m in methods)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; choose from {', '.join(m.value for m in Method)}") from None
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate methods in {names}")
     if not names:
         raise ValueError("at least one method is required")
     return names
+
+
+def _check_study(n_mc_grid, n_toys, methods, jobs) -> tuple[list[int], tuple[str, ...]]:
+    """The template sizes and methods of a :func:`run_study` call, checked as it says."""
+    _integer("n_toys", n_toys, 1)
+    _integer("jobs", jobs, 1)
+    grid = [int(_integer("n_mc", n_mc, 0)) for n_mc in n_mc_grid]
+    if not grid:
+        raise ValueError("at least one template size is required")
+    if len(set(grid)) != len(grid):
+        raise ValueError(f"duplicate template sizes in {grid}")
+    return grid, _normalize_methods(methods)
+
+
+def _check_bench(methods, repetitions) -> tuple[str, ...]:
+    """The methods of a :func:`bench` call, checked as it says."""
+    _integer("repetitions", repetitions, 3)
+    return _normalize_methods(methods)
 
 
 def _failed(method: str, n_mc: int, toy_index: int) -> PullRecord:
@@ -129,7 +150,7 @@ def _record(method: str, n_mc: int, toy_index: int, truth: float, result) -> Pul
 
 def _fit_exact(config: ToyConfig, counts: np.ndarray):
     """The ``exact`` fit of one toy's counts, or the numeric failure it raised."""
-    cost = CostFunction(Method.EXACT, to_model(config, ToyDraw.from_counts(config, counts)))
+    cost = CostFunction(Method.EXACT, to_model(config, ToyDraw.from_counts(counts)))
     try:
         return minimize(cost)
     except (ValueError, ArithmeticError) as exc:
@@ -193,19 +214,17 @@ def run_study(
     ``len(methods) * len(n_mc_grid) * n_toys`` records sorted by (method,
     n_mc, toy_index); every fit's result equals its single ``fit`` call
     bit for bit, so the ordering and the values do not depend on the
-    chunks or on ``jobs``.  A method or template size given twice raises
-    ``ValueError``: its toys would be fitted, and summarized, twice.
+    chunks or on ``jobs``.  Before it draws a toy it raises ``ValueError``
+    for an empty grid, a template size that is not a nonnegative integer
+    (``ToyConfig``'s rule for ``n_mc``), ``n_toys`` or ``jobs`` not an
+    integer of at least 1, an unknown method, and a method or template size
+    given twice: its toys would be fitted, and summarized, twice.
     """
-    if n_toys < 1:
-        raise ValueError(f"n_toys must be at least 1, got {n_toys}")
-    methods = _normalize_methods(methods)
-    grid = [int(v) for v in n_mc_grid]
-    if len(set(grid)) != len(grid):
-        raise ValueError(f"duplicate template sizes in {grid}")
+    grid, methods = _check_study(n_mc_grid, n_toys, methods, jobs)
     tasks = [(n_mc, idx) for n_mc in grid for idx in range(n_toys)]
-    size = _CHUNK_TASKS if jobs <= 1 else min(_CHUNK_TASKS, -(-len(tasks) // (4 * jobs)))
+    size = _CHUNK_TASKS if jobs == 1 else min(_CHUNK_TASKS, -(-len(tasks) // (4 * jobs)))
     chunks = [(config_base, tasks[i : i + size], methods) for i in range(0, len(tasks), size)]
-    if jobs <= 1:
+    if jobs == 1:
         records = [r for chunk in chunks for r in _fit_toys(chunk)]
     else:
         with Pool(processes=min(jobs, len(chunks))) as pool:
@@ -256,11 +275,11 @@ def bench(
 
     All methods are timed on the identical model.  After two discarded
     warm-up rounds, each of the ``repetitions`` rounds times one fit per
-    method, so a slow phase of the host hits every method alike.
+    method, so a slow phase of the host hits every method alike.  Raises
+    ``ValueError`` for the methods :func:`run_study` rejects and for
+    ``repetitions`` not an integer of at least 3.
     """
-    if repetitions < 3:
-        raise ValueError(f"need at least 3 repetitions, got {repetitions}")
-    methods = _normalize_methods(methods)
+    methods = _check_bench(methods, repetitions)
     for _ in range(2):
         for m in methods:
             fit(model, m)

@@ -41,6 +41,15 @@ __all__ = [
 ]
 
 
+def _integer(name: str, value, least: int | None = None):
+    """``value``; raises ``ValueError`` unless it is an integer (no bool) of at least ``least``."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integer or least is not None and value < least:
+        bound = "" if least is None else f" of at least {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ToyConfig:
     """Configuration of the two-component toy experiment.
@@ -64,11 +73,9 @@ class ToyConfig:
         lo, hi = self.range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"range must be a finite interval, got {self.range}")
-        if not isinstance(self.nbins, numbers.Integral) or self.nbins < 1:
-            raise ValueError(f"nbins must be an integer of at least 1, got {self.nbins!r}")
-        for name in ("n_mc", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        _integer("nbins", self.nbins, 1)
+        _integer("n_mc", self.n_mc, 0)
+        _integer("seed", self.seed)
         for name in ("signal_yield", "background_yield", "signal_mean", "signal_sigma",
                      "background_slope"):
             if not math.isfinite(getattr(self, name)):
@@ -77,8 +84,6 @@ class ToyConfig:
             raise ValueError(f"signal_sigma must be positive, got {self.signal_sigma}")
         if self.signal_yield < 0 or self.background_yield < 0:
             raise ValueError("yields must be nonnegative")
-        if self.n_mc < 0:
-            raise ValueError(f"n_mc must be nonnegative, got {self.n_mc}")
         if not all(np.isfinite(p).all() for p in self._shapes()):
             raise ValueError(f"the shapes have no finite bin probabilities on {self.range}")
 
@@ -102,19 +107,21 @@ class ToyConfig:
 
 @dataclass(frozen=True)
 class ToyDraw:
-    """One toy experiment: data, the two templates, and the generating truth."""
+    """One toy experiment: the data and the two templates, signal first.
+
+    The generating yields are the config's ``signal_yield`` and
+    ``background_yield``.
+    """
 
     data: BinnedSample
     templates: tuple[BinnedSample, BinnedSample]
-    truth: tuple[float, float]
 
     @classmethod
-    def from_counts(cls, config: ToyConfig, counts) -> "ToyDraw":
+    def from_counts(cls, counts) -> "ToyDraw":
         """The toy of one ``(4, nbins)`` block of :func:`draw_counts`."""
         return cls(
             data=BinnedSample.from_counts(counts[0] + counts[1]),
             templates=(BinnedSample.from_counts(counts[2]), BinnedSample.from_counts(counts[3])),
-            truth=(config.signal_yield, config.background_yield),
         )
 
 
@@ -277,7 +284,7 @@ def draw(config: ToyConfig, rng: np.random.Generator) -> ToyDraw:
     toys as one array, without the containers.
     """
     counts = np.array(_poisson_block(rng, _means(config)), dtype=np.float64)
-    return ToyDraw.from_counts(config, counts.reshape(4, config.nbins))
+    return ToyDraw.from_counts(counts.reshape(4, config.nbins))
 
 
 def draw_counts(config: ToyConfig, toy_indices) -> np.ndarray:
@@ -286,7 +293,7 @@ def draw_counts(config: ToyConfig, toy_indices) -> np.ndarray:
     Returns a ``(toys, 4, nbins)`` array whose rows are, per toy, the data
     signal, data background, signal template and background template
     counts: the draws of :func:`draw`, in its order, so
-    ``ToyDraw.from_counts(config, counts[t])`` equals the ``draw`` of toy
+    ``ToyDraw.from_counts(counts[t])`` equals the ``draw`` of toy
     ``t`` bit for bit.
     """
     means = _means(config)

@@ -32,7 +32,7 @@ def _reference(config: ToyConfig, n_mc: int, toy_index: int, method: str) -> Pul
     err = pull = nan
     if result.converged:
         err = float(result.yield_errors[0])
-        pull = (est - toy.truth[0]) / err
+        pull = (est - cfg.signal_yield) / err
     return PullRecord(method, n_mc, toy_index, est, err, pull, float(result.qmin), result.converged)
 
 

@@ -94,10 +94,13 @@ class TestFit:
         assert "exact" in err
         assert err.count("\n") == 1  # one-line diagnostic
 
-    def test_weighted_flag_plus_exact_rejected(self, tmp_path, capsys):
+    def test_weighted_flag_is_a_usage_error(self, tmp_path, capsys):
+        # the input alone selects the weighted cost
         path = write_input(tmp_path, saturated_input())
-        code = main(["fit", "--input", path, "--method", "exact", "--weighted"])
+        code = main(["fit", "--input", path, "--method", "approx", "--weighted"])
+        err = capsys.readouterr().err
         assert code == 1
+        assert err.startswith("error: ") and "--weighted" in err and err.count("\n") == 1
 
     def test_weighted_input_fits_with_approx(self, tmp_path, capsys):
         obj = saturated_input()
@@ -356,9 +359,22 @@ class TestBench:
         ["toy-study", "--seed", "1", "--bins", "0", "--output", "x.csv"],
         ["toy-study", "--seed", "1", "--methods", "approx,approx", "--output", "x.csv"],
         ["toy-study", "--seed", "1", "--n-mc", "50,50", "--output", "x.csv"],
+        ["toy-study", "--seed", "1", "--n-toys", "0", "--output", "x.csv"],
+        ["toy-study", "--seed", "1", "--jobs", "0", "--output", "x.csv"],
+        ["bench", "--seed", "1", "--repetitions", "2"],
+        ["toy-study", "--seed", "1", "--methods", "foo", "--output", "x.csv"],
+        ["toy-study", "--seed", "1", "--methods", ",", "--output", "x.csv"],
+        ["toy-study", "--seed", "1", "--n-mc", "50.5", "--output", "x.csv"],
+        ["toy-study", "--seed", "1", "--n-mc", "-1", "--output", "x.csv"],
     ],
 )
-def test_bad_toy_input_is_a_one_line_error(argv, capsys):
+def test_bad_toy_input_is_a_one_line_error(argv, capsys, monkeypatch):
+    # each is caught by the library's check, before a toy is drawn
+    def fail(*args, **kwargs):
+        raise AssertionError("the study or the timing ran")
+
+    monkeypatch.setattr(cli, "run_study", fail)
+    monkeypatch.setattr(cli, "bench", fail)
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -20,7 +20,7 @@ from templatefit import (
     hesse,
     minimize,
 )
-from templatefit.minimize import _initial_inverse_diag
+from templatefit.minimize import _covariances, _descend, _direction, _initial_inverse_diag
 
 
 def make_model(data, comps, names=()):
@@ -236,6 +236,16 @@ class TestMinimize:
         assert res.status == "on_bound" and res.yields[0] < 1e-9
         assert res.qmin <= ref.fun + 1e-6
 
+    def test_no_step_where_the_held_block_is_singular(self):
+        # the held parameter's inverse curvature is zero: no Schur complement
+        hinv = np.array([[0.0, 0.0], [0.0, 1.0]])
+        p = _direction(hinv, np.array([1.0, -2.0]), np.array([True, False]))
+        np.testing.assert_array_equal(p, np.zeros(2))
+        np.testing.assert_array_equal(
+            _direction(hinv + np.eye(2), np.array([1.0, -2.0]), np.array([True, False])),
+            [0.0, 4.0],
+        )
+
     def test_indefinite_hessian_at_the_minimum(self, monkeypatch):
         # a profiled fit takes its Hessians from a one-row CostStack
         hessian = CostStack.hessian
@@ -291,6 +301,11 @@ class TestMinimize:
         with pytest.raises(ValueError, match="bounds"):
             minimize(cost, start=[-5.0])
 
+    def test_start_of_the_wrong_length_rejected(self):
+        m = make_model([40, 10], [[10, 30], [30, 10]])
+        with pytest.raises(ValueError, match="2 entries"):
+            minimize(CostFunction(Method.APPROX, m), start=[20.0, 20.0, 10.0])
+
     def test_component_permutation_permutes_yields(self):
         # separated shapes give an interior minimum; the swap must mirror
         # every floating-point operation, so the equality is exact
@@ -311,6 +326,51 @@ class TestMinimize:
         assert res.converged
         finite = res.betas.beta[np.isfinite(res.betas.beta)]
         assert np.all(np.abs(finite - 1.0) < 0.2)
+
+
+class _Rows:
+    """A batch of closed-form rows for the lockstep loop, each ``x -> (value, gradient)``."""
+
+    def __init__(self, *rows):
+        self.rows, self.calls = list(rows), 0
+
+    def start(self, x, lower):
+        fx, g = self.trial(x)
+        return fx, g, np.ones_like(x)
+
+    def trial(self, x):
+        self.calls += 1
+        ends = [row(xi) for row, xi in zip(self.rows, x)]
+        return np.array([v for v, _ in ends]), np.array([g for _, g in ends])
+
+    def keep(self, rows):
+        self.rows = [self.rows[i] for i in rows]
+
+
+def _slope(x):
+    # descends for ever: every trial is taken, no fit converges
+    return -x.sum(), -np.ones_like(x)
+
+
+def _wall(x):
+    # its gradient points up the wall: every trial is rejected
+    return 1e9 * np.abs(x - 1.0).sum(), -np.ones_like(x)
+
+
+class TestLockstepLoop:
+    def test_a_row_fails_its_line_search_while_another_searches(self):
+        # the wall row rejects its 50 trials in calls 2 to 51 while the slope
+        # row goes on stepping; it then restarts, and after 50 more rejected
+        # trials it stalls
+        ends = _descend(_Rows(_slope, _wall), np.ones((2, 2)), np.full(2, -np.inf), 1e-4, 200)
+        assert [end[2:] for end in ends] == [("budget", 200, 199, False), ("stalled", 102, 0, True)]
+        np.testing.assert_array_equal(ends[1][0], [1.0, 1.0])  # its best point, the start
+
+    def test_a_row_stops_in_the_round_after_another_failed(self):
+        # the slope row meets its budget at the call after which the wall row
+        # failed; the wall row then takes its restart point and meets it too
+        ends = _descend(_Rows(_slope, _wall), np.ones((2, 2)), np.full(2, -np.inf), 1e-4, 51)
+        assert [end[2:] for end in ends] == [("budget", 51, 50, False), ("budget", 52, 0, True)]
 
 
 def weighted_k4_model(seed: int, nbins: int) -> TemplateModel:
@@ -456,6 +516,19 @@ class TestDefaultStart:
 
 
 class TestHesse:
+    def test_stacked_covariances_drop_rows_without_one(self):
+        good = np.diag([2.0, 4.0])
+        cov = np.diag([1.0, 0.5])
+        # a Hessian with a NaN entry, and one whose inverse overflows to an
+        # infinite yield variance although its factorization passes
+        H = np.array([good, [[np.nan, 0.0], [0.0, 1.0]], good, np.diag([1e-320, 1.0])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _covariances(H, 2)
+        assert out[1] is None and out[3] is None
+        np.testing.assert_array_equal(out[0], cov)
+        np.testing.assert_array_equal(out[2], cov)
+
     def test_quadratic_cost(self):
         # hesse returns twice the inverse of the cost's Hessian
         class _Quad(CostFunction):
@@ -618,3 +691,23 @@ class TestGof:
         )
         with pytest.raises(ValueError, match="ndof"):
             gof(tf.FitResult(qmin=1.0, ndof=0, **base))
+
+
+@pytest.mark.parametrize("nbins", [15, 100])
+@pytest.mark.parametrize("n_mc", [50, 10_000, 10_000_000])
+@pytest.mark.parametrize("method", ["approx", "conway"])
+def test_unit_weights_fit_as_the_unweighted_cost(method, n_mc, nbins):
+    # the effective counts of unit-weight integer input are the counts, so
+    # the weighted fit is the unweighted one bit for bit: weighting can
+    # follow the input alone
+    for seed in (1, 2, 3):
+        cfg = tf.ToyConfig(seed=seed, n_mc=n_mc, nbins=nbins)
+        model = tf.to_model(cfg, tf.draw(cfg, tf.rng_stream(seed, 0)))
+        assert model.is_unweighted()
+        a, b = fit(model, method), fit(model, method, weighted=True)
+        assert a.yields.tobytes() == b.yields.tobytes()
+        assert (a.covariance is None) == (b.covariance is None)
+        if a.covariance is not None:
+            assert a.covariance.tobytes() == b.covariance.tobytes()
+        assert float.hex(a.qmin) == float.hex(b.qmin)
+        assert (a.status, a.n_evaluations) == (b.status, b.n_evaluations)

@@ -175,6 +175,28 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="duplicate template sizes"):
             run_study(cfg, [50, 50], 3, ["approx"])
 
+    @pytest.mark.parametrize(
+        "grid, n_toys, jobs, match",
+        [
+            ([50.7], 1, 1, "n_mc must be an integer of at least 0, got 50.7"),
+            ([100, -1], 1, 1, "n_mc must be an integer of at least 0, got -1"),
+            ([], 1, 1, "at least one template size"),
+            ([100], 2.0, 1, "n_toys must be an integer"),
+            ([100], 1, 0, "jobs must be an integer of at least 1, got 0"),
+        ],
+    )
+    def test_bad_inputs_fail_before_any_draw(self, monkeypatch, grid, n_toys, jobs, match):
+        def draw(*args):
+            raise AssertionError("a toy was drawn")
+
+        monkeypatch.setattr(study, "draw_counts", draw)
+        with pytest.raises(ValueError, match=match):
+            run_study(ToyConfig(seed=1), grid, n_toys, ["approx"], jobs=jobs)
+
+    def test_numpy_integer_sizes_are_recorded_as_ints(self):
+        (r,) = run_study(ToyConfig(seed=1), np.array([50]), 1, ["approx"])
+        assert type(r.n_mc) is int and r.n_mc == 50
+
 
 class TestSummarize:
     def test_all_zero_pulls(self):

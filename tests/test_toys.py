@@ -57,6 +57,7 @@ class TestToyConfig:
             {"nbins": 15.5},
             {"n_mc": 50.5},
             {"seed": 2.7},  # would draw seed 2
+            {"n_mc": True},  # a JSON true is no template size
         ],
     )
     def test_rejects_non_finite_fields_and_shapes_out_of_reach(self, fields):
@@ -179,7 +180,7 @@ class TestStreams:
         counts = draw_counts(cfg, indexes)
         assert counts.shape == (len(indexes), 4, 15)
         for row, i in zip(counts, indexes):
-            got = ToyDraw.from_counts(cfg, row)
+            got = ToyDraw.from_counts(row)
             want = draw(cfg, rng_stream(seed, i))
             for a, b in zip((got.data, *got.templates), (want.data, *want.templates)):
                 assert a.sumw.tobytes() == b.sumw.tobytes()
@@ -206,11 +207,6 @@ class TestDraw:
             assert t.total == 0.0
         with pytest.raises(ValueError):
             to_model(cfg, toy)  # empty templates are not a usable model
-
-    def test_truth_recorded(self):
-        cfg = ToyConfig(seed=1)
-        toy = draw(cfg, rng_stream(1, 0))
-        assert toy.truth == (250.0, 750.0)
 
     def test_total_within_five_sigma(self):
         cfg = ToyConfig(seed=9)
