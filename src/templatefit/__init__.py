@@ -32,14 +32,12 @@ from .minimize import (
     gof,
     hesse,
     minimize,
-    minimize_stack,
 )
 from .special import chi2_sf, normal_cdf
 from .study import PullRecord, PullStats, bench, run_study, summarize
 from .toys import (
     ToyConfig,
     ToyDraw,
-    bin_probabilities,
     draw,
     draw_counts,
     rng_stream,
@@ -62,7 +60,6 @@ __all__ = [
     "gof",
     "hesse",
     "minimize",
-    "minimize_stack",
     "chi2_sf",
     "normal_cdf",
     "PullRecord",
@@ -72,7 +69,6 @@ __all__ = [
     "summarize",
     "ToyConfig",
     "ToyDraw",
-    "bin_probabilities",
     "draw",
     "draw_counts",
     "rng_stream",

@@ -406,8 +406,8 @@ class CostFunction(_PerBin):
     :meth:`hessian` gives the exact Hessian from the same per-bin kernels:
     K x K in the yields for ``approx`` and ``conway``, whose per-bin factors
     are profiled in closed form, and over yields and amplitude factors for
-    ``exact``.  :meth:`value_and_gradient` gives the value and the exact
-    gradient in the yields of ``approx`` and ``conway``.
+    ``exact``.  ``approx`` and ``conway`` take their gradients in the
+    yields from the one-row :class:`CostStack` of their arrays that fits run.
 
     Evaluation mutates no state, so a single instance may be called
     concurrently from several workers.  Out-of-domain parameter vectors
@@ -547,7 +547,7 @@ class CostFunction(_PerBin):
         """Unclipped cost of each parameter vector along the last axis of ``p``.
 
         Every vector must lie inside the domain.  ``approx`` and ``conway``
-        take the value of :meth:`_profile`, which ``value_and_gradient`` returns.
+        take the value of :meth:`_profile`, which ``CostStack.value_and_gradient`` returns.
         """
         if self.method is Method.EXACT:
             terms, slot, _, _ = self._exact(p)
@@ -568,18 +568,6 @@ class CostFunction(_PerBin):
         aB = self._a * B
         mu = self._expectation(p[..., :K], aB)
         return _qp_terms(self._n, self._npos, mu, self._nlogn), betas - 1.0 - np.log(betas), mu, aB
-
-    def value_and_gradient(self, params) -> tuple[float, np.ndarray]:
-        """Cost and its gradient in the yields, from one kernel pass.
-
-        The value equals ``self(params)`` bit for bit.  The gradient is NaN
-        where the value is infinite.  ``approx`` and ``conway`` only; raises
-        ``ValueError`` for ``exact`` and outside the domain.
-        """
-        if self.method is Method.EXACT:
-            raise ValueError("the exact method has no closed-form gradient")
-        value, gradient = self._value_and_gradient(self.validate(params))
-        return float(value), gradient
 
     def hessian(self, params) -> np.ndarray:
         """Hessian of the cost: K x K in the yields for the profiled ``approx`` and

@@ -16,12 +16,12 @@ one row per fit, and every round evaluates each row's next point (a
 line-search trial or the restart point) in one call.  A row leaves the
 batch when its fit stops.  Every ``approx`` and ``conway`` fit runs on
 stacked rows, :func:`minimize`'s as a one-row stack on the cost's arrays.
-:func:`minimize_stack` fits the rows of a
-:class:`~templatefit.likelihood.CostStack` (``CostStack.from_counts``
-builds one from count arrays, with no cost functions) in stacks of at
-most 2^14 per-bin elements (rows x components x the most active bins), so
-a round costs one NumPy dispatch per elementwise operation for the whole
-stack.  Every operation on the loop's state is elementwise, a reduction
+``_minimize_stacks`` fits the rows of
+:class:`~templatefit.likelihood.CostStack` objects (``run_study`` builds
+them from count arrays, with no cost functions) in stacks of at most 2^14
+per-bin elements (rows x components x the most active bins), so a round
+costs one NumPy dispatch per elementwise operation for the whole stack.
+Every operation on the loop's state is elementwise, a reduction
 along the last axis or one BLAS product per row, and stacked rows equal
 single calls bit for bit (see ``CostStack``), so a fit's result does not
 depend on the batch it ran in.
@@ -98,7 +98,6 @@ from .special import chi2_sf
 __all__ = [
     "FitResult",
     "minimize",
-    "minimize_stack",
     "hesse",
     "default_start",
     "gof",
@@ -116,6 +115,12 @@ _TRIALS = 50  # line-search trials per iteration
 # a stacked cost call holds at most this many per-bin elements (rows x
 # components x active bins), which bounds the size of its temporaries
 _STACK_ELEMENTS = 2**14
+
+
+def _rows_per_call(elements: int) -> int:
+    """How many rows of ``elements`` per-bin elements each one stacked call holds, at least 1."""
+    return max(1, _STACK_ELEMENTS // max(1, elements))
+
 
 # why a row left the loop; 0 while it runs
 _STATUSES = ("", "converged", "stalled", "budget")
@@ -136,7 +141,7 @@ class FitResult:
     positive definite.  ``ndof`` counts the bins entering the cost minus
     the number of yields.  ``betas`` holds the per-bin scale factors at
     the minimum (profiled for the approximate methods, fitted for the
-    exact one, ``None`` on a row of :func:`minimize_stack`).
+    exact one, ``None`` on a row of a ``run_study`` stack).
     ``n_iterations`` counts the accepted quasi-Newton steps and
     ``restarted`` says whether the one restart was taken.
     """
@@ -170,7 +175,7 @@ class _Counted:
         self.lower = cost.lower_bounds
         self.ncomponents = cost.model.ncomponents
         self.ndof = [cost.ndof]
-        self.rows = max(1, _STACK_ELEMENTS // max(1, cost.model.ncomponents * cost.nbins_active))
+        self.rows = _rows_per_call(cost.model.ncomponents * cost.nbins_active)
 
     def values(self, points) -> list[float]:
         """Values at ``points``, in order, in stacked calls of at most ``rows`` points."""
@@ -390,18 +395,6 @@ def default_start(cost: CostFunction | CostStack) -> np.ndarray:
     return start
 
 
-def _start_errors(x: np.ndarray, lower: np.ndarray) -> dict[int, ValueError]:
-    """The error of each row of start points ``x`` that is not finite or lies below ``lower``."""
-    finite = np.isfinite(x).all(axis=-1)
-    bad = ~finite | (x < lower).any(axis=-1)
-    return {
-        i: ValueError(
-            "start point must lie within the bounds" if finite[i] else "start point must be finite"
-        )
-        for i in bad.nonzero()[0].tolist()
-    }
-
-
 def _check_options(gtol: float, max_calls: int) -> None:
     if not gtol > 0.0:
         raise ValueError(f"gtol must be positive, got {gtol}")
@@ -418,10 +411,10 @@ def minimize(
 ) -> FitResult:
     """Minimize a cost function over its parameter space, bounded below by its ``lower_bounds``.
 
-    A batch of one through the lockstep loop of :func:`minimize_stack`,
-    with the cost's ``ndof`` and the per-bin ``betas`` at the minimum.
+    A batch of one through the lockstep loop that ``run_study``'s stacks
+    run, with the cost's ``ndof`` and the per-bin ``betas`` at the minimum.
     ``approx`` and ``conway`` fit as a one-row stack on the cost's arrays,
-    so a subclass's ``value_and_gradient`` and ``hessian`` are not called.
+    so a subclass's ``hessian`` is not called.
 
     Parameters
     ----------
@@ -440,9 +433,10 @@ def minimize(
     x = np.array(default_start(cost) if start is None else start, dtype=np.float64)
     if x.shape != (cost.nparams,):
         raise ValueError(f"start must have {cost.nparams} entries")
-    errors = _start_errors(x[None], cost.lower_bounds)
-    if errors:
-        raise errors[0]
+    if not np.isfinite(x).all():
+        raise ValueError("start point must be finite")
+    if (x < cost.lower_bounds).any():
+        raise ValueError("start point must lie within the bounds")
     _check_options(gtol, max_calls)
     f = _Counted(cost) if cost.method is Method.EXACT else _Stacked(cost._row())
     f.betas = cost.diagnostics
@@ -452,62 +446,32 @@ def minimize(
     return result
 
 
-def minimize_stack(
-    stack: CostStack,
-    start,
-    *,
-    gtol: float = DEFAULT_GTOL,
-    max_calls: int = DEFAULT_MAX_CALLS,
-) -> list[FitResult | Exception]:
-    """Minimize every row of a :class:`~templatefit.likelihood.CostStack` in lockstep.
-
-    Row ``t`` starts from ``start[t]``, a ``(T, K)`` array.  Returns one
-    entry per row, in order: its :class:`FitResult`, equal field for field
-    and bit for bit to the :func:`minimize` of the row's cost function from
-    that start, ``ndof`` included, but with ``betas`` ``None``; or the
-    ``ValueError`` or ``ArithmeticError`` that call
-    would raise: a start point that is not finite or lies below the
-    bounds, or a start value that is not finite, say; the other rows still
-    fit.  The rows are stepped in order of active-bin count, in stacks of
-    at most 2^14 per-bin elements; a stack that raises a ``LinAlgError``
-    or an ``ArithmeticError`` is fitted again row by row, so the error
-    fails only the fit that caused it.  Other exceptions propagate.
-    """
-    (out,) = _minimize_stacks([stack], [start], gtol, max_calls)
-    return out
-
-
 def _minimize_stacks(
     stacks: list[CostStack],
-    starts: list,
+    starts: list[np.ndarray],
     gtol: float = DEFAULT_GTOL,
     max_calls: int = DEFAULT_MAX_CALLS,
 ) -> list[list[FitResult | Exception]]:
-    """:func:`minimize_stack` of each of ``stacks``, all of one parameter count, from ``starts``.
+    """Minimize every row of each of ``stacks``, all of one parameter count, in lockstep.
 
-    Each stack is ordered and cut into chunks as :func:`minimize_stack`
-    says, and the ``i``-th chunks of all stacks run in one loop, a segment
-    each, so a round costs the loop's own bookkeeping once for them all.
+    Row ``t`` of a stack starts from row ``t`` of its ``(T, K)`` start array,
+    ``default_start(stack)``; neither the starts nor the options are checked.
+    Returns per stack one entry per row, in order: its :class:`FitResult`,
+    equal field for field and bit for bit to the :func:`minimize` of the
+    row's cost function from that start but with ``betas`` ``None``, or the
+    ``ValueError`` or ``ArithmeticError`` that call would raise; the other
+    rows still fit.  Each stack's rows are ordered by active-bin count and
+    cut into chunks of at most 2^14 per-bin elements; the ``i``-th chunks of
+    all stacks run in one loop (:func:`_fit_segments`), a segment each.
     """
-    _check_options(gtol, max_calls)
     outs, chunks = [], []
-    for stack, start in zip(stacks, starts):
-        x = np.array(start, dtype=np.float64)
-        if x.shape != (len(stack), stack.nparams):
-            raise ValueError(f"start must have shape {(len(stack), stack.nparams)}, got {x.shape}")
+    for stack, x in zip(stacks, starts):
         out: list = [None] * len(x)
-        errors = _start_errors(x, np.zeros(stack.nparams))
-        for i, error in errors.items():
-            out[i] = error
         # rows of one active-bin count next to each other reduce in one run
         rows = np.argsort(stack.nbins_active, kind="stable")
-        if errors:
-            rows = rows[[i not in errors for i in rows.tolist()]]
-        if len(rows) < len(stack) or np.count_nonzero(rows != np.arange(len(rows))):
+        if np.count_nonzero(rows != np.arange(len(rows))):
             stack, x = stack.take(rows), x[rows]
-        # at most _STACK_ELEMENTS per-bin elements at the widest row
-        widest = int(stack.nbins_active.max(initial=0))
-        size = max(1, _STACK_ELEMENTS // max(1, stack.nparams * widest))
+        size = _rows_per_call(stack.nparams * int(stack.nbins_active.max(initial=0)))
         for n, lo in enumerate(range(0, len(x), size)):
             hi = min(lo + size, len(x))
             chunk = stack if hi - lo == len(stack) else stack.take(np.arange(lo, hi))

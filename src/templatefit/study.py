@@ -5,8 +5,8 @@ the identical toy and the records do not depend on the worker count or
 on which other methods were requested.  ``run_study`` draws the toys of a
 chunk as one array of counts.  For ``approx`` and ``conway`` it builds one
 ``CostStack`` per method straight from those counts and steps the fits of
-both stacks in one lockstep loop, whatever their active-bin counts (the
-multi-stack form of ``minimize_stack``).  A fit that stops stays in its
+both stacks in one lockstep loop, whatever their active-bin counts
+(``minimize._minimize_stacks``).  A fit that stops stays in its
 stack, its outputs dropped, until at most half of the stack still runs,
 and the stack is then narrowed to the running fits.  The records are
 written from the results, without the per-toy models, cost functions and
@@ -206,8 +206,7 @@ def run_study(
     index) pairs, one chunk per worker task when ``jobs > 1``.  A chunk's
     ``approx`` and ``conway`` fits each make one
     :class:`~templatefit.likelihood.CostStack`, built from the drawn
-    counts, and one lockstep loop steps the rows of both, as
-    :func:`~templatefit.minimize.minimize_stack` steps one stack's; its
+    counts, and one lockstep loop steps the rows of both; its
     ``exact`` fits run one by one through
     :func:`~templatefit.minimize.minimize`.  With
     ``jobs > 1`` the pool has at most one worker per chunk.  Returns

@@ -33,7 +33,6 @@ from .special import normal_cdf
 __all__ = [
     "ToyConfig",
     "ToyDraw",
-    "bin_probabilities",
     "rng_stream",
     "draw",
     "draw_counts",
@@ -125,16 +124,6 @@ class ToyDraw:
         )
 
 
-def bin_probabilities(config: ToyConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bin probabilities of the truncated signal and background shapes.
-
-    Each vector sums to one; the signal uses the normal CDF, the
-    background the closed-form integral of the truncated exponential.
-    """
-    signal, background = config._shapes()
-    return signal.copy(), background.copy()
-
-
 @functools.lru_cache(maxsize=64)
 def _shape_probabilities(range_, nbins, mean, sigma, slope) -> tuple[np.ndarray, np.ndarray]:
     # cached per shape: every toy of a study draws from the same probabilities
@@ -221,7 +210,7 @@ def _plan(means: list[float]) -> tuple[list, int]:
     return ptrs, first
 
 
-def _poisson_block(rng: np.random.Generator, means: list[float], plan=None) -> list[int]:
+def _poisson_block(rng: np.random.Generator, means: list[float], plan: tuple) -> list[int]:
     """Poisson draws for ``means``, in order, from uniforms taken in one block.
 
     Sequential-search inversion below mean 30 takes one uniform per draw,
@@ -233,7 +222,7 @@ def _poisson_block(rng: np.random.Generator, means: list[float], plan=None) -> l
     The means are finite and nonnegative, as :func:`_means` gives them;
     ``plan`` is ``_plan(means)``, made once for draws that share their means.
     """
-    ptrs, first = _plan(means) if plan is None else plan
+    ptrs, first = plan
     u = rng.random(first + _SPARE).tolist()
     i = 0  # the next uniform
     counts = []
@@ -283,7 +272,8 @@ def draw(config: ToyConfig, rng: np.random.Generator) -> ToyDraw:
     serves one draw.  :func:`draw_counts` gives the same counts for many
     toys as one array, without the containers.
     """
-    counts = np.array(_poisson_block(rng, _means(config)), dtype=np.float64)
+    means = _means(config)
+    counts = np.array(_poisson_block(rng, means, _plan(means)), dtype=np.float64)
     return ToyDraw.from_counts(counts.reshape(4, config.nbins))
 
 

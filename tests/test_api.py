@@ -1,13 +1,14 @@
-"""Every public name has a use outside the tests, and every other name has one in the code.
+"""Every name the package defines has a use in the code, and README shows only public names.
 
 A name in ``templatefit.__all__`` must appear in the package's own code
-(other than its definition, ``__init__.py`` and the ``__all__`` lists), in
-the benchmark harness under ``perfbench/`` (its tests excluded) or in
-README.md.  Every other function, class and method the package defines,
-dunders aside, must appear in the package's code or in that harness code;
-README mentions do not count for them.  A function only the tests call is
-a second copy of what the fits compute, and the tests should check the
-code the fits run instead.
+(other than its definition, ``__init__.py`` and the ``__all__`` lists) or
+in the benchmark harness under ``perfbench/`` (its tests excluded); so
+must every other function, class and method the package defines, dunders
+aside.  README mentions do not count.  A function only the tests and the
+examples call is a second copy of what the fits compute, and the tests
+should check the code the fits run instead.  Every ``tf.<name>`` in
+README's python examples must be in ``templatefit.__all__``, so an
+example cannot show a retired name.
 """
 
 import ast
@@ -50,9 +51,17 @@ def _code_uses() -> set[str]:
 
 def test_every_public_name_has_a_use_outside_the_tests():
     public = [name for name in tf.__all__ if name != "__version__"]
-    used = _code_uses() | set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
-    unused = sorted(set(public) - used)
-    assert not unused, f"public names that only tests use: {unused}"
+    unused = sorted(set(public) - _code_uses())
+    assert not unused, f"public names that no program code uses: {unused}"
+
+
+def test_readme_examples_use_public_names():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    shown = {name for block in blocks for name in re.findall(r"\btf\.(\w+)", block)}
+    assert shown
+    missing = sorted(shown - set(tf.__all__))
+    assert not missing, f"README examples show names outside templatefit.__all__: {missing}"
 
 
 def test_every_private_name_has_a_use_in_the_code():

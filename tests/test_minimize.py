@@ -20,7 +20,13 @@ from templatefit import (
     hesse,
     minimize,
 )
-from templatefit.minimize import _covariances, _descend, _direction, _initial_inverse_diag
+from templatefit.minimize import (
+    _covariances,
+    _descend,
+    _direction,
+    _initial_inverse_diag,
+    _succeeds,
+)
 
 
 def make_model(data, comps, names=()):
@@ -222,17 +228,25 @@ class TestMinimize:
         assert res.yields[1] == pytest.approx(2.0, rel=1e-6)
         assert res.qmin < 1e-9
 
-    def test_singular_held_block_of_the_curvature_model(self):
+    def test_singular_held_block_of_the_curvature_model(self, monkeypatch):
         # BFGS roundoff zeroes the inverse curvature of the signal yield while
-        # it is held on its bound; the step then resets the curvature instead
-        # of solving with the singular block
+        # it is held on its bound (a model found by a seeded fuzz over small
+        # models); the step is then zero, which resets the curvature, instead
+        # of a solve with the singular block
+        blocks = []
+
+        def spying(hinv, g, held):
+            blocks.append(hinv[np.ix_(held, held)])
+            return _direction(hinv, g, held)
+
+        monkeypatch.setitem(_direction.__globals__, "_direction", spying)
         model = make_model(
-            [0, 207, 263, 0, 95, 0, 1],
-            [[1, 113, 256, 268, 13, 0, 0], [1, 55, 129, 0, 227, 0, 0]],
+            [4, 2, 0, 1, 1, 5, 5, 0], [[3, 2, 3, 0, 1, 1, 4, 5], [2, 5, 1, 4, 1, 4, 1, 0]]
         )
         cost = CostFunction(Method.CONWAY, model)
         res = minimize(cost)
-        ref = scipy_minimize(cost, [0.0, 600.0], method="L-BFGS-B", bounds=[(0.0, None)] * 2)
+        assert any(not _succeeds(np.linalg.inv, b) for b in blocks)
+        ref = scipy_minimize(cost, default_start(cost), method="L-BFGS-B", bounds=[(0.0, None)] * 2)
         assert res.status == "on_bound" and res.yields[0] < 1e-9
         assert res.qmin <= ref.fun + 1e-6
 

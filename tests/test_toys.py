@@ -11,13 +11,17 @@ from scipy import integrate, stats
 from templatefit import (
     ToyConfig,
     ToyDraw,
-    bin_probabilities,
     draw,
     draw_counts,
     rng_stream,
     to_model,
 )
-from templatefit.toys import _poisson_block
+from templatefit.toys import _plan, _poisson_block
+
+
+def _draws(rng, means: list[float]) -> list[int]:
+    """Poisson draws for ``means`` from ``rng``, by the block sampler every toy draws with."""
+    return _poisson_block(rng, means, _plan(means))
 
 
 class TestToyConfig:
@@ -77,18 +81,18 @@ class TestToyConfig:
 
 class TestBinProbabilities:
     def test_both_sum_to_one(self):
-        sig, bkg = bin_probabilities(ToyConfig())
+        sig, bkg = ToyConfig()._shapes()
         assert sig.sum() == pytest.approx(1.0, abs=1e-12)
         assert bkg.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_signal_symmetric_about_center(self):
-        sig, _ = bin_probabilities(ToyConfig())
+        sig, _ = ToyConfig()._shapes()
         np.testing.assert_allclose(sig, sig[::-1], atol=1e-12)
 
     def test_background_first_bin_frozen(self):
         # integral of exp(-x) over [0, 2/15] divided by the integral over
         # [0, 2]; frozen from a quadrature oracle
-        _, bkg = bin_probabilities(ToyConfig())
+        _, bkg = ToyConfig()._shapes()
         assert bkg[0] == pytest.approx(0.14436425881271503, rel=1e-12)
         num = integrate.quad(lambda x: math.exp(-x), 0.0, 2.0 / 15.0)[0]
         den = integrate.quad(lambda x: math.exp(-x), 0.0, 2.0)[0]
@@ -96,7 +100,7 @@ class TestBinProbabilities:
 
     def test_signal_bins_match_quadrature(self):
         cfg = ToyConfig()
-        sig, _ = bin_probabilities(cfg)
+        sig, _ = cfg._shapes()
         edges = np.linspace(0.0, 2.0, 16)
         dens = lambda x: math.exp(-0.5 * ((x - 1.0) / 0.1) ** 2)
         den = integrate.quad(dens, 0.0, 2.0)[0]
@@ -105,14 +109,14 @@ class TestBinProbabilities:
             assert sig[b] == pytest.approx(num / den, rel=1e-9)
 
     def test_refinement_consistency(self):
-        coarse = bin_probabilities(ToyConfig(nbins=15))
-        fine = bin_probabilities(ToyConfig(nbins=30))
+        coarse = ToyConfig(nbins=15)._shapes()
+        fine = ToyConfig(nbins=30)._shapes()
         for c, f in zip(coarse, fine):
             merged = f.reshape(15, 2).sum(axis=1)
             np.testing.assert_allclose(merged, c, atol=1e-12)
 
     def test_zero_slope_is_uniform(self):
-        _, bkg = bin_probabilities(ToyConfig(background_slope=0.0, nbins=4))
+        _, bkg = ToyConfig(background_slope=0.0, nbins=4)._shapes()
         np.testing.assert_allclose(bkg, 0.25, atol=1e-15)
 
 
@@ -122,7 +126,7 @@ class TestPoissonSampler:
         # KS against the analytic CDF; conservative for a discrete law
         rng = rng_stream(2024, int(mu * 10))
         n = 10_000
-        draws = np.array(_poisson_block(rng, [mu] * n))
+        draws = np.array(_draws(rng, [mu] * n))
         kmax = int(draws.max()) + 1
         emp = np.array([(draws <= k).mean() for k in range(kmax)])
         cdf = stats.poisson.cdf(np.arange(kmax), mu)
@@ -134,7 +138,7 @@ class TestPoissonSampler:
     def test_moments(self, mu):
         rng = rng_stream(99, int(mu))
         n = 20_000
-        draws = np.array(_poisson_block(rng, [mu] * n))
+        draws = np.array(_draws(rng, [mu] * n))
         assert draws.mean() == pytest.approx(mu, abs=4.0 * math.sqrt(mu / n))
         assert draws.var() == pytest.approx(mu, rel=0.1)
 
@@ -223,13 +227,13 @@ class TestDraw:
     def test_bin_mean_matches_expectation(self):
         # one data bin sampled many times against its analytic mean
         cfg = ToyConfig()
-        sig, bkg = bin_probabilities(cfg)
+        sig, bkg = cfg._shapes()
         b = 7
         mu_sig = 250.0 * sig[b]
         mu_bkg = 750.0 * bkg[b]
         n = 100_000
         rng = rng_stream(123456, 0)
-        pairs = _poisson_block(rng, [mu_sig, mu_bkg] * n)
+        pairs = _draws(rng, [mu_sig, mu_bkg] * n)
         total = 0.0
         totsq = 0.0
         for v in map(sum, zip(pairs[::2], pairs[1::2])):
@@ -243,12 +247,12 @@ class TestDraw:
     def test_data_bin_distribution_ks(self):
         # a drawn data bin is exchangeable with a direct Poisson draw
         cfg = ToyConfig()
-        sig, bkg = bin_probabilities(cfg)
+        sig, bkg = cfg._shapes()
         b = 7
         mu = 250.0 * sig[b] + 750.0 * bkg[b]
         n = 10_000
         rng = rng_stream(7777, 0)
-        pairs = np.array(_poisson_block(rng, [250.0 * sig[b], 750.0 * bkg[b]] * n))
+        pairs = np.array(_draws(rng, [250.0 * sig[b], 750.0 * bkg[b]] * n))
         draws = pairs[::2] + pairs[1::2]
         kmax = int(draws.max()) + 1
         emp = np.array([(draws <= k).mean() for k in range(kmax)])
@@ -319,7 +323,7 @@ class TestFrozenDraws:
     @pytest.mark.parametrize("mu,total,next_uniform", FROZEN_SCALAR)
     def test_scalar_sampler_consumption_frozen(self, mu, total, next_uniform):
         # the block draw's counts, and the stream left where the scalar loop left it
-        assert sum(_poisson_block(rng_stream(77, int(mu)), [mu] * 50)) == total
+        assert sum(_draws(rng_stream(77, int(mu)), [mu] * 50)) == total
         rng = rng_stream(77, int(mu))
         assert sum(_reference_poisson(rng, mu) for _ in range(50)) == total
         assert rng.random().hex() == next_uniform
@@ -372,4 +376,4 @@ def test_block_draw_reads_the_scalar_samplers_uniforms(monkeypatch, spare):
         mu = (mu * rng.uniform(0.8, 1.2, size=50)).tolist()
         stream = rng_stream(7, trial)
         expected = [_reference_poisson(stream, m) for m in mu]
-        assert toys._poisson_block(rng_stream(7, trial), mu) == expected
+        assert _draws(rng_stream(7, trial), mu) == expected
