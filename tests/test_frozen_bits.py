@@ -10,9 +10,9 @@ To print the table for new cases, run ``python tests/test_frozen_bits.py``.
 
 The records of one ``run_study`` call are frozen too, by the SHA-256 of
 their CSV: every bit of the lockstep loop that fits them shows there.
-So are one weighted ``approx`` fit and one weighted ``conway`` fit of
-:func:`~templatefit.fit`: yields, errors, ``qmin``, status and evaluation
-count.
+So are a weighted and an unweighted ``approx`` and ``conway`` fit of
+:func:`~templatefit.fit`: yields, errors, covariance, ``qmin``, status,
+evaluation count and the per-bin ``betas`` at the minimum.
 """
 
 import hashlib
@@ -20,7 +20,17 @@ import hashlib
 import numpy as np
 import pytest
 
-from templatefit import BinnedSample, CostFunction, TemplateModel, ToyConfig, fit, run_study
+from templatefit import (
+    BinnedSample,
+    CostFunction,
+    TemplateModel,
+    ToyConfig,
+    draw,
+    fit,
+    rng_stream,
+    run_study,
+    to_model,
+)
 from templatefit.study import records_to_csv
 
 
@@ -290,31 +300,139 @@ def test_cases_cover_every_branch():
     assert any(b not in ("nan", "0x1.0000000000000p+0") for b in exact_betas)
 
 
-def _fit(method):
-    r = fit(FIT_WEIGHTED, method, weighted=True)
+# the seed-4 toy of the default configuration: unweighted, 15 bins
+TOY = ToyConfig(seed=4)
+TOY_MODEL = to_model(TOY, draw(TOY, rng_stream(4, 0)))
+
+
+def _fit(method, model=FIT_WEIGHTED, weighted=True):
+    r = fit(model, method, weighted=weighted)
     return {
         "yields": _hex(r.yields),
         "errors": _hex(r.yield_errors),
+        "covariance": _hex(r.covariance),
         "qmin": float.hex(r.qmin),
         "status": r.status,
         "n_evaluations": r.n_evaluations,
+        "beta": _hex(r.betas.beta),
+        "contributions": _hex(r.betas.contributions),
     }
+
+
+def _toy_fit(method):
+    return _fit(method, TOY_MODEL, weighted=False)
 
 
 FROZEN_FITS = {
     "approx": {
-        "yields": "0x1.a858555ef9950p+7 0x1.d1f5e88417b96p+3",
-        "errors": "0x1.ce938fe6ce0f5p+4 0x1.b8afb93726ac8p+3",
+        "yields": (
+            "0x1.a858555ef9950p+7 0x1.d1f5e88417b96p+3"
+        ),
+        "errors": (
+            "0x1.ce938fe6ce0f5p+4 0x1.b8afb93726ac8p+3"
+        ),
+        "covariance": (
+            "0x1.a1ec7839d1d9dp+9 -0x1.7f3a02fcb3cbdp+7 -0x1.7f3a02fcb3cbdp+7 "
+            "0x1.7b4e42a62a2c4p+7"
+        ),
         "qmin": "0x1.30fb6cfd62d5ap-2",
         "status": "converged",
         "n_evaluations": 14,
+        "beta": (
+            "0x1.0496dca1a9a97p+0 0x1.f12c5b213ee84p-1 0x1.0003e6b075b9dp+0 "
+            "0x1.f91bf230d1c38p-1 0x1.07aad07657b71p+0 0x1.091300235c501p+0 "
+            "0x1.026df2af8c977p+0 0x1.e5e53bcf6c15fp-1"
+        ),
+        "contributions": (
+            "0x1.2d3394cca820ep-7 0x1.60bbebbe101bap-5 0x1.d0d690034ba54p-23 "
+            "0x1.40538f959c5b0p-7 0x1.4cb567b57563fp-5 0x1.f4635933474b3p-5 "
+            "0x1.25f45a0bafeecp-8 0x1.09797cad27b12p-3"
+        ),
     },
     "conway": {
-        "yields": "0x1.a87ae151eea5ep+7 0x1.c18fbabbcf132p+3",
-        "errors": "0x1.e6eb35411738ap+4 0x1.f39635e5f859bp+3",
+        "yields": (
+            "0x1.a87ae151eea5ep+7 0x1.c18fbabbcf132p+3"
+        ),
+        "errors": (
+            "0x1.e6eb35411738ap+4 0x1.f39635e5f859bp+3"
+        ),
+        "covariance": (
+            "0x1.cf10f326fa5fdp+9 -0x1.b2b05d7a16adcp+7 -0x1.b2b05d7a16adcp+7 "
+            "0x1.e7797720dd82ep+7"
+        ),
         "qmin": "0x1.d8ab55e925fecp-3",
         "status": "converged",
         "n_evaluations": 11,
+        "beta": (
+            "0x1.04c56d8017324p+0 0x1.f06a3adb70d71p-1 0x1.0018640599b6cp+0 "
+            "0x1.f8972c3f13c7ep-1 0x1.0ab48cb88c066p+0 0x1.1056ac4247c06p+0 "
+            "0x1.05ef970942796p+0 0x1.ca8e2bab88d6cp-1"
+        ),
+        "contributions": (
+            "0x1.22a390eb35378p-7 0x1.436b542f700acp-5 0x1.bb4a55f5c34b2p-18 "
+            "0x1.db42ea9e696e0p-8 0x1.1af110532df66p-5 0x1.85df42a03073cp-5 "
+            "0x1.9121fc48a5b9ap-8 0x1.64172a8bb552ap-4"
+        ),
+    },
+}
+FROZEN_TOY_FITS = {
+    "approx": {
+        "yields": (
+            "0x1.ab56e440b3a43p+7 0x1.8de13951597e4p+9"
+        ),
+        "errors": (
+            "0x1.3338dcf764cfep+5 0x1.5fac44032cc22p+6"
+        ),
+        "covariance": (
+            "0x1.70b16e9ac6c0ep+10 -0x1.cbd9dd8b57724p+9 -0x1.cbd9dd8b57724p+9 "
+            "0x1.e319d66c2b123p+12"
+        ),
+        "qmin": "0x1.faaa884ad1833p+2",
+        "status": "converged",
+        "n_evaluations": 9,
+        "beta": (
+            "0x1.c4275546ac6e9p-1 0x1.10d86b403da54p+0 0x1.63b9d0a5a5b45p+0 "
+            "0x1.1a615bbaea776p+0 0x1.7d65932b00d67p+0 0x1.ece1ca006f5c1p-1 "
+            "0x1.09757dcce7e8dp+0 0x1.fef3e15f32299p-1 0x1.dd4531c12dbe9p-1 "
+            "0x1.5fbcf3f202dc0p+0 0x1.1cfff23103707p-1 0x1.9abc2855b2220p-1 "
+            "0x1.2f295ab9280cfp+0 0x1.4c7fefe3d9588p-1 0x1.3cda4b0047969p-1"
+        ),
+        "contributions": (
+            "0x1.253a1c50f03d6p-2 0x1.7ed7595ed98a0p-5 0x1.14b495f00adc0p+0 "
+            "0x1.6e6e359d1fe40p-4 0x1.37a49dd3c9b7fp+0 0x1.090db25929278p-6 "
+            "0x1.390f5c79d905ap-5 0x1.3b3d793949780p-12 0x1.cc55ae41942aep-4 "
+            "0x1.46621b01d5ed2p-1 0x1.29c1c76d3a9dcp+1 0x1.0804eb4ec3a63p-2 "
+            "0x1.a145a7441e810p-4 0x1.1fac54ff79584p-1 0x1.24beaba27cab5p+0"
+        ),
+    },
+    "conway": {
+        "yields": (
+            "0x1.9ead2d9cfb635p+7 0x1.ab0dee108bc09p+9"
+        ),
+        "errors": (
+            "0x1.4d5c01d30a678p+5 0x1.8bfab9c5e1b0ap+6"
+        ),
+        "covariance": (
+            "0x1.b2187dd058c41p+10 -0x1.0bc587e929134p+10 -0x1.0bc587e929134p+10 "
+            "0x1.323fd76c01e1bp+13"
+        ),
+        "qmin": "0x1.bf9378d540242p+2",
+        "status": "converged",
+        "n_evaluations": 11,
+        "beta": (
+            "0x1.a6ebafa874178p-1 0x1.00362b45b4528p+0 0x1.4ba2720f22e05p+0 "
+            "0x1.0921552947b33p+0 0x1.62198ab8c0a0ep+0 0x1.ce50a5361295fp-1 "
+            "0x1.050ccf158ec44p+0 0x1.018b23ad8d942p+0 0x1.cd01b0c02aca0p-1 "
+            "0x1.4b416e1f398aep+0 0x1.fb2de03202826p-2 0x1.7e26a77058a75p-1 "
+            "0x1.1c5786f2298cap+0 0x1.2f0d7ad618a2ep-1 0x1.1ee269210f466p-1"
+        ),
+        "contributions": (
+            "0x1.21e6cf8349791p-1 0x1.00e868eb47386p-17 0x1.9cbd77892f90fp-1 "
+            "0x1.770737a96e176p-7 0x1.069bee9227eb0p+0 0x1.abe265f68837dp-4 "
+            "0x1.f7610b4a800c8p-8 0x1.05f4e25271863p-9 0x1.488f052f87aa4p-3 "
+            "0x1.d2c878fe610ffp-2 0x1.e44fc64b26403p+0 0x1.67428b6bd604dp-2 "
+            "0x1.5564880a72876p-5 0x1.1261a39b7d37fp-1 0x1.0878626381679p+0"
+        ),
     },
 }
 
@@ -322,6 +440,11 @@ FROZEN_FITS = {
 @pytest.mark.parametrize("method", sorted(FROZEN_FITS))
 def test_weighted_fit_bit_exact(method):
     assert _fit(method) == FROZEN_FITS[method]
+
+
+@pytest.mark.parametrize("method", sorted(FROZEN_TOY_FITS))
+def test_toy_fit_bit_exact(method):
+    assert _toy_fit(method) == FROZEN_TOY_FITS[method]
 
 
 # batch 0 of perfbench's ensemble-fast workload at seed 101
@@ -350,13 +473,22 @@ def _table() -> str:
             lines.append("        ),")
         lines.append("    },")
     lines.append("}")
-    lines.append("FROZEN_FITS = {")
-    for method in sorted(FROZEN_FITS):
-        lines.append(f'    "{method}": {{')
-        for key, value in _fit(method).items():
-            lines.append(f'        "{key}": {value!r},'.replace("'", '"'))
-        lines.append("    },")
-    lines.append("}")
+    for table, evaluate in (("FROZEN_FITS", _fit), ("FROZEN_TOY_FITS", _toy_fit)):
+        lines.append(f"{table} = {{")
+        for method in ("approx", "conway"):
+            lines.append(f'    "{method}": {{')
+            for key, value in evaluate(method).items():
+                words = value.split() if isinstance(value, str) else [value]
+                if len(words) == 1:
+                    lines.append(f'        "{key}": {value!r},'.replace("'", '"'))
+                    continue
+                lines.append(f'        "{key}": (')
+                for i in range(0, len(words), 3):
+                    tail = "" if i + 3 >= len(words) else " "
+                    lines.append(f'            "{" ".join(words[i:i + 3])}{tail}"')
+                lines.append("        ),")
+            lines.append("    },")
+        lines.append("}")
     return "\n".join(lines)
 
 
