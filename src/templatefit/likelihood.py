@@ -48,6 +48,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +67,8 @@ BETA_FLOOR = 1e-10
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 _TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float
+# counts up to this keep n ln n (< 7e302) and 4 n far from overflow
+_SAFE_COUNT = 1e300
 
 
 class Method(enum.Enum):
@@ -89,6 +92,27 @@ class BetaDiagnostics:
 
     beta: np.ndarray
     contributions: np.ndarray
+
+
+class _Pass(NamedTuple):
+    """One kernel pass of a profiled cost, at one yield vector or along leading axes.
+
+    ``value`` is the cost, ``live`` Conway's live-bin mask (``None`` when
+    every bin is live, and for approx), ``beta`` the profiled factor, ``m``
+    the expectation before the scale ``s`` (1 where it vanishes), ``var``
+    Conway's factor variance, ``terms`` the data (and penalty) terms and
+    ``slot`` approx's ``beta - 1 - ln beta``, per bin; ``var`` is ``None``
+    for approx and ``slot`` for Conway.  The value, the gradient, the
+    Hessian and the diagnostics all read one pass, which nothing writes.
+    """
+
+    value: np.ndarray
+    live: np.ndarray | None
+    beta: np.ndarray
+    m: np.ndarray
+    var: np.ndarray | None
+    terms: np.ndarray
+    slot: np.ndarray | None
 
 
 def _qp_terms(n: np.ndarray, pos: np.ndarray, mu: np.ndarray, nlogn: np.ndarray) -> np.ndarray:
@@ -165,6 +189,12 @@ class _PerBin:
         self._n, self._a, self._v, self._s, self._a_eff = n, a, v, s, a_eff
         self._npos = n > 0.0
         logn = np.log(np.where(self._npos, n, 1.0))
+        if np.fmax.reduce(n, axis=None, initial=0.0) > _SAFE_COUNT:
+            with np.errstate(over="ignore"):
+                finite = np.isfinite(n * logn).all() and np.isfinite(4.0 * n).all()
+            if not finite:
+                # the data terms would be inf - inf, which the cost clips to 0
+                raise ValueError("data counts so large that n ln n or 4n overflows a float")
         self._nlogn = np.where(self._npos, n * logn, 0.0)
         self._2n = 2.0 * n
         self._4n = 4.0 * n
@@ -184,16 +214,20 @@ class _PerBin:
             setattr(out, name, getattr(self, name)[rows, ..., : out._width])
         return out
 
+    def _in_domain(self, p: np.ndarray) -> np.ndarray:
+        """Which entries of ``p`` lie inside the domain; NaN fails both comparisons."""
+        return (p >= self._domain_lo) & (p <= _FLOAT_MAX)
+
     def _outside(self, p: np.ndarray) -> np.ndarray:
         """Which parameter vectors along the last axis lie outside the domain."""
-        # NaN fails both comparisons
-        return ~((p >= self._domain_lo) & (p <= _FLOAT_MAX)).all(axis=-1)
+        return ~self._in_domain(p).all(axis=-1)
 
     def _inside(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """``p`` with a stand-in row inside the domain for each row outside, and where those were."""
-        bad = self._outside(p)
-        if not np.count_nonzero(bad):
+        inside = self._in_domain(p)
+        if np.count_nonzero(inside) == p.size:
             return p, None
+        bad = ~inside.all(axis=-1)
         # the stand-in rows keep the kernels from raising floating-point
         # warnings on behalf of the rejected ones
         return np.where(bad[..., None], 1.0, p), bad
@@ -282,22 +316,36 @@ class _PerBin:
     # Conway's penalty is (beta - 1)^2 P with P = 1/V = m^2/w and
     # w = sum_k d_k y_k^2, d_k = v_k/M_k^2.
 
-    def _profile(self, y: np.ndarray):
-        """One kernel pass for the derivatives: value, live mask, factor, m, V.
+    def _profile(self, y: np.ndarray) -> _Pass:
+        """The kernel pass at ``y``, which every yield vector of must lie inside the domain.
 
-        Every yield vector must lie inside the domain.  ``m`` is 1 where it
-        vanishes: a finite value has ``n = 0`` there, so ``n/m`` reads 0 and
-        the bin is either dead (Conway, masked by the caller) or has the
-        smooth limit ``beta = 1`` (approx).
+        ``m`` is 1 where it vanishes: a finite value has ``n = 0`` there, so
+        ``n/m`` reads 0 and the bin is either dead (Conway, masked by the
+        caller) or has the smooth limit ``beta = 1`` (approx).
         """
         if self.method is Method.CONWAY:
             live, beta, terms, m, var = self._conway(y)
             q = self._conway_total(live, terms)
+            slot = None
         else:
             beta, terms, slot, m = self._approx(y)
             live = var = None
             q = self._approx_total(terms, slot)
-        return _nonneg(q), live, beta, np.where(m > 0.0, m, 1.0), var
+        return _Pass(_nonneg(q), live, beta, np.where(m > 0.0, m, 1.0), var, terms, slot)
+
+    def _bins(self, rec: _Pass) -> tuple[np.ndarray, np.ndarray]:
+        """Per-bin factors and cost contributions of a pass, which sum to its value.
+
+        Conway's dead bins get a NaN factor and contribute ``+inf`` where they
+        hold data, 0 where not.
+        """
+        if self.method is Method.CONWAY:
+            beta, terms = rec.beta, rec.terms
+            if rec.live is not None:
+                terms = np.where(rec.live, terms, np.where(self._npos, np.inf, 0.0))
+                beta = np.where(rec.live, beta, np.nan)
+            return beta, terms
+        return rec.beta, rec.terms + np.maximum(0.0, 2.0 * self._a_eff * rec.slot)
 
     def _expected_curvature(self, y: np.ndarray) -> np.ndarray:
         """Expected (Fisher) second derivative of the cost in each yield, ``sum 2 s c_k^2 / m``.
@@ -329,9 +377,10 @@ class _PerBin:
         ratio = self._n / np.where(m > 0.0, m, 1.0)
         return y * self._bin_matvec(self._c, ratio) / self._bin_matvec(self._c, self._s)
 
-    def _value_and_gradient(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values and gradients in the yields; NaN gradients where the value is infinite."""
-        value, live, beta, m, var = self._profile(y)
+    def _value_and_gradient(self, y: np.ndarray, rec: _Pass) -> tuple[np.ndarray, np.ndarray]:
+        """Values and gradients in the yields ``y`` from the pass there; NaN gradients where
+        the value is infinite."""
+        value, live, beta, m, var = rec[:5]
         dm = 2.0 * beta * self._s - self._2n / m
         if self.method is Method.APPROX:
             gradient = self._bin_matvec(self._c, dm)
@@ -350,9 +399,10 @@ class _PerBin:
             gradient[infinite] = np.nan
         return value, gradient
 
-    def _profiled_hessian(self, y: np.ndarray) -> np.ndarray:
-        """K x K Hessians in the yields; NaN where the value is infinite."""
-        value, live, beta, m, var = self._profile(y)
+    def _profiled_hessian(self, y: np.ndarray, rec: _Pass) -> np.ndarray:
+        """K x K Hessians in the yields ``y`` from the pass there; NaN where the value is
+        infinite."""
+        value, live, beta, m, var = rec[:5]
         c, s = self._c, self._s
         if self.method is Method.APPROX:
             # dbeta/dmu0 = -beta/(mu0 + a)
@@ -443,8 +493,7 @@ class CostFunction(_PerBin):
         # one index of the active bins, taken from every array: cheaper than
         # a boolean mask on the (K, nbins) ones, and contiguous
         idx = np.flatnonzero(active)
-        # the active-bin count and data total, 0-d: a stack holds one per row
-        self._counts, self._data_totals = np.array(idx.size), np.array(model.data.total)
+        self._counts = np.array(idx.size)  # 0-d: a stack holds one per row
         self.ndof = idx.size - K
 
         norms = np.asarray(model.norms, dtype=np.float64)
@@ -464,6 +513,8 @@ class CostFunction(_PerBin):
             s = np.ones_like(n)
             v = a
         self._set_fields(norms, n, a, v, s, a_eff)
+        # after the fields' overflow check, which data whose total overflows fail
+        self._data_totals = np.array(model.data.total)  # 0-d, as the count
 
         if method is Method.EXACT:
             # bin-major slot order over (active bin, component) with content
@@ -552,7 +603,7 @@ class CostFunction(_PerBin):
         if self.method is Method.EXACT:
             terms, slot, _, _ = self._exact(p)
             return self._exact_total(terms, slot)
-        return self._profile(p)[0]
+        return self._profile(p).value
 
     def _exact_total(self, terms: np.ndarray, slot: np.ndarray):
         return np.add.reduce(terms, axis=-1) + 2.0 * _dot(slot, self._a_slots)
@@ -577,7 +628,8 @@ class CostFunction(_PerBin):
         """
         if self.method is Method.EXACT:
             return self._exact_hessian(params)
-        return self._profiled_hessian(self.validate(params))
+        p = self.validate(params)
+        return self._profiled_hessian(p, self._profile(p))
 
     def _exact_hessian(self, params) -> np.ndarray:
         # Per bin, mu = sum_k y_k c_k beta_k with c_k = a_k/M_k, so with J the
@@ -616,27 +668,25 @@ class CostFunction(_PerBin):
         factor exists.
         """
         p = self.validate(params)
+        if self.method is not Method.EXACT:
+            return self._spread(*self._bins(self._profile(p)))
         K = self.model.ncomponents
         nbins = self.model.nbins
+        terms, slot, _, _ = self._exact(p)
+        np.add.at(terms, self._slot_bin, np.maximum(0.0, 2.0 * self._a_slots * slot))
         contrib = np.zeros(nbins)
-        if self.method is Method.EXACT:
-            terms, slot, _, _ = self._exact(p)
-            np.add.at(terms, self._slot_bin, np.maximum(0.0, 2.0 * self._a_slots * slot))
-            contrib[self._active] = terms
-            beta_full = np.full((nbins, K), np.nan)
-            beta_full[self.exact_slots()] = p[K:]
-            return BetaDiagnostics(beta=beta_full, contributions=contrib)
+        contrib[self._active] = terms
+        beta_full = np.full((nbins, K), np.nan)
+        beta_full[self.exact_slots()] = p[K:]
+        return BetaDiagnostics(beta=beta_full, contributions=contrib)
 
-        if self.method is Method.CONWAY:
-            live, beta, terms, _, _ = self._conway(p)
-            if live is not None:
-                terms = np.where(live, terms, np.where(self._n > 0.0, np.inf, 0.0))
-                beta = np.where(live, beta, np.nan)
-        else:
-            beta, terms, slot, _ = self._approx(p)
-            terms = terms + np.maximum(0.0, 2.0 * self._a_eff * slot)
+    def _spread(self, beta: np.ndarray, terms: np.ndarray) -> BetaDiagnostics:
+        """The diagnostics of a profiled cost from its active bins' factors and contributions,
+        with NaN factors and zero contributions in the skipped bins."""
+        nbins = self.model.nbins
         beta_full = np.full(nbins, np.nan)
         beta_full[self._active] = beta
+        contrib = np.zeros(nbins)
         contrib[self._active] = terms
         return BetaDiagnostics(beta=beta_full, contributions=contrib)
 
@@ -659,6 +709,11 @@ class CostStack(_PerBin):
     outside the domain evaluate to ``+inf`` with NaN derivatives.  A
     profiled cost function, weighted or not, fits as a one-row stack of its
     own arrays.
+
+    A stack keeps the kernel pass of its last :meth:`value_and_gradient`,
+    so a Hessian at a point already evaluated reads that pass instead of
+    running the kernel again, with the same bits; a fit still counts it as
+    one evaluation.
     """
 
     # the per-bin fields of ``_set_fields``, one row per fit
@@ -698,7 +753,6 @@ class CostStack(_PerBin):
         out = object.__new__(cls)
         out.method = method
         out._domain_lo = np.zeros(templates.shape[1])
-        out._data_totals = np.add.reduce(data, axis=-1)  # each row's data total
         out._set_counts(np.count_nonzero(active, axis=-1))
         # each row's active bins, in order, then its pad bins
         bins = np.argsort(~active, axis=-1, kind="stable")[:, : out._width]
@@ -707,6 +761,7 @@ class CostStack(_PerBin):
         a = np.where(pad[:, None], 1.0, np.take_along_axis(templates, bins[:, None], -1))
         a_eff = np.where(pad, 1.0, np.take_along_axis(pooled, bins, -1))
         out._set_fields(norms, n, a, a, np.ones_like(n), a_eff)
+        out._data_totals = np.add.reduce(data, axis=-1)  # each row's, after the overflow check
         return out
 
     def _set_counts(self, counts: np.ndarray) -> None:
@@ -762,19 +817,39 @@ class CostStack(_PerBin):
             return _gram(L, R)
         return self._per_run(_gram, (*L.shape[:-1], R.shape[-2]), L, R)
 
+    # the yields, as (shape, bytes), and the pass of the last value_and_gradient
+    _last: tuple | None = None
+
+    def _pass(self, y: np.ndarray) -> _Pass:
+        """The pass at ``y``, inside the domain: the last :meth:`value_and_gradient`'s where
+        it was taken at these yields byte for byte, which gives every bit of a new one."""
+        last = self._last
+        if last is not None and last[0] == (y.shape, y.tobytes()):
+            return last[1]
+        return self._profile(y)
+
     def value_and_gradient(self, y) -> tuple[np.ndarray, np.ndarray]:
         """Values ``(T,)`` and gradients ``(T, K)`` at a ``(T, K)`` stack of yields."""
         y, bad = self._inside(np.asarray(y, dtype=np.float64))
-        value, gradient = self._value_and_gradient(y)
+        rec = self._profile(y)
+        # one assignment of a new tuple: a concurrent reader sees this pass or another
+        self._last = ((y.shape, y.tobytes()), rec)
+        value, gradient = self._value_and_gradient(y, rec)
+        # the pass keeps its values; the caller gets a copy
+        value = value.copy() if bad is None else np.where(bad, math.inf, value)
         if bad is not None:
-            value[bad] = math.inf
             gradient[bad] = np.nan
         return value, gradient
 
     def hessian(self, y) -> np.ndarray:
-        """Hessians ``(T, K, K)`` at a ``(T, K)`` stack of yields."""
+        """Hessians ``(T, K, K)`` at a ``(T, K)`` stack of yields.
+
+        At the yields of the last :meth:`value_and_gradient`, byte for byte,
+        they come from its kernel pass instead of a new one, with the same
+        bits; a fit still counts each Hessian as one evaluation.
+        """
         y, bad = self._inside(np.asarray(y, dtype=np.float64))
-        H = self._profiled_hessian(y)
+        H = self._profiled_hessian(y, self._pass(y))
         if bad is not None:
             H[bad] = np.nan
         return H

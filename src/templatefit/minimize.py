@@ -55,7 +55,11 @@ evaluation, and the curvature reset and the restart return to this
 scaling.
 For ``exact`` it spans yields and amplitude factors and the yield block of
 its full inverse is returned, so the template uncertainty propagates into
-the yield errors.  Each Hessian counts as one evaluation.
+the yield errors.  Each Hessian counts as one evaluation, also where it
+reads a kernel pass already made: a stack keeps the pass of its last
+evaluation, so the start Hessian comes from the start's pass, and a fit
+that ends at the point it evaluated last takes the Hessian of its
+covariance, and :func:`minimize` its ``betas``, from that pass.
 
 ``approx`` and ``conway`` profile their per-bin factors analytically, so
 ``CostStack.value_and_gradient`` gives the value and the exact gradient in
@@ -226,6 +230,17 @@ class _Segment:
     def __len__(self) -> int:
         return len(self.stack) if self.run is None else len(self.run)
 
+    def keep(self, mine: np.ndarray) -> bool:
+        """Keep the running rows ``mine``, positions among the running ones; False for none."""
+        if not len(mine):
+            return False
+        if len(mine) < len(self):
+            run = mine if self.run is None else self.run[mine]
+            if 2 * len(run) <= len(self.stack):
+                self.stack, self.y, run = self.stack.take(run), self.y[run], None
+            self.run = run
+        return True
+
 
 def _joined(parts: list) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -256,17 +271,15 @@ class _Stacked:
 
     def keep(self, rows: np.ndarray) -> None:
         """Drop every running row but ``rows``, positions among the running ones."""
+        if len(self._segments) == 1:  # nothing to split
+            self._segments = [seg for seg in self._segments if seg.keep(rows)]
+            return
         segments, lo = [], 0
         for seg in self._segments:
             a, b = np.searchsorted(rows, [lo, lo + len(seg)]).tolist()
             mine = rows[a:b] - lo
             lo += len(seg)
-            if len(mine) < len(seg) and len(mine):
-                run = mine if seg.run is None else seg.run[mine]
-                if 2 * len(run) <= len(seg.stack):
-                    seg.stack, seg.y, run = seg.stack.take(run), seg.y[run], None
-                seg.run = run
-            if len(mine):
+            if seg.keep(mine):
                 segments.append(seg)
         self._segments = segments
 
@@ -274,6 +287,7 @@ class _Stacked:
         fx, g = self.trial(x)
         self.calls += 1
         segments = self._segments
+        # each stack's Hessians at the points it just evaluated read that pass
         d2 = _joined(
             [np.diagonal(seg.stack.hessian(seg.y), axis1=-2, axis2=-1) for seg in segments]
         )
@@ -286,6 +300,10 @@ class _Stacked:
 
     def trial(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         self.calls += 1
+        if len(self._segments) == 1 and self._segments[0].run is None:  # every row of one stack
+            seg = self._segments[0]
+            seg.y = x
+            return seg.stack.value_and_gradient(x)
         values, gradients, lo = [], [], 0
         for seg in self._segments:
             xs = x[lo : lo + len(seg)]
@@ -302,7 +320,13 @@ class _Stacked:
         return _joined(values), _joined(gradients)
 
     def hessian(self, x: np.ndarray, rows) -> np.ndarray:
-        """Hessians at ``x`` of the costs at ``rows``, ascending positions in the whole batch."""
+        """Hessians at ``x`` of the costs at ``rows``, ascending positions in the whole batch.
+
+        A stack that was never narrowed holds the pass of its last evaluation,
+        which its Hessians at the same points read.
+        """
+        if len(self._all) == 1 and len(rows) == len(self.ndof):  # every row of one stack
+            return self._all[0].hessian(x)
         rows = np.asarray(rows)
         out, lo = [], 0
         for stack in self._all:
@@ -414,7 +438,7 @@ def minimize(
     A batch of one through the lockstep loop that ``run_study``'s stacks
     run, with the cost's ``ndof`` and the per-bin ``betas`` at the minimum.
     ``approx`` and ``conway`` fit as a one-row stack on the cost's arrays,
-    so a subclass's ``hessian`` is not called.
+    so a subclass's ``hessian`` and ``diagnostics`` are not called.
 
     Parameters
     ----------
@@ -438,8 +462,14 @@ def minimize(
     if (x < cost.lower_bounds).any():
         raise ValueError("start point must lie within the bounds")
     _check_options(gtol, max_calls)
-    f = _Counted(cost) if cost.method is Method.EXACT else _Stacked(cost._row())
-    f.betas = cost.diagnostics
+    if cost.method is Method.EXACT:
+        f = _Counted(cost)
+        f.betas = cost.diagnostics
+    else:
+        row = cost._row()
+        f = _Stacked(row)
+        # the diagnostics at the end point, from the pass of the last evaluation if there
+        f.betas = lambda point: cost._spread(*(z[0] for z in row._bins(row._pass(point[None]))))
     (result,) = _fit_rows(f, x[None], gtol, max_calls)
     if isinstance(result, Exception):
         raise result
