@@ -505,7 +505,8 @@ class CostFunction(_PerBin):
             empty = n2 == 0.0
             n2g = np.where(empty, 1.0, n2)
             s = np.where(empty, 1.0, n / n2g)
-            n = np.where(empty, 0.0, n * n / n2g)
+            with np.errstate(over="ignore"):  # an effective count that overflows fails below
+                n = np.where(empty, 0.0, n * n / n2g)
             v = W2.take(idx, axis=1)
             # active bins have pooled sumw > 0, hence pooled sumw2 > 0
             a_eff = a_eff**2 / v.sum(axis=0)
@@ -835,11 +836,10 @@ class CostStack(_PerBin):
         # one assignment of a new tuple: a concurrent reader sees this pass or another
         self._last = ((y.shape, y.tobytes()), rec)
         value, gradient = self._value_and_gradient(y, rec)
-        # the pass keeps its values; the caller gets a copy
-        value = value.copy() if bad is None else np.where(bad, math.inf, value)
-        if bad is not None:
-            gradient[bad] = np.nan
-        return value, gradient
+        if bad is None:
+            return value.copy(), gradient  # the pass keeps its own values
+        gradient[bad] = np.nan
+        return np.where(bad, math.inf, value), gradient
 
     def hessian(self, y) -> np.ndarray:
         """Hessians ``(T, K, K)`` at a ``(T, K)`` stack of yields.

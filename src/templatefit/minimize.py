@@ -468,8 +468,13 @@ def minimize(
     else:
         row = cost._row()
         f = _Stacked(row)
-        # the diagnostics at the end point, from the pass of the last evaluation if there
-        f.betas = lambda point: cost._spread(*(z[0] for z in row._bins(row._pass(point[None]))))
+
+        def betas(point):
+            # from the pass of the last evaluation where the fit ended there
+            beta, terms = row._bins(row._pass(point[None]))
+            return cost._spread(beta[0], terms[0])
+
+        f.betas = betas
     (result,) = _fit_rows(f, x[None], gtol, max_calls)
     if isinstance(result, Exception):
         raise result

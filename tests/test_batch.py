@@ -487,6 +487,12 @@ def test_stack_from_counts_rejects_what_a_model_rejects():
     empty[2, 1] = 0.0
     with pytest.raises(ValueError, match="entries"):
         CostStack.from_counts("approx", data, empty)
+    huge = data.copy()
+    huge[1, 3] = 1e308  # its n ln n overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            CostStack.from_counts("approx", huge, templates)
 
 
 @pytest.mark.parametrize("method", PROFILED)

@@ -141,6 +141,15 @@ class TestFit:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("method", ["approx", "conway", "exact"])
+    def test_data_whose_terms_overflow_is_a_one_line_error(self, tmp_path, capsys, method):
+        obj = saturated_input()
+        obj["data"]["sumw"] = [1e308, 1e308, 20]
+        code = main(["fit", "--input", write_input(tmp_path, obj), "--method", method])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "overflows" in err and err.count("\n") == 1
+
     def test_unwritable_output_is_a_one_line_error(self, tmp_path, capsys):
         path = write_input(tmp_path, saturated_input())
         code = main(["fit", "--input", path, "--output", str(tmp_path / "missing" / "r.json")])

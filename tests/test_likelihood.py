@@ -409,6 +409,25 @@ class TestCostFunctionStructure:
         np.testing.assert_array_equal(bins, [0, 0, 1, 2, 2])
         np.testing.assert_array_equal(comps, [0, 1, 1, 0, 1])
 
+    @pytest.mark.parametrize("method", ["approx", "conway", "exact"])
+    def test_data_whose_terms_overflow_are_rejected(self, method):
+        # n ln n of 1e308 overflows: the data terms would be inf - inf, which
+        # the cost used to clip to 0.0 at every point
+        comps = [[3, 1], [1, 4]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                CostFunction(method, make_model([1e308, 1e308], comps))
+            with pytest.raises(ValueError, match="overflows"):
+                CostFunction(method, make_model([1e306, 5.0], comps))  # 4n is finite
+            # counts this large are checked, and accepted where nothing overflows
+            cost = CostFunction(method, make_model([1e301, 5.0], comps))
+            if method != "exact":  # an effective count sumw^2/sumw2 of 1e400
+                weighted = make_model([1e200, 5.0], comps, data_w2=[1e-20, 5.0], comp_w2=comps)
+                with pytest.raises(ValueError, match="overflows"):
+                    CostFunction(method, weighted, weighted=True)
+        assert cost.nbins_active == 2
+
     def test_weighted_exact_rejected(self):
         m = make_model([1, 2], [[1, 1]])
         with pytest.raises(ValueError, match="weighted"):

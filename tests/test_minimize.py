@@ -20,6 +20,7 @@ from templatefit import (
     hesse,
     minimize,
 )
+from templatefit.likelihood import _PerBin
 from templatefit.minimize import (
     _covariances,
     _descend,
@@ -34,6 +35,24 @@ def make_model(data, comps, names=()):
     cs = tuple(BinnedSample.from_counts(c) for c in comps)
     return TemplateModel(
         edges=np.arange(d.nbins + 1, dtype=float), data=d, components=cs, names=names
+    )
+
+
+def _toy4():
+    cfg = tf.ToyConfig(seed=4)
+    return tf.to_model(cfg, tf.draw(cfg, tf.rng_stream(4, 0)))
+
+
+def _bits(value) -> bytes:
+    a = np.asarray(value)
+    return repr(a.shape).encode() + a.tobytes()
+
+
+def _same_end(res, cost) -> bool:
+    """The covariance and betas of a fit equal ``hesse`` and ``diagnostics`` at its end, bit for bit."""
+    diag = cost.diagnostics(res.yields)
+    return (_bits(res.covariance), _bits(res.betas.beta), _bits(res.betas.contributions)) == (
+        _bits(hesse(cost, res.yields)), _bits(diag.beta), _bits(diag.contributions)
     )
 
 
@@ -615,6 +634,37 @@ class TestHesse:
         cov = hesse(cost, at)
         np.testing.assert_array_equal(res.covariance, cov)
         assert cov.flags.c_contiguous
+
+    @pytest.mark.parametrize("method", ["approx", "conway"])
+    def test_one_kernel_pass_per_evaluated_point(self, method, monkeypatch):
+        # the start Hessian, the covariance and the betas read the passes of
+        # value_and_gradient: a fit runs the kernel once per evaluated point
+        passes, evaluated = [], []
+        profile, evaluate = _PerBin._profile, CostStack.value_and_gradient
+        monkeypatch.setattr(_PerBin, "_profile", lambda c, y: passes.append(y) or profile(c, y))
+        monkeypatch.setattr(
+            CostStack, "value_and_gradient", lambda st, y: evaluated.append(y) or evaluate(st, y)
+        )
+        cost = CostFunction(method, _toy4())
+        res = minimize(cost)
+        assert res.converged
+        # every evaluation but the two Hessians is a value-and-gradient pass
+        assert len(passes) == len(evaluated) == res.n_evaluations - 2
+        assert _same_end(res, cost)
+
+    @pytest.mark.parametrize("method", ["approx", "conway"])
+    def test_a_fit_that_ends_off_its_last_point_evaluates_its_end(self, method, monkeypatch):
+        evaluated = []
+        evaluate = CostStack.value_and_gradient
+        monkeypatch.setattr(
+            CostStack, "value_and_gradient", lambda st, y: evaluated.append(y) or evaluate(st, y)
+        )
+        cost = CostFunction(method, _toy4())
+        # no gradient is that small: the line search fails after the restart
+        res = minimize(cost, gtol=1e-300)
+        assert res.status == "stalled" and res.covariance is not None
+        assert not np.array_equal(evaluated[-1][0], res.yields)  # a rejected trial
+        assert _same_end(res, cost)
 
     def test_not_positive_definite_returns_none(self):
         # an interior saddle point, away from the bounds
