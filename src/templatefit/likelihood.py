@@ -317,7 +317,7 @@ class _PerBin:
     # w = sum_k d_k y_k^2, d_k = v_k/M_k^2.
 
     def _profile(self, y: np.ndarray) -> _Pass:
-        """The kernel pass at ``y``, which every yield vector of must lie inside the domain.
+        """The kernel pass at ``y``; every yield vector must lie inside the domain.
 
         ``m`` is 1 where it vanishes: a finite value has ``n = 0`` there, so
         ``n/m`` reads 0 and the bin is either dead (Conway, masked by the
@@ -822,8 +822,9 @@ class CostStack(_PerBin):
     _last: tuple | None = None
 
     def _pass(self, y: np.ndarray) -> _Pass:
-        """The pass at ``y``, inside the domain: the last :meth:`value_and_gradient`'s where
-        it was taken at these yields byte for byte, which gives every bit of a new one."""
+        """The kernel pass at ``y``, inside the domain: the one the last
+        :meth:`value_and_gradient` kept if it ran at these yields, byte for byte (its bits
+        are those of a new pass), else a new one."""
         last = self._last
         if last is not None and last[0] == (y.shape, y.tobytes()):
             return last[1]
