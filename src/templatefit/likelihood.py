@@ -39,8 +39,11 @@ method computes the factors and cost terms for the value, the
 per-bin :meth:`CostFunction.diagnostics` and the closed-form derivatives,
 with one expression for the bin expectation and one path for weighted and
 unweighted costs: the effective-count scale ``s`` is 1 for unweighted
-costs and pad bins, and scaling by 1 is exact.  A cost function evaluates
-a single vector and a stack of them on one value path.
+costs and pad bins, and scaling by 1 is exact, so the kernels skip it
+where every scale is 1.  Each kernel pass forms each per-bin quantity
+once, and a per-bin choice between two formulas forms both only where
+the bins take both.  A cost function evaluates a single vector and a
+stack of them on one value path.
 """
 
 from __future__ import annotations
@@ -100,10 +103,11 @@ class _Pass(NamedTuple):
     ``value`` is the cost, ``live`` Conway's live-bin mask (``None`` when
     every bin is live, and for approx), ``beta`` the profiled factor, ``m``
     the expectation before the scale ``s`` (1 where it vanishes), ``var``
-    Conway's factor variance, ``terms`` the data (and penalty) terms and
-    ``slot`` approx's ``beta - 1 - ln beta``, per bin; ``var`` is ``None``
-    for approx and ``slot`` for Conway.  The value, the gradient, the
-    Hessian and the diagnostics all read one pass, which nothing writes.
+    Conway's factor variance, ``tt`` Conway's ``(beta - 1)^2``, ``terms``
+    the data (and penalty) terms and ``slot`` approx's
+    ``beta - 1 - ln beta``, per bin; ``var`` and ``tt`` are ``None`` for
+    approx and ``slot`` for Conway.  The value, the gradient, the Hessian
+    and the diagnostics all read one pass, which nothing writes.
     """
 
     value: np.ndarray
@@ -111,6 +115,7 @@ class _Pass(NamedTuple):
     beta: np.ndarray
     m: np.ndarray
     var: np.ndarray | None
+    tt: np.ndarray | None
     terms: np.ndarray
     slot: np.ndarray | None
 
@@ -187,6 +192,9 @@ class _PerBin:
         """
         self._norms = norms
         self._n, self._a, self._v, self._s, self._a_eff = n, a, v, s, a_eff
+        # every scale is 1 (unweighted costs, pad bins): 1 x == x, so the
+        # kernels may skip their products with s and keep every bit
+        self._unit_s = np.count_nonzero(s != 1.0) == 0
         self._npos = n > 0.0
         logn = np.log(np.where(self._npos, n, 1.0))
         if np.fmax.reduce(n, axis=None, initial=0.0) > _SAFE_COUNT:
@@ -207,7 +215,7 @@ class _PerBin:
         """The stack of the costs at ``rows`` of the leading axis, in that order; a cost
         function has no such axis, and ``rows=None`` makes it a one-row stack of its arrays."""
         out = object.__new__(CostStack if isinstance(self, CostFunction) else type(self))
-        out.method, out._domain_lo = self.method, self._domain_lo
+        out.method, out._domain_lo, out._unit_s = self.method, self._domain_lo, self._unit_s
         out._norms, out._data_totals = self._norms[rows], self._data_totals[rows]
         out._set_counts(self._counts[rows])
         for name in CostStack._BIN_FIELDS:
@@ -251,6 +259,10 @@ class _PerBin:
     # addition is commutative, so relabeling components permutes operands
     # without changing any bit of the result (exact for two components)
 
+    def _scaled(self, x):
+        """``s x`` per bin; ``x`` itself where every scale is 1."""
+        return x if self._unit_s else self._s * x
+
     def _expectation(self, y: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
         """``m = sum_k y_k a_k / M_k`` per bin: the expectation before the effective-count
         scale ``s``, so ``mu0 = s m``; ``a`` defaults to the template contents."""
@@ -266,7 +278,7 @@ class _PerBin:
         """Factor ``(n + a)/(mu0 + a)``, data terms, ``beta - 1 - ln beta`` and ``m`` per bin,
         ``m`` from :meth:`_expectation`."""
         m = self._expectation(y)
-        mu0 = self._s * m
+        mu0 = self._scaled(m)
         a = self._a_eff
         beta = self._na / (mu0 + a)
         terms = _qp_terms(self._n, self._npos, beta * mu0, self._nlogn)
@@ -274,9 +286,9 @@ class _PerBin:
 
     def _conway(
         self, y: np.ndarray
-    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Live-bin mask (``None`` when all bins are live), factor, data + penalty terms,
-        ``m`` as in :meth:`_approx`, and the factor variance ``V`` per bin.
+        ``m`` as in :meth:`_approx`, the factor variance ``V`` and ``(beta - 1)^2`` per bin.
 
         Dead bins, without expectation, get variance 1 so their entries stay
         finite; callers mask them out.
@@ -298,15 +310,25 @@ class _PerBin:
             var = np.where(live, vnum / np.where(live, sq, 1.0), 1.0)
             if np.count_nonzero(live) == live.size:
                 live = None
-        mu0 = self._s * mu0_raw
+        mu0 = self._scaled(mu0_raw)
         b = var * mu0 - 1.0
         # (4 V) n and V (4 n) round alike: scaling by a power of two is exact
         disc = np.sqrt(b * b + var * self._4n)
-        # the guarded denominator keeps the discarded branch away from 0/0
+        # the root without cancellation: V 2n/(b + disc) where b > 0, else
+        # (disc - b)/2; only a mixed mask forms both, and there the guarded
+        # denominator keeps the discarded branch away from 0/0
         pos = b > 0.0
-        beta = np.where(pos, var * self._2n / np.where(pos, b + disc, 1.0), 0.5 * (disc - b))
-        terms = _qp_terms(self._n, self._npos, beta * mu0, self._nlogn) + (beta - 1.0) ** 2 / var
-        return live, beta, terms, mu0_raw, var
+        npos = np.count_nonzero(pos)
+        if npos == pos.size:
+            beta = var * self._2n / (b + disc)
+        elif npos == 0:
+            beta = 0.5 * (disc - b)
+        else:
+            beta = np.where(pos, var * self._2n / np.where(pos, b + disc, 1.0), 0.5 * (disc - b))
+        t = beta - 1.0
+        tt = t * t
+        terms = _qp_terms(self._n, self._npos, beta * mu0, self._nlogn) + tt / var
+        return live, beta, terms, mu0_raw, var, tt
 
     # --- closed-form derivatives of the profiled costs -------------------------
     # Per bin, the cost L(y, beta) is minimal in the profiled beta, so the
@@ -324,14 +346,17 @@ class _PerBin:
         caller) or has the smooth limit ``beta = 1`` (approx).
         """
         if self.method is Method.CONWAY:
-            live, beta, terms, m, var = self._conway(y)
+            live, beta, terms, m, var, tt = self._conway(y)
             q = self._conway_total(live, terms)
             slot = None
         else:
             beta, terms, slot, m = self._approx(y)
-            live = var = None
+            live = var = tt = None
             q = self._approx_total(terms, slot)
-        return _Pass(_nonneg(q), live, beta, np.where(m > 0.0, m, 1.0), var, terms, slot)
+        # NaN fails the test and takes the masked form, as it fails m > 0
+        if not np.minimum.reduce(m, axis=None, initial=math.inf) > 0.0:
+            m = np.where(m > 0.0, m, 1.0)
+        return _Pass(_nonneg(q), live, beta, m, var, tt, terms, slot)
 
     def _bins(self, rec: _Pass) -> tuple[np.ndarray, np.ndarray]:
         """Per-bin factors and cost contributions of a pass, which sum to its value.
@@ -357,7 +382,7 @@ class _PerBin:
         :meth:`_profile`.
         """
         m = self._expectation(y)
-        return self._bin_matvec(self._c * self._c, 2.0 * self._s / np.where(m > 0.0, m, 1.0))
+        return self._bin_matvec(self._c * self._c, self._scaled(2.0) / np.where(m > 0.0, m, 1.0))
 
     def _em_step(self, y: np.ndarray) -> np.ndarray:
         """One EM update of the yields of the plain Poisson template fit,
@@ -381,13 +406,12 @@ class _PerBin:
         """Values and gradients in the yields ``y`` from the pass there; NaN gradients where
         the value is infinite."""
         value, live, beta, m, var = rec[:5]
-        dm = 2.0 * beta * self._s - self._2n / m
+        dm = self._scaled(2.0 * beta) - self._2n / m
         if self.method is Method.APPROX:
             gradient = self._bin_matvec(self._c, dm)
         else:
-            t = beta - 1.0
             vm = var * m
-            r = t * t / vm  # (beta-1)^2 P/m
+            r = rec.tt / vm  # (beta-1)^2 P/m
             dm = dm + 2.0 * r
             dw = r / vm  # (beta-1)^2 P/w
             if live is not None:  # dead bins contribute nothing
@@ -404,9 +428,13 @@ class _PerBin:
         infinite."""
         value, live, beta, m, var = rec[:5]
         c, s = self._c, self._s
+        mm = m * m
         if self.method is Method.APPROX:
             # dbeta/dmu0 = -beta/(mu0 + a)
-            h = self._2n / (m * m) - 2.0 * s * s * beta / (s * m + self._a_eff)
+            if self._unit_s:
+                h = self._2n / mm - 2.0 * beta / (m + self._a_eff)
+            else:
+                h = self._2n / mm - 2.0 * s * s * beta / (s * m + self._a_eff)
             H = self._bin_gram(c * h[..., None, :], c)
         else:
             # Conway, with iw = 1/w = P/m^2 and the gradient of w, g = 2 d y:
@@ -414,18 +442,25 @@ class _PerBin:
             # L_yb = u c + v g,  u = 2s + 4(beta-1) P/m,  v = -2(beta-1) P/w
             # L_bb = 2n/beta^2 + 2P; a factor held at 0 (n = 0) is not profiled
             t = beta - 1.0
-            tt = t * t
             P = 1.0 / var
-            iw = P / (m * m)
-            u = 2.0 * s + 4.0 * t * P / m
+            iw = P / mm
+            u = self._scaled(2.0) + 4.0 * t * P / m
             v = -2.0 * t * P * iw
             free = beta > 0.0
-            bf = np.where(free, beta, 1.0)
-            inv_lbb = np.where(free, 1.0 / (self._2n / (bf * bf) + 2.0 * P), 0.0)
-            A = self._2n / (m * m) + 2.0 * tt * iw - u * u * inv_lbb
-            B = -2.0 * tt * iw * P / m - u * v * inv_lbb
-            E = 2.0 * tt * P * iw * iw - v * v * inv_lbb
-            F = -2.0 * tt * P * iw
+            if np.count_nonzero(free) == free.size:
+                inv_lbb = 1.0 / (self._2n / (beta * beta) + 2.0 * P)
+            else:
+                bf = np.where(free, beta, 1.0)
+                inv_lbb = np.where(free, 1.0 / (self._2n / (bf * bf) + 2.0 * P), 0.0)
+            # 2 (beta-1)^2 iw and 2 (beta-1)^2 P iw, of which B and F take the
+            # negatives: (-2x) y / z is -((2x) y / z) in IEEE arithmetic
+            tt2 = 2.0 * rec.tt
+            ttw = tt2 * iw
+            ttpw = tt2 * P * iw
+            A = self._2n / mm + ttw - u * u * inv_lbb
+            B = -(ttw * P / m) - u * v * inv_lbb
+            E = ttpw * iw - v * v * inv_lbb
+            F = -ttpw
             if live is not None:  # dead bins contribute nothing
                 A, B, E, F = (np.where(live, z, 0.0) for z in (A, B, E, F))
             A, B, E = A[..., None, :], B[..., None, :], E[..., None, :]

@@ -93,7 +93,7 @@ def test_criterion_1_score_equations():
     q_a = qp(n, beta_a * mu0) + qp(a, beta_a * a)
     ok_a = np.abs(score_a) < 1e-8 * (1.0 + np.abs(q_a))
 
-    _, beta_c, _, _, v = kernel("conway")
+    _, beta_c, _, _, v, _ = kernel("conway")
     pos = beta_c > 0.0  # a zero root sits on the constraint, no score condition
     h = 1e-6 * beta_c[pos]
     logdiff = np.log1p(2.0 * h / (beta_c[pos] - h)) / (2.0 * h)

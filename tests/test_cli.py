@@ -150,6 +150,17 @@ class TestFit:
         assert code == 1
         assert err.startswith("error: ") and "overflows" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("method", ["approx", "conway"])
+    def test_weighted_template_whose_effective_count_overflows_is_a_one_line_error(
+        self, tmp_path, capsys, method
+    ):
+        obj = saturated_input()
+        obj["templates"][0].update(sumw=[1e200, 15, 10], sumw2=[1e-20, 15, 10])
+        code = main(["fit", "--input", write_input(tmp_path, obj), "--method", method])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "effective count" in err and err.count("\n") == 1
+
     def test_unwritable_output_is_a_one_line_error(self, tmp_path, capsys):
         path = write_input(tmp_path, saturated_input())
         code = main(["fit", "--input", path, "--output", str(tmp_path / "missing" / "r.json")])

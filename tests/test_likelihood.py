@@ -427,6 +427,20 @@ class TestCostFunctionStructure:
                 with pytest.raises(ValueError, match="overflows"):
                     CostFunction(method, weighted, weighted=True)
         assert cost.nbins_active == 2
+        assert cost.nbins_active == 2
+
+    @pytest.mark.parametrize("method", ["approx", "conway"])
+    def test_weighted_templates_whose_effective_count_overflows_are_rejected(self, method):
+        # (sum w)^2 / sum w^2 of 1e400: approx read 0.0 at every point
+        huge = make_model([40, 5], [[1e200, 1], [1, 4]], comp_w2=[[1e-20, 1], None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="effective count .* overflows"):
+                CostFunction(method, huge, weighted=True)
+            # (sum w)^2 of 1e300 is checked, and accepted
+            large = make_model([40, 5], [[1e150, 1], [1, 4]], comp_w2=[[1e150, 1], None])
+            cost = CostFunction(method, large, weighted=True)
+        assert cost.nbins_active == 2
 
     def test_weighted_exact_rejected(self):
         m = make_model([1, 2], [[1, 1]])
