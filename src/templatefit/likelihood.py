@@ -544,7 +544,14 @@ class CostFunction(_PerBin):
                 n = np.where(empty, 0.0, n * n / n2g)
             v = W2.take(idx, axis=1)
             # active bins have pooled sumw > 0, hence pooled sumw2 > 0
-            a_eff = a_eff**2 / v.sum(axis=0)
+            with np.errstate(over="ignore"):
+                a_eff = a_eff**2 / v.sum(axis=0)
+            if np.count_nonzero(np.isfinite(a_eff)) < a_eff.size:
+                # the approx factor would be inf/inf, which the cost clips to 0
+                raise ValueError(
+                    "template contents so large that the effective count (sum w)^2 / sum w^2 "
+                    "overflows a float"
+                )
         else:
             s = np.ones_like(n)
             v = a
