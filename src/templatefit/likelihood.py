@@ -123,12 +123,20 @@ class _Pass(NamedTuple):
 def _qp_terms(n: np.ndarray, pos: np.ndarray, mu: np.ndarray, nlogn: np.ndarray) -> np.ndarray:
     # vector of 2*(mu - n - n ln mu + n ln n), pos = n > 0; entries with
     # n == 0 give 2*mu (n ln 1 = 0), entries with mu == 0 and n > 0 give +inf
-    safe = np.where(pos, mu, 1.0)
-    if np.fmin.reduce(safe, axis=None, initial=math.inf) > 0.0:
-        t = n * np.log(safe)
+    if (
+        np.minimum.reduce(mu, axis=None, initial=math.inf) > 0.0
+        and np.maximum.reduce(mu, axis=None, initial=0.0) < math.inf
+    ):
+        # every ln mu is finite, so n = 0 gives t = +-0, and mu - 0 - (+-0)
+        # is mu, as with n ln 1: no bin needs the substitution
+        t = n * np.log(mu)
     else:
-        with np.errstate(divide="ignore"):
+        safe = np.where(pos, mu, 1.0)
+        if np.fmin.reduce(safe, axis=None, initial=math.inf) > 0.0:
             t = n * np.log(safe)
+        else:
+            with np.errstate(divide="ignore"):
+                t = n * np.log(safe)
     return np.maximum(0.0, 2.0 * (mu - n - t + nlogn))
 
 
@@ -192,8 +200,8 @@ class _PerBin:
         """
         self._norms = norms
         self._n, self._a, self._v, self._s, self._a_eff = n, a, v, s, a_eff
-        # every scale is 1 (unweighted costs, pad bins): 1 x == x, so the
-        # kernels may skip their products with s and keep every bit
+        # whether every scale is 1, as in unweighted costs and stacks: 1 x == x,
+        # so the kernels skip their products with s and keep every bit
         self._unit_s = np.count_nonzero(s != 1.0) == 0
         self._npos = n > 0.0
         logn = np.log(np.where(self._npos, n, 1.0))
@@ -295,7 +303,7 @@ class _PerBin:
         """
         mu0_raw, vnum = self._moments(y)
         sq = mu0_raw * mu0_raw
-        if np.count_nonzero(sq >= _TINY) == sq.size:
+        if np.minimum.reduce(sq, axis=None, initial=math.inf) >= _TINY:
             live = None
             var = vnum / sq
         else:
@@ -446,10 +454,10 @@ class _PerBin:
             iw = P / mm
             u = self._scaled(2.0) + 4.0 * t * P / m
             v = -2.0 * t * P * iw
-            free = beta > 0.0
-            if np.count_nonzero(free) == free.size:
+            if np.minimum.reduce(beta, axis=None, initial=math.inf) > 0.0:  # every factor free
                 inv_lbb = 1.0 / (self._2n / (beta * beta) + 2.0 * P)
             else:
+                free = beta > 0.0
                 bf = np.where(free, beta, 1.0)
                 inv_lbb = np.where(free, 1.0 / (self._2n / (bf * bf) + 2.0 * P), 0.0)
             # 2 (beta-1)^2 iw and 2 (beta-1)^2 P iw, of which B and F take the
