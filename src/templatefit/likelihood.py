@@ -34,16 +34,16 @@ the yields; they are skipped entirely and excluded from the degrees of
 freedom.
 
 :class:`CostFunction` evaluates one fit's cost, :class:`CostStack` the
-profiled costs of many fits at once.  One per-bin kernel per
-method computes the factors and cost terms for the value, the
-per-bin :meth:`CostFunction.diagnostics` and the closed-form derivatives,
+profiled costs of many fits at once; one builder forms the per-bin fields
+of both, and a cost function keeps the one-row stack it builds, on which
+``approx`` and ``conway`` evaluate and fit.  One per-bin kernel per
+method computes the factors and cost terms for the value, the per-bin :meth:`CostFunction.diagnostics` and the closed-form derivatives,
 with one expression for the bin expectation and one path for weighted and
 unweighted costs: the effective-count scale ``s`` is 1 for unweighted
 costs and pad bins, and scaling by 1 is exact, so the kernels skip it
 where every scale is 1.  Each kernel pass forms each per-bin quantity
 once, and a per-bin choice between two formulas forms both only where
-the bins take both.  A cost function evaluates a single vector and a
-stack of them on one value path.
+the bins take both.
 """
 
 from __future__ import annotations
@@ -72,6 +72,8 @@ _FLOAT_MAX = float(np.finfo(np.float64).max)
 _TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float
 # counts up to this keep n ln n (< 7e302) and 4 n far from overflow
 _SAFE_COUNT = 1e300
+# the largest template total whose square is finite
+_MAX_NORM = math.sqrt(_FLOAT_MAX)
 
 
 class Method(enum.Enum):
@@ -172,23 +174,16 @@ def _diag(d: np.ndarray) -> np.ndarray:
 class _PerBin:
     """The per-bin kernels of the profiled costs and their closed-form derivatives.
 
-    The data arrays (``CostStack._BIN_FIELDS``) hold the active bins of one
-    cost, or, with a leading axis, of a stack of costs (:class:`CostStack`).
-    Yields carry the parameters along their last axis and broadcast against
-    the data over the leading axes, so one code serves a single vector, a
-    stack of parameter rows and a stack of costs.  Every operation is
-    elementwise, a reduction over the components, or a reduction or BLAS
-    product over the bins of one row (the ``_bin_*`` methods), so each row's
-    bits do not depend on the rows stacked with it.
+    The data arrays (``CostStack._BIN_FIELDS``) hold the active bins of a
+    stack of costs, one row each (:class:`CostStack`, whose ``_bin_*``
+    methods reduce over the bins of each row); ``exact`` reads row 0 of
+    its cost function's one-row stack.  Yields carry the parameters along
+    their last axis and broadcast against the data over the leading axes,
+    so one code serves a single vector, a stack of parameter rows and a
+    stack of costs.  Every operation is elementwise, a reduction over the
+    components, or a reduction or BLAS product over the bins of one row,
+    so each row's bits do not depend on the rows stacked with it.
     """
-
-    # reductions over the bins of each row; CostStack overrides them to take
-    # them per active-bin count.  ``_bin_sum(x, -1)`` sums over the last axis:
-    # the positional axis keeps a single cost's call as cheap as a plain one
-    _bin_sum = staticmethod(np.add.reduce)
-    _bin_dot = staticmethod(_dot)
-    _bin_matvec = staticmethod(_matvec)
-    _bin_gram = staticmethod(_gram)
 
     def _set_fields(self, norms, n, a, v, s, a_eff) -> None:
         """Set the data arrays of the kernels from the active bins' contents.
@@ -196,7 +191,9 @@ class _PerBin:
         ``norms`` holds the component totals, ``n``, ``s`` and ``a_eff`` one
         entry per bin and ``a`` and ``v`` one per (component, bin), after the
         leading axes of a stack.  Every derived field is formed here alone,
-        elementwise, so a stack's rows equal its costs' bit for bit.
+        elementwise, so a stack's rows equal its costs' bit for bit.  Data
+        whose terms, and template totals whose squares, overflow a float are
+        rejected before any floating-point warning.
         """
         self._norms = norms
         self._n, self._a, self._v, self._s, self._a_eff = n, a, v, s, a_eff
@@ -211,24 +208,16 @@ class _PerBin:
             if not finite:
                 # the data terms would be inf - inf, which the cost clips to 0
                 raise ValueError("data counts so large that n ln n or 4n overflows a float")
-        self._nlogn = np.where(self._npos, n * logn, 0.0)
+        self._nlogn = n * logn  # 0 ln 1 = 0 where n = 0
         self._2n = 2.0 * n
         self._4n = 4.0 * n
         self._na = n + a_eff
+        if np.fmax.reduce(norms, axis=None, initial=0.0) > _MAX_NORM:
+            # d would lose the template variance to 0
+            raise ValueError("template totals so large that their square overflows a float")
         # dm/dy_k per bin, and d(sum_k v_k (y_k/M_k)^2)/dy_k / (2 y_k)
         self._c = a / norms[..., None]
         self._d = v / (norms * norms)[..., None]
-
-    def _take(self, rows) -> "CostStack":
-        """The stack of the costs at ``rows`` of the leading axis, in that order; a cost
-        function has no such axis, and ``rows=None`` makes it a one-row stack of its arrays."""
-        out = object.__new__(CostStack if isinstance(self, CostFunction) else type(self))
-        out.method, out._domain_lo, out._unit_s = self.method, self._domain_lo, self._unit_s
-        out._norms, out._data_totals = self._norms[rows], self._data_totals[rows]
-        out._set_counts(self._counts[rows])
-        for name in CostStack._BIN_FIELDS:
-            setattr(out, name, getattr(self, name)[rows, ..., : out._width])
-        return out
 
     def _in_domain(self, p: np.ndarray) -> np.ndarray:
         """Which entries of ``p`` lie inside the domain; NaN fails both comparisons."""
@@ -249,12 +238,12 @@ class _PerBin:
         return np.where(bad[..., None], 1.0, p), bad
 
     def _approx_total(self, terms: np.ndarray, slot: np.ndarray):
-        return self._bin_sum(terms, -1) + 2.0 * self._bin_dot(slot, self._a_eff)
+        return self._bin_sum(terms) + 2.0 * self._bin_dot(slot, self._a_eff)
 
     def _conway_total(self, live: np.ndarray | None, terms: np.ndarray):
         if live is None:
-            return self._bin_sum(terms, -1)
-        q = self._bin_sum(np.where(live, terms, 0.0), -1)
+            return self._bin_sum(terms)
+        q = self._bin_sum(np.where(live, terms, 0.0))
         # dead bins carry no factor; with observed content the model is impossible
         return np.where((~live & self._npos).any(axis=-1), math.inf, q)
 
@@ -496,17 +485,18 @@ class CostFunction(_PerBin):
     and returns ``m`` values, each bit-identical to the call on that row
     alone; finite-difference stencils use this to save per-call overhead.
 
-    :meth:`hessian` gives the exact Hessian from the same per-bin kernels:
-    K x K in the yields for ``approx`` and ``conway``, whose per-bin factors
-    are profiled in closed form, and over yields and amplitude factors for
-    ``exact``.  ``approx`` and ``conway`` take their gradients in the
-    yields from the one-row :class:`CostStack` of their arrays that fits run.
+    The cost keeps the one-row :class:`CostStack` built of its model.
+    ``approx`` and ``conway``, whose per-bin factors are profiled in closed
+    form, evaluate, and fit, on that row; ``exact`` runs its own kernels on
+    row 0 of the same fields.
 
     Evaluation mutates no state, so a single instance may be called
-    concurrently from several workers.  Out-of-domain parameter vectors
-    (negative yields, nonpositive amplitude factors, non-finite entries)
-    evaluate to ``+inf`` rather than raising, so numerical minimizers can
-    recover mid line search.
+    concurrently from several workers; a fit keeps its last kernel pass on
+    the row, which reads as a new pass would (see :class:`CostStack`), so
+    concurrent fits of one cost are safe too.  Out-of-domain parameter
+    vectors (negative yields, nonpositive amplitude factors, non-finite
+    entries) evaluate to ``+inf`` rather than raising, so numerical
+    minimizers can recover mid line search.
 
     Parameters
     ----------
@@ -528,46 +518,17 @@ class CostFunction(_PerBin):
         self.model = model
 
         K = model.ncomponents
-        A = model.component_sumw()
-        W2 = model.component_sumw2()
-        pooled = A.sum(axis=0)
-        active = pooled > 0.0
-        self._active = active
-        # one index of the active bins, taken from every array: cheaper than
-        # a boolean mask on the (K, nbins) ones, and contiguous
-        idx = np.flatnonzero(active)
-        self._counts = np.array(idx.size)  # 0-d: a stack holds one per row
-        self.ndof = idx.size - K
-
-        norms = np.asarray(model.norms, dtype=np.float64)
-        a = A.take(idx, axis=1)
-        n = model.data.sumw.take(idx)
-        a_eff = pooled.take(idx)
-        if weighted:
-            n2 = model.data.sumw2.take(idx)
-            empty = n2 == 0.0
-            n2g = np.where(empty, 1.0, n2)
-            s = np.where(empty, 1.0, n / n2g)
-            with np.errstate(over="ignore"):  # an effective count that overflows fails below
-                n = np.where(empty, 0.0, n * n / n2g)
-            v = W2.take(idx, axis=1)
-            # active bins have pooled sumw > 0, hence pooled sumw2 > 0
-            with np.errstate(over="ignore"):
-                a_eff = a_eff**2 / v.sum(axis=0)
-            if np.count_nonzero(np.isfinite(a_eff)) < a_eff.size:
-                # the approx factor would be inf/inf, which the cost clips to 0
-                raise ValueError(
-                    "template contents so large that the effective count (sum w)^2 / sum w^2 "
-                    "overflows a float"
-                )
-        else:
-            s = np.ones_like(n)
-            v = a
-        self._set_fields(norms, n, a, v, s, a_eff)
-        # after the fields' overflow check, which data whose total overflows fail
-        self._data_totals = np.array(model.data.total)  # 0-d, as the count
+        sumw2 = (model.data.sumw2[None], model.component_sumw2()[None]) if weighted else ()
+        self._stack, active = CostStack._build(
+            method, model.data.sumw[None], model.component_sumw()[None], *sumw2
+        )
+        self._active = active[0]
+        self.ndof = self.nbins_active - K
 
         if method is Method.EXACT:
+            # its own kernels read row 0 of the stack's fields
+            for name in ("_norms", "_n", "_a", "_npos", "_nlogn"):
+                setattr(self, name, getattr(self._stack, name)[0])
             # bin-major slot order over (active bin, component) with content
             b_pos, k_idx = np.nonzero(self._a.T > 0.0)
             self._slot_bin = b_pos
@@ -580,15 +541,11 @@ class CostFunction(_PerBin):
         # amplitude factors must be positive
         self._domain_lo = np.zeros(self.nparams)
         self._domain_lo[K:] = np.nextafter(0.0, 1.0)
-        for arr in (
-            self._s, self._n, self._npos, self._nlogn, self._2n, self._4n, self._na, self._a_eff
-        ):
-            arr.flags.writeable = False
 
     @property
     def nbins_active(self) -> int:
         """Number of bins entering the cost (pooled template content > 0)."""
-        return int(self._counts)
+        return int(self._stack._counts[0])
 
     @property
     def lower_bounds(self) -> np.ndarray:
@@ -604,10 +561,6 @@ class CostFunction(_PerBin):
             raise ValueError("slot layout exists only for the exact method")
         bins = np.flatnonzero(self._active)[self._slot_bin]
         return bins, self._slot_comp.copy()
-
-    def _row(self) -> "CostStack":
-        """This profiled cost as a one-row :class:`CostStack` that shares its arrays."""
-        return self._take(None)
 
     def _checked(self, params) -> np.ndarray:
         p = np.asarray(params, dtype=np.float64)
@@ -632,29 +585,23 @@ class CostFunction(_PerBin):
         """Cost of one parameter vector, or of every row of an ``(m, nparams)`` stack.
 
         A vector gives a ``float``; a stack gives ``m`` values, each equal bit
-        for bit to the cost of its row alone.  Both take the one value path.
+        for bit to the cost of its row alone.  Both take the one value path,
+        a vector as a stack of one.
         """
         p = np.asarray(params, dtype=np.float64)
         if p.ndim == 2 and p.shape[1] == self.nparams:
             return self._stacked(p)
-        return float(self._stacked(self._checked(p)))
+        return float(self._stacked(self._checked(p)[None])[0])
 
     def _stacked(self, p: np.ndarray) -> np.ndarray:
-        # parameter vectors along the last axis: one vector or a stack of them
+        # the costs of an (m, nparams) stack; approx and conway take the value
+        # of the row's kernel pass, which CostStack.value_and_gradient returns
         p, bad = self._inside(p)
-        q = _nonneg(self._total(p))
-        return q if bad is None else np.where(bad, math.inf, q)
-
-    def _total(self, p: np.ndarray):
-        """Unclipped cost of each parameter vector along the last axis of ``p``.
-
-        Every vector must lie inside the domain.  ``approx`` and ``conway``
-        take the value of :meth:`_profile`, which ``CostStack.value_and_gradient`` returns.
-        """
         if self.method is Method.EXACT:
-            terms, slot, _, _ = self._exact(p)
-            return self._exact_total(terms, slot)
-        return self._profile(p).value
+            q = _nonneg(self._exact_total(*self._exact(p)[:2]))
+        else:
+            q = self._stack._profile(p).value
+        return q if bad is None else np.where(bad, math.inf, q)
 
     def _exact_total(self, terms: np.ndarray, slot: np.ndarray):
         return np.add.reduce(terms, axis=-1) + 2.0 * _dot(slot, self._a_slots)
@@ -679,8 +626,7 @@ class CostFunction(_PerBin):
         """
         if self.method is Method.EXACT:
             return self._exact_hessian(params)
-        p = self.validate(params)
-        return self._profiled_hessian(p, self._profile(p))
+        return self._stack.hessian(self.validate(params)[None])[0]
 
     def _exact_hessian(self, params) -> np.ndarray:
         # Per bin, mu = sum_k y_k c_k beta_k with c_k = a_k/M_k, so with J the
@@ -719,52 +665,47 @@ class CostFunction(_PerBin):
         factor exists.
         """
         p = self.validate(params)
-        if self.method is not Method.EXACT:
-            return self._spread(*self._bins(self._profile(p)))
-        K = self.model.ncomponents
-        nbins = self.model.nbins
-        terms, slot, _, _ = self._exact(p)
-        np.add.at(terms, self._slot_bin, np.maximum(0.0, 2.0 * self._a_slots * slot))
+        nbins, K = self.model.nbins, self.model.ncomponents
+        if self.method is Method.EXACT:
+            terms, slot, _, _ = self._exact(p)
+            np.add.at(terms, self._slot_bin, np.maximum(0.0, 2.0 * self._a_slots * slot))
+            beta = np.full((nbins, K), np.nan)
+            beta[self.exact_slots()] = p[K:]
+        else:
+            # from the pass a fit kept where it ended at ``p``, else a new one
+            factors, terms = (x[0] for x in self._stack._bins(self._stack._pass(p[None])))
+            beta = np.full(nbins, np.nan)
+            beta[self._active] = factors
         contrib = np.zeros(nbins)
         contrib[self._active] = terms
-        beta_full = np.full((nbins, K), np.nan)
-        beta_full[self.exact_slots()] = p[K:]
-        return BetaDiagnostics(beta=beta_full, contributions=contrib)
-
-    def _spread(self, beta: np.ndarray, terms: np.ndarray) -> BetaDiagnostics:
-        """The diagnostics of a profiled cost from its active bins' factors and contributions,
-        with NaN factors and zero contributions in the skipped bins."""
-        nbins = self.model.nbins
-        beta_full = np.full(nbins, np.nan)
-        beta_full[self._active] = beta
-        contrib = np.zeros(nbins)
-        contrib[self._active] = terms
-        return BetaDiagnostics(beta=beta_full, contributions=contrib)
+        return BetaDiagnostics(beta=beta, contributions=contrib)
 
 
 class CostStack(_PerBin):
     """The profiled costs of several fits, evaluated together.
 
-    Built from count arrays by :meth:`from_counts` and narrowed by
-    :meth:`take`.  The rows share one method (``approx`` or ``conway``) and
-    number of components; their data arrays are stacked along a leading
-    axis, each padded to the largest active-bin count.  Pad bins hold
-    ``n = 0`` and unit template contents, scales and variances, so the
-    elementwise kernels stay finite on them, and every reduction over bins
-    runs, per run of consecutive rows with one active-bin count, on those
-    rows' active bins alone.  Row ``t`` of a call on a ``(T, K)`` stack of
-    yields therefore equals, bit for bit, the call of row ``t``'s cost
-    function on it alone, whatever the other rows hold, so a minimizer can
-    step many fits at the cost of one NumPy dispatch per elementwise
-    operation; rows ordered by active-bin count make the fewest runs.  Rows
-    outside the domain evaluate to ``+inf`` with NaN derivatives.  A
-    profiled cost function, weighted or not, fits as a one-row stack of its
-    own arrays.
+    Built from count arrays by :meth:`from_counts`, from a model by each
+    :class:`CostFunction` (a one-row stack), and narrowed by :meth:`take`.
+    The rows share one method and number of components; their data arrays
+    are stacked along a leading axis, each padded to the largest
+    active-bin count.  Pad bins hold ``n = 0`` and unit template contents,
+    scales and variances, so the elementwise kernels stay finite on them,
+    and every reduction over bins runs, per run of consecutive rows with
+    one active-bin count, on those rows' active bins alone.  Row ``t`` of
+    a call on a ``(T, K)`` stack of yields therefore equals, bit for bit,
+    the call of row ``t``'s cost function on it alone, whatever the other
+    rows hold, so a minimizer can step many fits at the cost of one NumPy
+    dispatch per elementwise operation; rows ordered by active-bin count
+    make the fewest runs.  Rows outside the domain evaluate to ``+inf``
+    with NaN derivatives.
 
     A stack keeps the kernel pass of its last :meth:`value_and_gradient`,
     so a Hessian at a point already evaluated reads that pass instead of
     running the kernel again, with the same bits; a fit still counts it as
-    one evaluation.
+    one evaluation.  A pass is a function of the stack's fields, which
+    nothing writes, and of the bytes of the yields, so the kept pass is
+    the one any caller at those yields would make: a cost function's row,
+    shared by its fits, its ``hessian`` and its ``diagnostics``, may keep it.
     """
 
     # the per-bin fields of ``_set_fields``, one row per fit
@@ -799,21 +740,75 @@ class CostStack(_PerBin):
         norms = np.add.reduce(templates, axis=-1)
         if np.count_nonzero(norms > 0.0) < norms.size:
             raise ValueError("every template needs entries")
-        pooled = np.add.reduce(templates, axis=-2)
-        active = pooled > 0.0
+        return cls._build(method, data, templates)[0]
+
+    @classmethod
+    def _build(cls, method: Method, data, templates, data_w2=None, templates_w2=None):
+        """The stack of the costs of ``(T, nbins)`` data and ``(T, K, nbins)`` templates.
+
+        ``data_w2`` and ``templates_w2``, their sums of squared weights, make
+        the weighted costs.  The one place that finds each row's active bins,
+        compacts them, applies the weighted transform and (in
+        :meth:`_set_fields`) rejects what overflows, on valid contents;
+        returns the stack and the ``(T, nbins)`` active-bin mask.
+        """
         out = object.__new__(cls)
         out.method = method
         out._domain_lo = np.zeros(templates.shape[1])
-        out._set_counts(np.count_nonzero(active, axis=-1))
-        # each row's active bins, in order, then its pad bins
-        bins = np.argsort(~active, axis=-1, kind="stable")[:, : out._width]
-        pad = np.arange(out._width) >= out._counts[:, None]
-        n = np.where(pad, 0.0, np.take_along_axis(data, bins, -1))
-        a = np.where(pad[:, None], 1.0, np.take_along_axis(templates, bins[:, None], -1))
-        a_eff = np.where(pad, 1.0, np.take_along_axis(pooled, bins, -1))
-        out._set_fields(norms, n, a, a, np.ones_like(n), a_eff)
+        norms = np.add.reduce(templates, axis=-1)
+        pooled = np.add.reduce(templates, axis=-2)
+        active = pooled > 0.0
+        pad = None
+        if len(active) and np.count_nonzero(active != active[0]) == 0:
+            # rows that share their active bins, as a cost function's one
+            # row, take them with one index: no sort, no pad, contiguous
+            idx = np.flatnonzero(active[0])
+            out._set_counts(np.full(len(active), idx.size))
+
+            def take(x, fill):
+                return x.take(idx, axis=-1)
+        else:
+            # each row's active bins, in order, then pad bins of ``fill``
+            out._set_counts(np.count_nonzero(active, axis=-1))
+            bins = np.argsort(~active, axis=-1, kind="stable")[:, : out._width]
+            pad = np.arange(out._width) >= out._counts[:, None]
+
+            def take(x, fill):
+                if x.ndim == 3:
+                    return np.where(pad[:, None], fill, np.take_along_axis(x, bins[:, None], -1))
+                return np.where(pad, fill, np.take_along_axis(x, bins, -1))
+
+        n = take(data, 0.0)
+        a = take(templates, 1.0)
+        a_eff = take(pooled, 1.0)
+        if data_w2 is None:
+            s, v = np.ones_like(n), a
+        else:
+            # Bohm-Zech effective counts; an empty data bin (and a pad) maps
+            # to (0, 1): its sum of weights vanishes with its sum of squares
+            n2 = take(data_w2, 0.0)
+            empty = n2 == 0.0
+            n2g = np.where(empty, 1.0, n2)
+            s = np.where(empty, 1.0, n / n2g)
+            v = take(templates_w2, 1.0)
+            # active bins have pooled sumw > 0, hence pooled sumw2 > 0; an
+            # effective data count that overflows fails in _set_fields
+            with np.errstate(over="ignore"):
+                n = n * n / n2g
+                a_eff = a_eff**2 / np.add.reduce(v, axis=-2)
+            if pad is not None:
+                a_eff = np.where(pad, 1.0, a_eff)
+            if np.count_nonzero(np.isfinite(a_eff)) < a_eff.size:
+                # the approx factor would be inf/inf, which the cost clips to 0
+                raise ValueError(
+                    "template contents so large that the effective count (sum w)^2 / sum w^2 "
+                    "overflows a float"
+                )
+        out._set_fields(norms, n, a, v, s, a_eff)
         out._data_totals = np.add.reduce(data, axis=-1)  # each row's, after the overflow check
-        return out
+        for name in cls._BIN_FIELDS:
+            getattr(out, name).flags.writeable = False
+        return out, active
 
     def _set_counts(self, counts: np.ndarray) -> None:
         """Record each row's active-bin count, the padded width and the runs of rows.
@@ -843,7 +838,15 @@ class CostStack(_PerBin):
         """Active-bin count of every row."""
         return self._counts
 
-    take = _PerBin._take  # the stack of the costs at ``rows``, in that order
+    def take(self, rows) -> "CostStack":
+        """The stack of the costs at ``rows``, in that order."""
+        out = object.__new__(type(self))
+        out.method, out._domain_lo, out._unit_s = self.method, self._domain_lo, self._unit_s
+        out._norms, out._data_totals = self._norms[rows], self._data_totals[rows]
+        out._set_counts(self._counts[rows])
+        for name in self._BIN_FIELDS:
+            setattr(out, name, getattr(self, name)[rows, ..., : out._width])
+        return out
 
     # --- reductions over bins, per run of rows with one active-bin count -------
     # strided slices of the padded block give the bits of the compact calls
@@ -854,7 +857,7 @@ class CostStack(_PerBin):
             op(*(x[lo:hi, ..., :b] for x in args), out=out[lo:hi])
         return out
 
-    def _bin_sum(self, x, axis):
+    def _bin_sum(self, x):
         return _sum(x) if self._runs is None else self._per_run(_sum, x.shape[:-1], x)
 
     def _bin_dot(self, x, z):

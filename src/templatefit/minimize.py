@@ -15,7 +15,7 @@ One loop runs every fit, on a batch of fits in lockstep: its state holds
 one row per fit, and every round evaluates each row's next point (a
 line-search trial or the restart point) in one call.  A row leaves the
 batch when its fit stops.  Every ``approx`` and ``conway`` fit runs on
-stacked rows, :func:`minimize`'s as a one-row stack on the cost's arrays.
+stacked rows, :func:`minimize`'s on the one-row stack its cost keeps.
 ``_minimize_stacks`` fits the rows of
 :class:`~templatefit.likelihood.CostStack` objects (``run_study`` builds
 them from count arrays, with no cost functions) in stacks of at most 2^14
@@ -59,7 +59,10 @@ the yield errors.  Each Hessian counts as one evaluation, also where it
 reads a kernel pass already made: a stack keeps the pass of its last
 evaluation, so the start Hessian comes from the start's pass, and a fit
 that ends at the point it evaluated last takes the Hessian of its
-covariance, and :func:`minimize` its ``betas``, from that pass.
+covariance, and :func:`minimize` its ``betas``, from that pass.  A cost
+function's row keeps its pass from fit to fit: a pass is a function of
+the stack and of the bytes of the yields, so whichever fit or call made
+it, it gives the bits of a new one.
 
 ``approx`` and ``conway`` profile their per-bin factors analytically, so
 ``CostStack.value_and_gradient`` gives the value and the exact gradient in
@@ -410,13 +413,15 @@ def default_start(cost: CostFunction | CostStack) -> np.ndarray:
     Poisson fit at the cost of two products over bins, and counts as no
     evaluation; a split that is not finite stays as it is.  Exact-method
     amplitude factors start at 1, their large-template asymptotic value.
-    A :class:`~templatefit.likelihood.CostStack` gets the ``(T, K)`` starts
+    The step runs on a cost function's one-row stack, for every method; a
+    :class:`~templatefit.likelihood.CostStack` gets the ``(T, K)`` starts
     of its rows, each its row's cost function's start bit for bit.
     """
-    K = cost._norms.shape[-1]
-    start = np.ones(cost._data_totals.shape + (cost.nparams,))
-    start[..., :K] = cost._em_step(np.repeat(cost._data_totals[..., None] / K, K, axis=-1))
-    return start
+    stack = cost._stack if isinstance(cost, CostFunction) else cost
+    K, totals = stack.nparams, stack._data_totals
+    start = np.ones(totals.shape + (cost.nparams,))
+    start[..., :K] = stack._em_step(np.repeat(totals[..., None] / K, K, axis=-1))
+    return start if stack is cost else start[0]
 
 
 def _check_options(gtol: float, max_calls: int) -> None:
@@ -436,9 +441,9 @@ def minimize(
     """Minimize a cost function over its parameter space, bounded below by its ``lower_bounds``.
 
     A batch of one through the lockstep loop that ``run_study``'s stacks
-    run, with the cost's ``ndof`` and the per-bin ``betas`` at the minimum.
-    ``approx`` and ``conway`` fit as a one-row stack on the cost's arrays,
-    so a subclass's ``hessian`` and ``diagnostics`` are not called.
+    run, with the cost's ``ndof`` and its ``diagnostics`` at the minimum as
+    ``betas``.  ``approx`` and ``conway`` fit the one-row stack the cost
+    keeps, so a subclass's ``__call__`` and ``hessian`` are not called.
 
     Parameters
     ----------
@@ -462,19 +467,9 @@ def minimize(
     if (x < cost.lower_bounds).any():
         raise ValueError("start point must lie within the bounds")
     _check_options(gtol, max_calls)
-    if cost.method is Method.EXACT:
-        f = _Counted(cost)
-        f.betas = cost.diagnostics
-    else:
-        row = cost._row()
-        f = _Stacked(row)
-
-        def betas(point):
-            # from the pass of the last evaluation where the fit ended there
-            beta, terms = row._bins(row._pass(point[None]))
-            return cost._spread(beta[0], terms[0])
-
-        f.betas = betas
+    f = _Counted(cost) if cost.method is Method.EXACT else _Stacked(cost._stack)
+    # a profiled fit that ended at its last point reads the betas from that pass
+    f.betas = cost.diagnostics
     (result,) = _fit_rows(f, x[None], gtol, max_calls)
     if isinstance(result, Exception):
         raise result
@@ -495,30 +490,26 @@ def _minimize_stacks(
     equal field for field and bit for bit to the :func:`minimize` of the
     row's cost function from that start but with ``betas`` ``None``, or the
     ``ValueError`` or ``ArithmeticError`` that call would raise; the other
-    rows still fit.  Each stack's rows are ordered by active-bin count and
-    cut into chunks of at most 2^14 per-bin elements; the ``i``-th chunks of
-    all stacks run in one loop (:func:`_fit_segments`), a segment each.
+    rows still fit.  Each stack's rows are cut, in order, into chunks of at
+    most 2^14 per-bin elements; the ``i``-th chunks of all stacks run in
+    one loop (:func:`_fit_segments`), a segment each.  Rows ordered by
+    active-bin count, as ``run_study`` builds them, reduce in the fewest
+    runs; rows in any order fit to the same bits.
     """
-    outs, chunks = [], []
-    for stack, x in zip(stacks, starts):
-        out: list = [None] * len(x)
-        # rows of one active-bin count next to each other reduce in one run
-        rows = np.argsort(stack.nbins_active, kind="stable")
-        if np.count_nonzero(rows != np.arange(len(rows))):
-            stack, x = stack.take(rows), x[rows]
+    outs, chunks = [[] for _ in stacks], []
+    for out, stack, x in zip(outs, stacks, starts):
         size = _rows_per_call(stack.nparams * int(stack.nbins_active.max(initial=0)))
         for n, lo in enumerate(range(0, len(x), size)):
             hi = min(lo + size, len(x))
             chunk = stack if hi - lo == len(stack) else stack.take(np.arange(lo, hi))
             if n == len(chunks):
                 chunks.append([])
-            chunks[n].append((out, chunk, x[lo:hi], rows[lo:hi].tolist()))
-        outs.append(out)
+            chunks[n].append((out, chunk, x[lo:hi]))
+    # the n-th chunks of all stacks fit together, so each stack's ends come in order
     for group in chunks:
         ends = iter(_fit_segments([g[1] for g in group], [g[2] for g in group], gtol, max_calls))
-        for out, _, _, rows in group:
-            for i in rows:
-                out[i] = next(ends)
+        for out, chunk, _ in group:
+            out.extend(next(ends) for _ in range(len(chunk)))
     return outs
 
 

@@ -175,8 +175,7 @@ def _fit_toys(args) -> list[PullRecord]:
     toys = (~empty).nonzero()[0]
     if not len(toys):
         return records
-    # ordered by active-bin count, as _minimize_stacks orders a stack's rows,
-    # so the stacks are built in that order and need no reordering copy
+    # ordered by active-bin count: rows of one count reduce in one run
     active = np.count_nonzero(np.add.reduce(templates, axis=-2) > 0.0, axis=-1)
     toys = toys[np.argsort(active[toys], kind="stable")]
     data, templates = data[toys], templates[toys]

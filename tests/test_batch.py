@@ -320,7 +320,7 @@ def _assert_rows_equal_single_calls(costs, stack, Y) -> None:
             assert v == math.inf and np.isnan(g).all() and np.isnan(H).all()
             continue
         # the one-row stack of the cost's own arrays, which its fit runs
-        v1, g1 = cost._row().value_and_gradient(y[None])
+        v1, g1 = cost._stack.value_and_gradient(y[None])
         assert float.hex(float(v)) == float.hex(float(v1[0])) == float.hex(cost(y))
         assert _bits(g) == _bits(g1[0])
         assert _bits(H) == _bits(cost.hessian(y))
@@ -431,9 +431,9 @@ def test_start_scaling_equal_in_stack_and_alone(method):
         _, _, hinv0 = _Stacked(stack).start(X, lower)
         expected = stack._expected_curvature(X)
     for cost, x, row, e, d, b in zip(costs, X, hinv0, expected, d2, bad):
-        _, _, alone = _Stacked(cost._row()).start(x[None], lower)
+        _, _, alone = _Stacked(cost._stack).start(x[None], lower)
         assert _bits(row) == _bits(alone[0])
-        assert _bits(e) == _bits(cost._expected_curvature(x))
+        assert _bits(e) == _bits(cost._stack._expected_curvature(x[None])[0])
         assert (e > 0.0).all()
         assert _bits(row) == _bits(1.0 / np.where(b, e, d))
 
@@ -493,6 +493,63 @@ def test_stack_from_counts_rejects_what_a_model_rejects():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflows"):
             CostStack.from_counts("approx", huge, templates)
+
+
+def test_stack_from_counts_rejects_templates_whose_total_squared_overflows():
+    data, templates = _counts(_costs("conway", 50, n=3))
+    huge = templates.copy()
+    huge[1, 0] = 1e154  # a total of 1.5e155, whose square overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in PROFILED:
+            with pytest.raises(ValueError, match="square overflows"):
+                CostStack.from_counts(method, data, huge)
+
+
+def _weighted_models(n: int, seed: int) -> list[TemplateModel]:
+    """Weighted 12-bin models with two components, whose empty template bins differ."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for _ in range(n):
+        comps = rng.poisson(4.0, (2, 12)).astype(float)
+        comps[:, rng.random(12) < 0.3] = 0.0
+        comps[:, 0] += 1.0  # every template has entries
+        dw = rng.poisson(15.0, 12) * rng.uniform(0.5, 1.5, 12)
+        models.append(
+            TemplateModel(
+                edges=np.arange(13.0),
+                data=BinnedSample(dw, dw * rng.uniform(0.8, 2.0, 12)),
+                components=tuple(
+                    BinnedSample(1.1 * c, c * rng.uniform(1.0, 2.0, 12)) for c in comps
+                ),
+            )
+        )
+    return models
+
+
+@pytest.mark.parametrize("method", PROFILED)
+def test_weighted_stack_rows_equal_weighted_costs(method):
+    # the builder's weighted transform on a ragged stack: pad bins keep
+    # n = 0, s = 1, v = 1 and a_eff = 1, and every row equals the weighted
+    # cost function of its model by bytes
+    models = _weighted_models(30, seed=11)
+    costs = [CostFunction(method, m, weighted=True) for m in models]
+    counts = np.array([c.nbins_active for c in costs])
+    assert len(set(counts.tolist())) > 2
+    stack, _ = CostStack._build(
+        tf.Method(method),
+        np.array([m.data.sumw for m in models]),
+        np.array([m.component_sumw() for m in models]),
+        np.array([m.data.sumw2 for m in models]),
+        np.array([m.component_sumw2() for m in models]),
+    )
+    assert _bits(stack.nbins_active) == _bits(counts) and stack._runs is not None
+    pad = np.arange(counts.max()) >= counts[:, None]
+    assert (stack._n[pad] == 0.0).all() and (stack._s[pad] == 1.0).all()
+    assert (stack._a_eff[pad] == 1.0).all()
+    assert (np.moveaxis(stack._v, 1, 0)[:, pad] == 1.0).all()
+    assert not stack._unit_s
+    _assert_rows_equal_single_calls(costs, stack, _yield_rows(costs, np.random.default_rng(12)))
 
 
 @pytest.mark.parametrize("method", PROFILED)

@@ -161,6 +161,18 @@ class TestFit:
         assert code == 1
         assert err.startswith("error: ") and "effective count" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("method", ["approx", "conway", "exact"])
+    def test_template_whose_total_squared_overflows_is_a_one_line_error(
+        self, tmp_path, capsys, method
+    ):
+        # conway used to print an overflow warning and fit the component with d = 0
+        obj = saturated_input()
+        obj["templates"].append({"name": "huge", "sumw": [1e154, 1e154, 1e154]})
+        code = main(["fit", "--input", write_input(tmp_path, obj), "--method", method])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "square overflows" in err and err.count("\n") == 1
+
     def test_unwritable_output_is_a_one_line_error(self, tmp_path, capsys):
         path = write_input(tmp_path, saturated_input())
         code = main(["fit", "--input", path, "--output", str(tmp_path / "missing" / "r.json")])

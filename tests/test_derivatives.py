@@ -51,7 +51,7 @@ def _model(rng, K, nbins, weighted):
 
 def _value_and_gradient(cost, y):
     """Value and gradient of a profiled cost at ``y``, from the one-row stack its fit runs."""
-    value, gradient = cost._row().value_and_gradient(np.asarray(y, dtype=np.float64)[None])
+    value, gradient = cost._stack.value_and_gradient(np.asarray(y, dtype=np.float64)[None])
     return float(value[0]), gradient[0]
 
 

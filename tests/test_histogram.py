@@ -20,14 +20,14 @@ def effective(sample):
     # from a data sample (one unit template entry per bin keeps every bin active)
     ones = BinnedSample.from_counts(np.ones(sample.nbins))
     model = TemplateModel(edges=np.arange(sample.nbins + 1.0), data=sample, components=(ones,))
-    cost = CostFunction("approx", model, weighted=True)
-    return cost._n, cost._s
+    row = CostFunction("approx", model, weighted=True)._stack
+    return row._n[0], row._s[0]
 
 
 def expectation(model, y):
-    # the kernel's expectation m per active bin
+    # the kernel's expectation m per active bin, on the one-row stack that fits run
     cost = CostFunction("approx", model)
-    return cost._approx(cost.validate(y))[3]
+    return cost._stack._approx(cost.validate(y))[3][0]
 
 
 class TestBinnedSample:

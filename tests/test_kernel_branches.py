@@ -128,6 +128,8 @@ def _state(mask) -> str:
 def _masks(name) -> dict:
     """The state of each branch mask over the bins the kernels see, from their intermediates."""
     cost, y = _cost(name)
+    if isinstance(cost, CostFunction):  # its kernels run on its one-row stack
+        cost = cost._stack
     m = cost._expectation(y)
     states = dict(m=_state(m > 0.0), n=_state(cost._npos))
     rec = cost._profile(y)
@@ -149,7 +151,7 @@ def _evaluate(name) -> str:
         hessian = cost.hessian(y)
         beta, contributions = cost._bins(cost._profile(y))
     else:
-        value, gradient = cost._row().value_and_gradient(y[None])
+        value, gradient = cost._stack.value_and_gradient(y[None])
         assert cost(y) == value[0]
         hessian = cost.hessian(y)
         diag = cost.diagnostics(y)

@@ -64,9 +64,10 @@ def poisson_term(n, mu):
 
 
 def factor_variance(model, y, weighted=False):
-    # Conway's factor variance V per active bin, as the kernel forms it
+    # Conway's factor variance V per active bin, as the kernel forms it on the
+    # one-row stack that fits run
     cost = CostFunction(Method.CONWAY, model, weighted=weighted)
-    return cost._conway(cost.validate(y))[4]
+    return cost._stack._conway(cost.validate(y))[4][0]
 
 
 def exact_cost(model, y, betas):
@@ -185,7 +186,7 @@ class TestVarBeta:
         assert CostFunction(Method.CONWAY, m).nbins_active == 1
         m = make_model([0, 5], [[0, 100], [4, 200]])
         cost = CostFunction(Method.CONWAY, m)
-        live = cost._conway(np.array([10.0, 0.0]))[0]
+        live = cost._stack._conway(np.array([10.0, 0.0]))[0][0]
         np.testing.assert_array_equal(live, [False, True])
         assert math.isnan(cost.diagnostics([10.0, 0.0]).beta[0])
 
@@ -441,6 +442,23 @@ class TestCostFunctionStructure:
             large = make_model([40, 5], [[1e150, 1], [1, 4]], comp_w2=[[1e150, 1], None])
             cost = CostFunction(method, large, weighted=True)
         assert cost.nbins_active == 2
+
+    @pytest.mark.parametrize("method", ["approx", "conway", "exact"])
+    def test_templates_whose_total_squared_overflows_are_rejected(self, method):
+        # a total of 3e154 squares to inf: Conway's variance term d = v/M^2
+        # read 0, with an overflow warning, for every method
+        comps = [[1e154, 1e154, 1e154], [1, 4, 1]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="square overflows"):
+                CostFunction(method, make_model([40, 5, 3], comps))
+            if method != "exact":
+                huge = make_model([40, 5, 3], comps, data_w2=[40, 5, 3], comp_w2=comps)
+                with pytest.raises(ValueError, match="square overflows"):
+                    CostFunction(method, huge, weighted=True)
+            # a total of 3e153 squares to 9e306, and is accepted
+            cost = CostFunction(method, make_model([40, 5, 3], [[1e153] * 3, [1, 4, 1]]))
+        assert cost.nbins_active == 3
 
     def test_weighted_exact_rejected(self):
         m = make_model([1, 2], [[1, 1]])
