@@ -37,8 +37,9 @@ freedom.
 profiled costs of many fits at once; one builder forms the per-bin fields
 of both, and a cost function keeps the one-row stack it builds, on which
 ``approx`` and ``conway`` evaluate and fit.  One per-bin kernel per
-method computes the factors and cost terms for the value, the per-bin :meth:`CostFunction.diagnostics` and the closed-form derivatives,
-with one expression for the bin expectation and one path for weighted and
+method computes the factors and cost terms for the value, the per-bin
+:meth:`CostFunction.diagnostics` and the closed-form derivatives, with
+one expression for the bin expectation and one path for weighted and
 unweighted costs: the effective-count scale ``s`` is 1 for unweighted
 costs and pad bins, and scaling by 1 is exact, so the kernels skip it
 where every scale is 1.  Each kernel pass forms each per-bin quantity
@@ -585,17 +586,17 @@ class CostFunction(_PerBin):
         """Cost of one parameter vector, or of every row of an ``(m, nparams)`` stack.
 
         A vector gives a ``float``; a stack gives ``m`` values, each equal bit
-        for bit to the cost of its row alone.  Both take the one value path,
-        a vector as a stack of one.
+        for bit to the cost of its row alone.  Both take the one value path.
         """
         p = np.asarray(params, dtype=np.float64)
         if p.ndim == 2 and p.shape[1] == self.nparams:
             return self._stacked(p)
-        return float(self._stacked(self._checked(p)[None])[0])
+        return self._stacked(self._checked(p)).item()
 
     def _stacked(self, p: np.ndarray) -> np.ndarray:
-        # the costs of an (m, nparams) stack; approx and conway take the value
-        # of the row's kernel pass, which CostStack.value_and_gradient returns
+        # parameter vectors along the last axis: one vector or a stack of them.
+        # approx and conway take the value of the row's kernel pass, which
+        # CostStack.value_and_gradient returns; a vector gives one value there
         p, bad = self._inside(p)
         if self.method is Method.EXACT:
             q = _nonneg(self._exact_total(*self._exact(p)[:2]))
