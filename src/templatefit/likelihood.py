@@ -34,10 +34,11 @@ the yields; they are skipped entirely and excluded from the degrees of
 freedom.
 
 :class:`CostFunction` evaluates one fit's cost, :class:`CostStack` the
-profiled costs of many fits at once; one builder forms the per-bin fields
-of both, and a cost function keeps the one-row stack it builds, on which
-``approx`` and ``conway`` evaluate and fit.  One per-bin kernel per
-method computes the factors and cost terms for the value, the per-bin
+costs of many fits at once (of one fit for ``exact``, whose parameter
+count is its own); one builder forms the per-bin fields of both, and a
+cost function keeps the one-row stack it builds, on which every method
+evaluates and fits.  One per-bin kernel per method computes the factors
+and cost terms for the value, the per-bin
 :meth:`CostFunction.diagnostics` and the closed-form derivatives, with
 one expression for the bin expectation and one path for weighted and
 unweighted costs: the effective-count scale ``s`` is 1 for unweighted
@@ -101,16 +102,20 @@ class BetaDiagnostics:
 
 
 class _Pass(NamedTuple):
-    """One kernel pass of a profiled cost, at one yield vector or along leading axes.
+    """One kernel pass of a cost, at one parameter vector or along leading axes.
 
     ``value`` is the cost, ``live`` Conway's live-bin mask (``None`` when
-    every bin is live, and for approx), ``beta`` the profiled factor, ``m``
-    the expectation before the scale ``s`` (1 where it vanishes), ``var``
-    Conway's factor variance, ``tt`` Conway's ``(beta - 1)^2``, ``terms``
-    the data (and penalty) terms and ``slot`` approx's
-    ``beta - 1 - ln beta``, per bin; ``var`` and ``tt`` are ``None`` for
-    approx and ``slot`` for Conway.  The value, the gradient, the Hessian
-    and the diagnostics all read one pass, which nothing writes.
+    every bin is live, and for approx and exact), ``beta`` the profiled
+    factor, ``m`` the expectation before the scale ``s`` (1 where it
+    vanishes), ``var`` Conway's factor variance, ``tt`` Conway's
+    ``(beta - 1)^2``, ``terms`` the data (and penalty) terms and ``slot``
+    approx's ``beta - 1 - ln beta``, per bin; ``var`` and ``tt`` are
+    ``None`` for approx and exact, and ``slot`` for Conway.  For exact,
+    ``beta`` holds the amplitude factor per (component, bin), 1 in slots
+    without template content, ``m`` the expectation ``mu`` and ``slot``
+    ``beta - 1 - ln beta`` per amplitude slot.  The value, the gradient,
+    the Hessian and the diagnostics all read one pass, which nothing
+    writes.
     """
 
     value: np.ndarray
@@ -173,17 +178,17 @@ def _diag(d: np.ndarray) -> np.ndarray:
 
 
 class _PerBin:
-    """The per-bin kernels of the profiled costs and their closed-form derivatives.
+    """The per-bin kernels of every cost and their closed-form derivatives.
 
     The data arrays (``CostStack._BIN_FIELDS``) hold the active bins of a
     stack of costs, one row each (:class:`CostStack`, whose ``_bin_*``
-    methods reduce over the bins of each row); ``exact`` reads row 0 of
-    its cost function's one-row stack.  Yields carry the parameters along
-    their last axis and broadcast against the data over the leading axes,
-    so one code serves a single vector, a stack of parameter rows and a
-    stack of costs.  Every operation is elementwise, a reduction over the
-    components, or a reduction or BLAS product over the bins of one row,
-    so each row's bits do not depend on the rows stacked with it.
+    methods reduce over the bins of each row); an exact stack holds one
+    row and its amplitude slots.  Parameter vectors carry the parameters
+    along their last axis and broadcast against the data over the leading
+    axes, so one code serves a single vector, a stack of parameter rows
+    and a stack of costs.  Every operation is elementwise, a reduction over
+    the components, or a reduction or BLAS product over the bins of one
+    row, so each row's bits do not depend on the rows stacked with it.
     """
 
     def _set_fields(self, norms, n, a, v, s, a_eff) -> None:
@@ -247,6 +252,9 @@ class _PerBin:
         q = self._bin_sum(np.where(live, terms, 0.0))
         # dead bins carry no factor; with observed content the model is impossible
         return np.where((~live & self._npos).any(axis=-1), math.inf, q)
+
+    def _exact_total(self, terms: np.ndarray, slot: np.ndarray):
+        return self._bin_sum(terms) + 2.0 * _dot(slot, self._a_slots)
 
     # --- per-bin kernels, one per method --------------------------------------
     # each returns the per-bin factors and cost terms over the active bins,
@@ -328,6 +336,16 @@ class _PerBin:
         terms = _qp_terms(self._n, self._npos, beta * mu0, self._nlogn) + tt / var
         return live, beta, terms, mu0_raw, var, tt
 
+    def _exact(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Amplitude factor per (component, bin), 1 in slots without template content, data
+        terms per bin, ``beta - 1 - ln beta`` per amplitude slot and ``mu`` per bin."""
+        K = self.ncomponents
+        betas = p[..., K:]
+        B = np.ones(p.shape[:-1] + self._a.shape[-2:])
+        B[(..., *self._slots)] = betas
+        mu = self._expectation(p[..., :K], self._a * B)
+        return B, _qp_terms(self._n, self._npos, mu, self._nlogn), betas - 1.0 - np.log(betas), mu
+
     # --- closed-form derivatives of the profiled costs -------------------------
     # Per bin, the cost L(y, beta) is minimal in the profiled beta, so the
     # gradient is dL/dy at fixed beta (envelope theorem) and the profiled
@@ -337,20 +355,22 @@ class _PerBin:
     # w = sum_k d_k y_k^2, d_k = v_k/M_k^2.
 
     def _profile(self, y: np.ndarray) -> _Pass:
-        """The kernel pass at ``y``; every yield vector must lie inside the domain.
+        """The kernel pass at ``y``; every parameter vector must lie inside the domain.
 
         ``m`` is 1 where it vanishes: a finite value has ``n = 0`` there, so
         ``n/m`` reads 0 and the bin is either dead (Conway, masked by the
         caller) or has the smooth limit ``beta = 1`` (approx).
         """
+        live = var = tt = slot = None
         if self.method is Method.CONWAY:
             live, beta, terms, m, var, tt = self._conway(y)
             q = self._conway_total(live, terms)
-            slot = None
-        else:
+        elif self.method is Method.APPROX:
             beta, terms, slot, m = self._approx(y)
-            live = var = tt = None
             q = self._approx_total(terms, slot)
+        else:
+            beta, terms, slot, m = self._exact(y)
+            q = self._exact_total(terms, slot)
         # NaN fails the test and takes the masked form, as it fails m > 0
         if not np.minimum.reduce(m, axis=None, initial=math.inf) > 0.0:
             m = np.where(m > 0.0, m, 1.0)
@@ -360,8 +380,15 @@ class _PerBin:
         """Per-bin factors and cost contributions of a pass, which sum to its value.
 
         Conway's dead bins get a NaN factor and contribute ``+inf`` where they
-        hold data, 0 where not.
+        hold data, 0 where not.  Exact's factors are per (bin, component),
+        NaN in slots without template content, and each slot's penalty adds
+        to its bin's terms.
         """
+        if self.method is Method.EXACT:
+            terms = rec.terms.copy()
+            penalty = np.maximum(0.0, 2.0 * self._a_slots * rec.slot)
+            np.add.at(terms, (..., self._slots[1]), penalty)
+            return np.where(self._a > 0.0, rec.beta, np.nan).mT, terms
         if self.method is Method.CONWAY:
             beta, terms = rec.beta, rec.terms
             if rec.live is not None:
@@ -377,8 +404,11 @@ class _PerBin:
         expectation ``mu0 = s m``; unlike the profiled Hessian's diagonal it
         is positive wherever the expectation is.  Every yield vector must
         lie inside the domain; ``m`` is 1 where it vanishes, as in
-        :meth:`_profile`.
+        :meth:`_profile`.  ``exact`` gets 1 for every parameter: its start
+        scaling keeps 1 where the Hessian's diagonal is not positive.
         """
+        if self.method is Method.EXACT:
+            return np.ones(y.shape)
         m = self._expectation(y)
         return self._bin_matvec(self._c * self._c, self._scaled(2.0) / np.where(m > 0.0, m, 1.0))
 
@@ -400,10 +430,14 @@ class _PerBin:
         ratio = self._n / np.where(m > 0.0, m, 1.0)
         return y * self._bin_matvec(self._c, ratio) / self._bin_matvec(self._c, self._s)
 
-    def _value_and_gradient(self, y: np.ndarray, rec: _Pass) -> tuple[np.ndarray, np.ndarray]:
+    def _value_and_gradient(
+        self, y: np.ndarray, rec: _Pass
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """Values and gradients in the yields ``y`` from the pass there; NaN gradients where
-        the value is infinite."""
+        the value is infinite.  ``exact`` has no closed-form gradient: ``None``."""
         value, live, beta, m, var = rec[:5]
+        if self.method is Method.EXACT:
+            return value, None
         dm = self._scaled(2.0 * beta) - self._2n / m
         if self.method is Method.APPROX:
             gradient = self._bin_matvec(self._c, dm)
@@ -421,13 +455,33 @@ class _PerBin:
             gradient[infinite] = np.nan
         return value, gradient
 
-    def _profiled_hessian(self, y: np.ndarray, rec: _Pass) -> np.ndarray:
-        """K x K Hessians in the yields ``y`` from the pass there; NaN where the value is
-        infinite."""
+    def _hessian(self, y: np.ndarray, rec: _Pass) -> np.ndarray:
+        """Hessians at the parameter vectors ``y`` from the pass there: K x K in the yields
+        for approx and conway, over the yields and amplitude factors for exact; NaN where
+        the value is infinite."""
         value, live, beta, m, var = rec[:5]
         c, s = self._c, self._s
         mm = m * m
-        if self.method is Method.APPROX:
+        if self.method is Method.EXACT:
+            # Per bin, mu = sum_k y_k c_k beta_k with c_k = a_k/M_k, so with J the
+            # Jacobian of mu over (y, beta) the Hessian is J diag(2n/mu^2) J^T,
+            # plus (2 - 2n/mu) c_k at (y_k, beta_k) and 2a/beta^2 at (beta, beta)
+            # from the penalty; each bin's factors couple only to each other and
+            # to the yields (Barlow & Beeston, CPC 77 (1993) 219).  m is mu, 1
+            # where it vanishes: a finite cost has n = 0 there
+            K, (k, b) = self.ncomponents, self._slots
+            slots = K + np.arange(b.size)
+            cs = self._a_slots / self._norms[..., k]
+            J = np.zeros(y.shape + m.shape[-1:])
+            J[..., :K, :] = self._a * beta / self._norms[..., None]
+            J[..., slots, b] = cs * y[..., k]
+            H = self._bin_gram(J * (self._2n / mm)[..., None, :], J)
+            cross = (2.0 - self._2n[..., b] / m[..., b]) * cs
+            H[..., k, slots] += cross
+            H[..., slots, k] += cross
+            with np.errstate(divide="ignore"):  # factors near 0 curve without bound
+                H[..., slots, slots] += 2.0 * self._a_slots / (y[..., K:] * y[..., K:])
+        elif self.method is Method.APPROX:
             # dbeta/dmu0 = -beta/(mu0 + a)
             if self._unit_s:
                 h = self._2n / mm - 2.0 * beta / (m + self._a_eff)
@@ -474,7 +528,7 @@ class _PerBin:
         return H
 
 
-class CostFunction(_PerBin):
+class CostFunction:
     """Maps a parameter vector to the chi-square-like statistic Q.
 
     The parameters are the K yields.  For the exact method, one amplitude
@@ -482,14 +536,8 @@ class CostFunction(_PerBin):
     appended, ordered bin-major; slots without template content carry no
     parameter and their amplitude is fixed to zero.
 
-    Calling it with an ``(m, nparams)`` stack evaluates every row at once
-    and returns ``m`` values, each bit-identical to the call on that row
-    alone; finite-difference stencils use this to save per-call overhead.
-
-    The cost keeps the one-row :class:`CostStack` built of its model.
-    ``approx`` and ``conway``, whose per-bin factors are profiled in closed
-    form, evaluate, and fit, on that row; ``exact`` runs its own kernels on
-    row 0 of the same fields.
+    The cost keeps the one-row :class:`CostStack` built of its model; every
+    method evaluates, takes its derivatives and fits on that row.
 
     Evaluation mutates no state, so a single instance may be called
     concurrently from several workers; a fit keeps its last kernel pass on
@@ -517,31 +565,13 @@ class CostFunction(_PerBin):
             )
         self.method = method
         self.model = model
-
-        K = model.ncomponents
         sumw2 = (model.data.sumw2[None], model.component_sumw2()[None]) if weighted else ()
         self._stack, active = CostStack._build(
             method, model.data.sumw[None], model.component_sumw()[None], *sumw2
         )
         self._active = active[0]
-        self.ndof = self.nbins_active - K
-
-        if method is Method.EXACT:
-            # its own kernels read row 0 of the stack's fields
-            for name in ("_norms", "_n", "_a", "_npos", "_nlogn"):
-                setattr(self, name, getattr(self._stack, name)[0])
-            # bin-major slot order over (active bin, component) with content
-            b_pos, k_idx = np.nonzero(self._a.T > 0.0)
-            self._slot_bin = b_pos
-            self._slot_comp = k_idx
-            self._a_slots = self._a[k_idx, b_pos]
-            self.nparams = K + self._slot_bin.size
-        else:
-            self.nparams = K
-        # smallest value inside the domain per parameter: yields may be zero,
-        # amplitude factors must be positive
-        self._domain_lo = np.zeros(self.nparams)
-        self._domain_lo[K:] = np.nextafter(0.0, 1.0)
+        self.nparams = self._stack.nparams
+        self.ndof = self.nbins_active - model.ncomponents
 
     @property
     def nbins_active(self) -> int:
@@ -551,17 +581,14 @@ class CostFunction(_PerBin):
     @property
     def lower_bounds(self) -> np.ndarray:
         """Per-parameter lower bounds for the minimizer."""
-        lb = np.zeros(self.nparams)
-        if self.method is Method.EXACT:
-            lb[self.model.ncomponents :] = BETA_FLOOR
-        return lb
+        return self._stack.lower_bounds
 
     def exact_slots(self) -> tuple[np.ndarray, np.ndarray]:
         """Global bin index and component index of each exact-method amplitude parameter."""
         if self.method is not Method.EXACT:
             raise ValueError("slot layout exists only for the exact method")
-        bins = np.flatnonzero(self._active)[self._slot_bin]
-        return bins, self._slot_comp.copy()
+        k, b = self._stack._slots
+        return np.flatnonzero(self._active)[b], k.copy()
 
     def _checked(self, params) -> np.ndarray:
         p = np.asarray(params, dtype=np.float64)
@@ -575,49 +602,19 @@ class CostFunction(_PerBin):
         The one domain check of ``diagnostics``, the derivatives and ``hesse``.
         """
         p = self._checked(params)
-        if self._outside(p):
+        if self._stack._outside(p):
             raise ValueError(
                 "parameters outside the domain: yields must be finite and nonnegative, "
                 "amplitude factors finite and positive"
             )
         return p
 
-    def __call__(self, params):
-        """Cost of one parameter vector, or of every row of an ``(m, nparams)`` stack.
-
-        A vector gives a ``float``; a stack gives ``m`` values, each equal bit
-        for bit to the cost of its row alone.  Both take the one value path.
-        """
-        p = np.asarray(params, dtype=np.float64)
-        if p.ndim == 2 and p.shape[1] == self.nparams:
-            return self._stacked(p)
-        return self._stacked(self._checked(p)).item()
-
-    def _stacked(self, p: np.ndarray) -> np.ndarray:
-        # parameter vectors along the last axis: one vector or a stack of them.
-        # approx and conway take the value of the row's kernel pass, which
-        # CostStack.value_and_gradient returns; a vector gives one value there
-        p, bad = self._inside(p)
-        if self.method is Method.EXACT:
-            q = _nonneg(self._exact_total(*self._exact(p)[:2]))
-        else:
-            q = self._stack._profile(p).value
-        return q if bad is None else np.where(bad, math.inf, q)
-
-    def _exact_total(self, terms: np.ndarray, slot: np.ndarray):
-        return np.add.reduce(terms, axis=-1) + 2.0 * _dot(slot, self._a_slots)
-
-    def _exact(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Data terms and ``mu`` per active bin, ``beta - 1 - ln beta`` per amplitude
-        slot, and the scaled template contents ``a B`` per (component, active bin).
-        """
-        K = self.model.ncomponents
-        betas = p[..., K:]
-        B = np.ones(p.shape[:-1] + self._a.shape)
-        B[..., self._slot_comp, self._slot_bin] = betas
-        aB = self._a * B
-        mu = self._expectation(p[..., :K], aB)
-        return _qp_terms(self._n, self._npos, mu, self._nlogn), betas - 1.0 - np.log(betas), mu, aB
+    def __call__(self, params) -> float:
+        """Cost of one parameter vector; ``ValueError`` for another shape, a 2-D array too."""
+        p = self._checked(params)
+        if self._stack._outside(p):
+            return math.inf
+        return self._stack._profile(p).value.item()
 
     def hessian(self, params) -> np.ndarray:
         """Hessian of the cost: K x K in the yields for the profiled ``approx`` and
@@ -625,35 +622,7 @@ class CostFunction(_PerBin):
 
         NaN where the cost is infinite; raises ``ValueError`` outside the domain.
         """
-        if self.method is Method.EXACT:
-            return self._exact_hessian(params)
         return self._stack.hessian(self.validate(params)[None])[0]
-
-    def _exact_hessian(self, params) -> np.ndarray:
-        # Per bin, mu = sum_k y_k c_k beta_k with c_k = a_k/M_k, so with J the
-        # Jacobian of mu over (y, beta) the Hessian is J diag(2n/mu^2) J^T,
-        # plus (2 - 2n/mu) c_k at (y_k, beta_k) and 2a/beta^2 at (beta, beta)
-        # from the penalty; each bin's factors couple only to each other and
-        # to the yields (Barlow & Beeston, CPC 77 (1993) 219)
-        p = self.validate(params)
-        terms, slot, mu, aB = self._exact(p)
-        if self._exact_total(terms, slot) == math.inf:
-            return np.full((p.size, p.size), np.nan)
-        K = self.model.ncomponents
-        k, b = self._slot_comp, self._slot_bin
-        s = K + np.arange(b.size)
-        c = self._a_slots / self._norms[k]
-        mu = np.where(mu > 0.0, mu, 1.0)  # a finite cost has n = 0 there
-        J = np.zeros((p.size, mu.size))
-        J[:K] = aB / self._norms[:, None]
-        J[s, b] = c * p[k]
-        H = (J * (2.0 * self._n / (mu * mu))) @ J.T
-        cross = (2.0 - 2.0 * self._n[b] / mu[b]) * c
-        H[k, s] += cross
-        H[s, k] += cross
-        with np.errstate(divide="ignore"):  # factors near 0 curve without bound
-            H[s, s] += 2.0 * self._a_slots / (p[K:] * p[K:])
-        return H
 
     # --- diagnostics ----------------------------------------------------------
 
@@ -663,27 +632,20 @@ class CostFunction(_PerBin):
         The contributions sum to ``self(params)``.  Raises ``ValueError``
         outside the domain (negative or non-finite entries, nonpositive
         amplitude factors), where the cost is ``+inf`` and no per-bin
-        factor exists.
+        factor exists.  The factors and contributions come from the pass a
+        fit kept where it ended at ``params``, else from a new one.
         """
         p = self.validate(params)
-        nbins, K = self.model.nbins, self.model.ncomponents
-        if self.method is Method.EXACT:
-            terms, slot, _, _ = self._exact(p)
-            np.add.at(terms, self._slot_bin, np.maximum(0.0, 2.0 * self._a_slots * slot))
-            beta = np.full((nbins, K), np.nan)
-            beta[self.exact_slots()] = p[K:]
-        else:
-            # from the pass a fit kept where it ended at ``p``, else a new one
-            factors, terms = (x[0] for x in self._stack._bins(self._stack._pass(p[None])))
-            beta = np.full(nbins, np.nan)
-            beta[self._active] = factors
-        contrib = np.zeros(nbins)
+        factors, terms = (x[0] for x in self._stack._bins(self._stack._pass(p[None])))
+        beta = np.full((self.model.nbins, *factors.shape[1:]), np.nan)
+        beta[self._active] = factors
+        contrib = np.zeros(self.model.nbins)
         contrib[self._active] = terms
         return BetaDiagnostics(beta=beta, contributions=contrib)
 
 
 class CostStack(_PerBin):
-    """The profiled costs of several fits, evaluated together.
+    """The costs of several fits, evaluated together.
 
     Built from count arrays by :meth:`from_counts`, from a model by each
     :class:`CostFunction` (a one-row stack), and narrowed by :meth:`take`.
@@ -699,6 +661,11 @@ class CostStack(_PerBin):
     dispatch per elementwise operation; rows ordered by active-bin count
     make the fewest runs.  Rows outside the domain evaluate to ``+inf``
     with NaN derivatives.
+
+    An ``exact`` stack holds one fit, whose amplitude slots give it its own
+    parameter count.  It evaluates any number of parameter vectors of that
+    fit at once, as a finite-difference stencil needs, and has no
+    closed-form gradient.
 
     A stack keeps the kernel pass of its last :meth:`value_and_gradient`,
     so a Hessian at a point already evaluated reads that pass instead of
@@ -724,17 +691,18 @@ class CostStack(_PerBin):
         ``templates[t]`` (unit weights), without building the models.
         Counts must be finite and nonnegative and every template needs a
         positive total, as in :class:`~templatefit.histogram.TemplateModel`.
+        An ``exact`` stack holds one fit, so ``T`` must be 1.
         """
         method = Method(method)
         data = np.asarray(data, dtype=np.float64)
         templates = np.asarray(templates, dtype=np.float64)
-        if method is Method.EXACT:
-            raise ValueError("a cost stack needs approx or conway costs")
         if templates.ndim != 3 or templates.shape[1] < 1 or data.shape != templates.shape[::2]:
             raise ValueError(
                 f"expected data (T, nbins) and templates (T, K, nbins) with K >= 1, got "
                 f"{data.shape} and {templates.shape}"
             )
+        if method is Method.EXACT and len(data) != 1:
+            raise ValueError(f"an exact stack holds one fit, got {len(data)} rows")
         for x in (data, templates):
             if np.count_nonzero(np.isfinite(x) & (x >= 0.0)) < x.size:
                 raise ValueError("counts must be finite and nonnegative")
@@ -751,11 +719,11 @@ class CostStack(_PerBin):
         the weighted costs.  The one place that finds each row's active bins,
         compacts them, applies the weighted transform and (in
         :meth:`_set_fields`) rejects what overflows, on valid contents;
-        returns the stack and the ``(T, nbins)`` active-bin mask.
+        returns the stack and the ``(T, nbins)`` active-bin mask.  An exact
+        stack's one row gets its slot layout here.
         """
         out = object.__new__(cls)
         out.method = method
-        out._domain_lo = np.zeros(templates.shape[1])
         norms = np.add.reduce(templates, axis=-1)
         pooled = np.add.reduce(templates, axis=-2)
         active = pooled > 0.0
@@ -809,6 +777,16 @@ class CostStack(_PerBin):
         out._data_totals = np.add.reduce(data, axis=-1)  # each row's, after the overflow check
         for name in cls._BIN_FIELDS:
             getattr(out, name).flags.writeable = False
+        K, slots = templates.shape[1], 0
+        if method is Method.EXACT:
+            # the (component, active bin) index of each amplitude slot, one per
+            # slot with template content, bin-major
+            b, k = np.nonzero(out._a[0].T > 0.0)
+            out._slots, out._a_slots, slots = (k, b), out._a[0, k, b], b.size
+        # smallest value inside the domain per parameter: yields may be zero,
+        # amplitude factors must be positive
+        out._domain_lo = np.zeros(K + slots)
+        out._domain_lo[K:] = np.nextafter(0.0, 1.0)
         return out, active
 
     def _set_counts(self, counts: np.ndarray) -> None:
@@ -831,8 +809,20 @@ class CostStack(_PerBin):
 
     @property
     def nparams(self) -> int:
-        """Number of yields of every row."""
+        """Number of parameters of every row: the yields, and exact's amplitude factors."""
         return self._domain_lo.size
+
+    @property
+    def ncomponents(self) -> int:
+        """Number of yields of every row."""
+        return self._norms.shape[-1]
+
+    @property
+    def lower_bounds(self) -> np.ndarray:
+        """Per-parameter lower bounds for the minimizer: 0, and exact's ``BETA_FLOOR``."""
+        lb = np.zeros(self.nparams)
+        lb[self.ncomponents :] = BETA_FLOOR
+        return lb
 
     @property
     def nbins_active(self) -> np.ndarray:
@@ -843,6 +833,7 @@ class CostStack(_PerBin):
         """The stack of the costs at ``rows``, in that order."""
         out = object.__new__(type(self))
         out.method, out._domain_lo, out._unit_s = self.method, self._domain_lo, self._unit_s
+        out._slots, out._a_slots = self._slots, self._a_slots
         out._norms, out._data_totals = self._norms[rows], self._data_totals[rows]
         out._set_counts(self._counts[rows])
         for name in self._BIN_FIELDS:
@@ -872,7 +863,10 @@ class CostStack(_PerBin):
             return _gram(L, R)
         return self._per_run(_gram, (*L.shape[:-1], R.shape[-2]), L, R)
 
-    # the yields, as (shape, bytes), and the pass of the last value_and_gradient
+    # the slot layout of an exact stack's one row: (component, bin) indices and contents
+    _slots = _a_slots = None
+
+    # the parameters, as (shape, bytes), and the pass of the last value_and_gradient
     _last: tuple | None = None
 
     def _pass(self, y: np.ndarray) -> _Pass:
@@ -884,8 +878,12 @@ class CostStack(_PerBin):
             return last[1]
         return self._profile(y)
 
-    def value_and_gradient(self, y) -> tuple[np.ndarray, np.ndarray]:
-        """Values ``(T,)`` and gradients ``(T, K)`` at a ``(T, K)`` stack of yields."""
+    def value_and_gradient(self, y) -> tuple[np.ndarray, np.ndarray | None]:
+        """Values ``(T,)`` and gradients ``(T, K)`` at a ``(T, K)`` stack of yields.
+
+        An exact stack takes any number of parameter vectors of its one fit
+        and gives ``None`` for the gradients.
+        """
         y, bad = self._inside(np.asarray(y, dtype=np.float64))
         rec = self._profile(y)
         # one assignment of a new tuple: a concurrent reader sees this pass or another
@@ -893,18 +891,20 @@ class CostStack(_PerBin):
         value, gradient = self._value_and_gradient(y, rec)
         if bad is None:
             return value.copy(), gradient  # the pass keeps its own values
-        gradient[bad] = np.nan
+        if gradient is not None:
+            gradient[bad] = np.nan
         return np.where(bad, math.inf, value), gradient
 
     def hessian(self, y) -> np.ndarray:
-        """Hessians ``(T, K, K)`` at a ``(T, K)`` stack of yields.
+        """Hessians ``(T, K, K)`` at a ``(T, K)`` stack of yields; for exact, over its
+        ``nparams`` parameters.
 
         At the yields of the last :meth:`value_and_gradient`, byte for byte,
         they come from its kernel pass instead of a new one, with the same
         bits; a fit still counts each Hessian as one evaluation.
         """
         y, bad = self._inside(np.asarray(y, dtype=np.float64))
-        H = self._profiled_hessian(y, self._pass(y))
+        H = self._hessian(y, self._pass(y))
         if bad is not None:
             H[bad] = np.nan
         return H

@@ -14,8 +14,8 @@ out not positive.
 One loop runs every fit, on a batch of fits in lockstep: its state holds
 one row per fit, and every round evaluates each row's next point (a
 line-search trial or the restart point) in one call.  A row leaves the
-batch when its fit stops.  Every ``approx`` and ``conway`` fit runs on
-stacked rows, :func:`minimize`'s on the one-row stack its cost keeps.
+batch when its fit stops.  Every fit of every method runs on stacked
+rows, :func:`minimize`'s on the one-row stack its cost keeps.
 ``_minimize_stacks`` fits the rows of
 :class:`~templatefit.likelihood.CostStack` objects (``run_study`` builds
 them from count arrays, with no cost functions) in stacks of at most 2^14
@@ -34,7 +34,7 @@ most half of the stack's rows still run; ``CostStack.take`` then narrows
 the stack to those, so a round does at most twice the kernel work it
 needs, and a stack is copied at most once per halving of its rows.
 One function, ``_fit_rows``, turns the end of every fit into its
-:class:`FitResult`, with its status and covariance, ``exact``'s too.
+:class:`FitResult`, with its status and covariance.
 
 Every fit starts, unless told otherwise, from :func:`default_start`: the
 data total split equally over the yields and taken one EM step of the
@@ -53,9 +53,10 @@ updates without positive curvature along the step, never learned its
 scale.  It is formed only where some entry is bad, counts as no
 evaluation, and the curvature reset and the restart return to this
 scaling.
-For ``exact`` it spans yields and amplitude factors and the yield block of
-its full inverse is returned, so the template uncertainty propagates into
-the yield errors.  Each Hessian counts as one evaluation, also where it
+``exact`` keeps 1 there.  For ``exact`` the Hessian spans yields and
+amplitude factors and the yield block of its full inverse is returned, so
+the template uncertainty propagates into the yield errors.  Each Hessian
+counts as one evaluation, also where it
 reads a kernel pass already made: a stack keeps the pass of its last
 evaluation, so the start Hessian comes from the start's pass, and a fit
 that ends at the point it evaluated last takes the Hessian of its
@@ -65,16 +66,19 @@ the stack and of the bytes of the yields, so whichever fit or call made
 it, it gives the bits of a new one.
 
 ``approx`` and ``conway`` profile their per-bin factors analytically, so
-``CostStack.value_and_gradient`` gives the value and the exact gradient in
-one kernel pass, which counts as one evaluation: every line-search trial
-is one such pass, whose gradient is kept when the trial is accepted.
+``CostStack.value_and_gradient`` gives the value and the closed-form
+gradient in one kernel pass, which counts as one evaluation: every
+line-search trial is one such pass, whose gradient is kept when the trial
+is accepted.
 
 ``exact`` fits its amplitude factors numerically and takes its gradient by
-central finite differences; its parameter count varies from fit to fit,
-so it runs as a batch of one, through the cost's own methods.  Every
-gradient stencil, the start's too, is evaluated in stacked ``cost(X)``
-calls of at most 2^14 per-bin elements.  Every stacked value equals the
-single-point call bit for bit and every point counts as one evaluation.
+central finite differences: its stack gives values without gradients.
+Its parameter count varies from fit to fit, so an exact stack holds one
+fit and runs as a batch of one.  The loop takes the stencil gradient of
+each point it takes, the start's too, as one array of points evaluated on
+the stack in calls of at most 2^14 per-bin elements.  Every value equals
+the cost function's call at that point bit for bit, and every point counts
+as one evaluation.
 
 A quasi-Newton step moves only the free parameters: one on its lower
 bound whose gradient points out of the domain is held there.
@@ -169,54 +173,6 @@ class FitResult:
         return self.status == "converged"
 
 
-class _Counted:
-    """One ``exact`` cost function as a batch of one, with its evaluation count.
-
-    Every evaluation, counted as the module docstring says, goes through the
-    cost function's own methods, so a subclass that overrides them is honoured.
-    """
-
-    def __init__(self, cost: CostFunction):
-        self._cost = cost
-        self.calls = 0
-        self.lower = cost.lower_bounds
-        self.ncomponents = cost.model.ncomponents
-        self.ndof = [cost.ndof]
-        self.rows = _rows_per_call(cost.model.ncomponents * cost.nbins_active)
-
-    def values(self, points) -> list[float]:
-        """Values at ``points``, in order, in stacked calls of at most ``rows`` points."""
-        out = []
-        for i in range(0, len(points), self.rows):
-            chunk = points[i : i + self.rows]
-            self.calls += len(chunk)
-            out += self._cost(np.array(chunk)).tolist()
-        return out
-
-    def keep(self, rows: np.ndarray) -> None:
-        pass  # the one row leaves only when the loop ends
-
-    def start(self, x: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Value, gradient and initial inverse-curvature diagonal at the start point."""
-        fx, _ = self.trial(x)
-        d2 = np.diag(self.hessian(x)[0])[None]
-        return fx, self.gradient(x[0], fx[0], lower)[None], _initial_inverse_diag(d2)
-
-    def trial(self, x: np.ndarray) -> tuple[np.ndarray, None]:
-        """Value at ``x[0]``; the loop takes the stencil gradient of a point it accepts."""
-        self.calls += 1
-        return np.array([self._cost(x[0])]), None
-
-    def gradient(self, x: np.ndarray, f0: float, lower: np.ndarray) -> np.ndarray:
-        """Finite-difference gradient of ``exact`` at ``x``, whose value is ``f0``."""
-        rows, steps = _gradient_rows(x, lower)
-        return _gradient_of(self.values(rows), steps, f0)
-
-    def hessian(self, x: np.ndarray, rows=None) -> np.ndarray:
-        self.calls += 1
-        return self._cost.hessian(x[0])[None]
-
-
 class _Segment:
     """One stack's rows in a :class:`_Stacked` batch.
 
@@ -256,7 +212,8 @@ class _Stacked:
     rows stay in their segment until half of it has stopped, as the module
     docstring says.  Every round evaluates each running row once, so all running rows have
     made the same number of evaluations, ``calls``.  A row's ``ndof`` is its
-    active-bin count minus the yields; it has no ``betas``.
+    active-bin count minus the yields; it has no ``betas``.  An exact stack,
+    which holds one fit, runs alone.
     """
 
     # the numeric failures of a stack; a plain ValueError there is a bug
@@ -266,9 +223,9 @@ class _Stacked:
         self._all = stacks
         self._segments = [_Segment(stack) for stack in stacks]
         self.calls = 0
-        self.ncomponents = stacks[0].nparams
-        self.lower = np.zeros(self.ncomponents)
-        self.ndof = [d for stack in stacks for d in (stack.nbins_active - stack.nparams).tolist()]
+        self.ncomponents = K = stacks[0].ncomponents
+        self.lower = stacks[0].lower_bounds
+        self.ndof = [d for stack in stacks for d in (stack.nbins_active - K).tolist()]
 
     betas = staticmethod(lambda point: None)
 
@@ -294,6 +251,8 @@ class _Stacked:
         d2 = _joined(
             [np.diagonal(seg.stack.hessian(seg.y), axis1=-2, axis2=-1) for seg in segments]
         )
+        if g is None:  # exact's stencil, where the start is finite
+            g = self.gradients(x, fx, np.isfinite(fx))
         return fx, g, _initial_inverse_diag(
             d2,
             lambda: _joined(
@@ -322,6 +281,26 @@ class _Stacked:
             gradients.append(g)
         return _joined(values), _joined(gradients)
 
+    def gradients(self, x: np.ndarray, fx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Central-difference gradients of an exact stack's one fit at ``x[rows]``, NaN elsewhere.
+
+        ``fx`` holds the values at ``x``; a quotient is one-sided where the
+        lower bound is too close.  Each stencil (:func:`_stencil`) is evaluated
+        on the stack in calls of at most 2^14 per-bin elements (points x
+        components x active bins), every point one evaluation.
+        """
+        stack = self._all[0]
+        size = _rows_per_call(stack.ncomponents * stack._width)
+        g = np.full_like(x, np.nan)
+        for j in rows.nonzero()[0]:
+            points, h, taken = _stencil(x[j], self.lower)
+            self.calls += len(points)
+            f = np.full(taken.shape, fx[j])
+            chunks = range(0, len(points), size)
+            f[taken] = _joined([stack.value_and_gradient(points[i : i + size])[0] for i in chunks])
+            g[j] = (f[:, 0] - f[:, 1]) / np.where(taken[:, 1], 2.0 * h, h)
+        return g
+
     def hessian(self, x: np.ndarray, rows) -> np.ndarray:
         """Hessians at ``x`` of the costs at ``rows``, ascending positions in the whole batch.
 
@@ -341,32 +320,23 @@ class _Stacked:
         return _joined(out)
 
 
-def _gradient_rows(x: np.ndarray, lower: np.ndarray) -> tuple[list, list]:
-    """Points of the gradient stencil at ``x``, and the step and kind of each quotient."""
-    rows, steps = [], []
-    for i in range(x.size):
-        h = _GRAD_STEP * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xp[i] = x[i] + h
-        h = xp[i] - x[i]  # kill representation error in the step
-        rows.append(xp)
-        central = x[i] - h >= lower[i]
-        if central:
-            xm = x.copy()
-            xm[i] = x[i] - h
-            rows.append(xm)
-        steps.append((h, central))
-    return rows, steps
+def _stencil(x: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points of the gradient stencil at ``x``, the step of each parameter, and which
+    points are taken: ``(nparams, 2)``, the lower one only where it keeps its bound.
 
-
-def _gradient_of(values: list[float], steps: list, f0: float) -> np.ndarray:
-    """Central-difference gradient, one-sided where the bound is too close."""
-    values = iter(values)
-    g = np.empty(len(steps))
-    for i, (h, central) in enumerate(steps):
-        fp = next(values)
-        g[i] = (fp - next(values)) / (2.0 * h) if central else (fp - f0) / h
-    return g
+    Parameter ``i`` steps to ``x_i + h``, then to ``x_i - h``; the taken
+    points come as one array, in that order.
+    """
+    n = x.size
+    xp = x + _GRAD_STEP * np.maximum(1.0, np.abs(x))
+    h = xp - x  # kill representation error in the step
+    points = np.tile(x, (n, 2, 1))
+    i = np.arange(n)
+    points[i, 0, i] = xp
+    points[i, 1, i] = x - h
+    taken = np.ones((n, 2), dtype=bool)
+    taken[:, 1] = x - h >= lower
+    return points[taken], h, taken
 
 
 def _at_bound(x: np.ndarray, lower: np.ndarray) -> np.ndarray:
@@ -418,8 +388,8 @@ def default_start(cost: CostFunction | CostStack) -> np.ndarray:
     of its rows, each its row's cost function's start bit for bit.
     """
     stack = cost._stack if isinstance(cost, CostFunction) else cost
-    K, totals = stack.nparams, stack._data_totals
-    start = np.ones(totals.shape + (cost.nparams,))
+    K, totals = stack.ncomponents, stack._data_totals
+    start = np.ones(totals.shape + (stack.nparams,))
     start[..., :K] = stack._em_step(np.repeat(totals[..., None] / K, K, axis=-1))
     return start if stack is cost else start[0]
 
@@ -442,8 +412,8 @@ def minimize(
 
     A batch of one through the lockstep loop that ``run_study``'s stacks
     run, with the cost's ``ndof`` and its ``diagnostics`` at the minimum as
-    ``betas``.  ``approx`` and ``conway`` fit the one-row stack the cost
-    keeps, so a subclass's ``__call__`` and ``hessian`` are not called.
+    ``betas``.  The fit runs on the one-row stack the cost keeps, so a
+    subclass's ``__call__`` and ``hessian`` are not called.
 
     Parameters
     ----------
@@ -467,8 +437,8 @@ def minimize(
     if (x < cost.lower_bounds).any():
         raise ValueError("start point must lie within the bounds")
     _check_options(gtol, max_calls)
-    f = _Counted(cost) if cost.method is Method.EXACT else _Stacked(cost._stack)
-    # a profiled fit that ended at its last point reads the betas from that pass
+    f = _Stacked(cost._stack)
+    # a fit that ended at its last point reads the betas from that pass
     f.betas = cost.diagnostics
     (result,) = _fit_rows(f, x[None], gtol, max_calls)
     if isinstance(result, Exception):
@@ -498,7 +468,7 @@ def _minimize_stacks(
     """
     outs, chunks = [[] for _ in stacks], []
     for out, stack, x in zip(outs, stacks, starts):
-        size = _rows_per_call(stack.nparams * int(stack.nbins_active.max(initial=0)))
+        size = _rows_per_call(stack.ncomponents * stack._width)
         for n, lo in enumerate(range(0, len(x), size)):
             hi = min(lo + size, len(x))
             chunk = stack if hi - lo == len(stack) else stack.take(np.arange(lo, hi))
@@ -766,9 +736,7 @@ def _descend(f, x: np.ndarray, lower: np.ndarray, gtol: float, max_calls: int) -
             accepted = accepted & ~s.restart
             take = accepted | s.restart
         if gt is None:  # exact: the stencil gradient where a point is taken
-            gt = np.full_like(s.xt, np.nan)
-            for j in take.nonzero()[0]:
-                gt[j] = f.gradient(s.xt[j], ft[j], lower)
+            gt = f.gradients(s.xt, ft, take)
         a = _which(accepted)
         if a is _ALL:
             s.hinv = _bfgs(s.hinv, s.xt - s.x, gt - s.g)

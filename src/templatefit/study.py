@@ -3,18 +3,19 @@
 Every toy index owns one generation stream, so all requested methods fit
 the identical toy and the records do not depend on the worker count or
 on which other methods were requested.  ``run_study`` draws the toys of a
-chunk as one array of counts.  For ``approx`` and ``conway`` it builds one
-``CostStack`` per method straight from those counts and steps the fits of
-both stacks in one lockstep loop, whatever their active-bin counts
-(``minimize._minimize_stacks``).  A fit that stops stays in its
+chunk as one array of counts and builds every ``CostStack`` straight from
+those counts.  For ``approx`` and ``conway`` that is one stack per method,
+and one lockstep loop steps the fits of both, whatever their active-bin
+counts (``minimize._minimize_stacks``).  A fit that stops stays in its
 stack, its outputs dropped, until at most half of the stack still runs,
-and the stack is then narrowed to the running fits.  The records are
-written from the results, without the per-toy models, cost functions and
-per-bin diagnostics of a ``fit``.  ``exact`` fits build the
-toy's model and cost function and run one by one through ``minimize``.
-Every fit's result equals its single ``fit`` call bit for bit (stacked
-data is padded to the widest fit and every sum over bins covers a fit's
-own bins only), so the records do not depend on the chunks either.
+and the stack is then narrowed to the running fits.  An ``exact`` stack
+holds one fit, so each toy's ``exact`` fit is a one-row stack fitted
+alone by the same machinery.  The records are written from the results,
+without the per-toy models, cost functions and per-bin diagnostics of a
+``fit``.  Every fit's result equals its single ``fit`` call bit for bit
+(stacked data is padded to the widest fit and every sum over bins covers
+a fit's own bins only), so the records do not depend on the chunks
+either.
 Numeric fit failures (the ``ValueError`` or ``ArithmeticError`` of a fit)
 are recorded with ``converged=False`` and never abort the ensemble;
 programming errors propagate.  Summary statistics are computed over
@@ -32,9 +33,9 @@ from multiprocessing import Pool
 import numpy as np
 
 from .histogram import TemplateModel
-from .likelihood import CostFunction, CostStack, Method
-from .minimize import _minimize_stacks, default_start, fit, minimize
-from .toys import ToyConfig, ToyDraw, _integer, draw_counts, to_model
+from .likelihood import CostStack, Method
+from .minimize import _minimize_stacks, default_start, fit
+from .toys import ToyConfig, _integer, draw_counts
 
 __all__ = [
     "PullRecord",
@@ -148,17 +149,9 @@ def _record(method: str, n_mc: int, toy_index: int, truth: float, result) -> Pul
     )
 
 
-def _fit_exact(config: ToyConfig, counts: np.ndarray):
-    """The ``exact`` fit of one toy's counts, or the numeric failure it raised."""
-    cost = CostFunction(Method.EXACT, to_model(config, ToyDraw.from_counts(counts)))
-    try:
-        return minimize(cost)
-    except (ValueError, ArithmeticError) as exc:
-        return exc
-
-
 def _fit_toys(args) -> list[PullRecord]:
-    """Draw a chunk of toys as counts and fit them: one lockstep loop for every profiled method."""
+    """Draw a chunk of toys as counts and fit them: one lockstep loop for the profiled
+    methods, and one per toy for ``exact``."""
     config, tasks, methods = args
     by_n_mc: dict[int, list[int]] = {}
     for n_mc, toy_index in tasks:
@@ -182,12 +175,13 @@ def _fit_toys(args) -> list[PullRecord]:
     profiled = [m for m in methods if m != Method.EXACT.value]
     stacks = [CostStack.from_counts(m, data, templates) for m in profiled]
     fitted = dict(zip(profiled, _minimize_stacks(stacks, [default_start(s) for s in stacks])))
+    if Method.EXACT.value in methods:  # an exact stack holds one fit: one loop per toy
+        fitted[Method.EXACT.value] = ends = []
+        for row in zip(data[:, None], templates[:, None]):
+            stack = CostStack.from_counts(Method.EXACT, *row)
+            ends += _minimize_stacks([stack], [default_start(stack)])[0]
     for m in methods:
-        if m in fitted:
-            results = fitted[m]
-        else:
-            results = [_fit_exact(config, counts[t]) for t in toys]
-        records += [_record(m, *keys[t], config.signal_yield, r) for t, r in zip(toys, results)]
+        records += [_record(m, *keys[t], config.signal_yield, r) for t, r in zip(toys, fitted[m])]
     return records
 
 
@@ -205,9 +199,8 @@ def run_study(
     index) pairs, one chunk per worker task when ``jobs > 1``.  A chunk's
     ``approx`` and ``conway`` fits each make one
     :class:`~templatefit.likelihood.CostStack`, built from the drawn
-    counts, and one lockstep loop steps the rows of both; its
-    ``exact`` fits run one by one through
-    :func:`~templatefit.minimize.minimize`.  With
+    counts, and one lockstep loop steps the rows of both; each of its
+    ``exact`` fits is a one-row stack of its own, fitted alone.  With
     ``jobs > 1`` the pool has at most one worker per chunk.  Returns
     ``len(methods) * len(n_mc_grid) * n_toys`` records sorted by (method,
     n_mc, toy_index); every fit's result equals its single ``fit`` call

@@ -76,7 +76,7 @@ def test_criterion_1_score_equations():
         # the per-bin kernel that fits run, on one row of 10^4 bins with data
         # n, pooled template content a and expectation mu0 at y = 1 (norm 1,
         # template row mu0); the template variance v = mu0^2/a makes V = 1/a
-        cost = object.__new__(CostFunction)
+        cost = object.__new__(tf.CostStack)
         cost.method = tf.Method(method)
         cost._set_fields(np.ones(1), n, mu0[None], (mu0 * mu0 / a)[None], 1.0, a)
         return cost._approx(np.ones(1)) if method == "approx" else cost._conway(np.ones(1))

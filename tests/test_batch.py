@@ -2,8 +2,9 @@
 
 ``_minimize_stacks`` steps the fits of one method in lockstep on a
 ``CostStack`` built from count arrays, whatever their active-bin counts;
-``minimize`` fits a profiled cost function as a one-row stack that shares
-its arrays.
+``minimize`` fits a cost function as a one-row stack that shares its
+arrays.  An ``exact`` stack holds one fit, so its cases are one-row
+stacks.
 A fit's result must not depend on the fits stacked with it, which rests
 on every stacked row of the kernels (padded bins included) and of the
 minimizer's arithmetic equalling the single call bit for bit.
@@ -296,8 +297,10 @@ def test_programming_errors_in_a_stack_propagate(monkeypatch, error):
 
 
 def _yield_rows(costs, rng) -> np.ndarray:
-    """Yields inside the domain, on the bound, and outside it (NaN, inf, negative)."""
+    """Yields inside the domain, on the bound, and outside it (NaN, inf, negative);
+    exact's amplitude factors near 1."""
     Y = rng.uniform(0.0, 900.0, (len(costs), costs[0].nparams))
+    Y[:, 2:] = rng.uniform(0.5, 1.5, (len(costs), costs[0].nparams - 2))
     kind = np.arange(len(costs)) % 7
     Y[kind == 1, 0] = 0.0  # dead Conway bins where the signal template fills a bin alone
     Y[kind == 2, 1] = 0.0
@@ -308,19 +311,29 @@ def _yield_rows(costs, rng) -> np.ndarray:
     return Y
 
 
+def _value_and_gradient(stack, Y) -> tuple[np.ndarray, np.ndarray]:
+    """Values and gradients of ``stack`` at ``Y``; exact's by stencil, where finite."""
+    values, gradients = stack.value_and_gradient(Y)
+    if gradients is None:
+        gradients = _Stacked(stack).gradients(Y, values, np.isfinite(values))
+    return values, gradients
+
+
 def _assert_rows_equal_single_calls(costs, stack, Y) -> None:
+    """Row ``t`` of ``stack`` at ``Y[t]`` equals ``costs[t]`` there; an exact stack's one
+    fit takes every row of ``Y``, whose costs are the same one."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, gradients = stack.value_and_gradient(Y)
+        values, gradients = _value_and_gradient(stack, Y)
         hessians = stack.hessian(Y)
-    K = costs[0].nparams
-    assert values.shape == (len(costs),) and hessians.shape == (len(costs), K, K)
+    n = costs[0].nparams
+    assert values.shape == (len(costs),) and hessians.shape == (len(costs), n, n)
     for cost, y, v, g, H in zip(costs, Y, values, gradients, hessians):
-        if not (np.isfinite(y).all() and (y >= 0.0).all()):
+        if cost._stack._outside(y):
             assert v == math.inf and np.isnan(g).all() and np.isnan(H).all()
             continue
         # the one-row stack of the cost's own arrays, which its fit runs
-        v1, g1 = cost._stack.value_and_gradient(y[None])
+        v1, g1 = _value_and_gradient(cost._stack, y[None])
         assert float.hex(float(v)) == float.hex(float(v1[0])) == float.hex(cost(y))
         assert _bits(g) == _bits(g1[0])
         assert _bits(H) == _bits(cost.hessian(y))
@@ -470,10 +483,53 @@ def test_stack_from_counts_equals_stack_of_costs(method, n_mc):
     _assert_rows_equal_single_calls(costs, stack, Y)
 
 
+def _assert_same_stack(stack: CostStack, other: CostStack) -> None:
+    """Every field of two stacks equal, arrays by their bits; a kept pass aside."""
+    names = set(vars(stack)) - {"_last"}
+    assert names == set(vars(other)) - {"_last"}
+    for name in names:
+        a, b = getattr(stack, name), getattr(other, name)
+        if isinstance(a, np.ndarray) or isinstance(a, tuple):
+            assert _bits(a) == _bits(b), name
+        else:
+            assert type(a) is type(b) and a == b, name
+
+
+@pytest.mark.parametrize("method", PROFILED + ["exact"])
+def test_one_row_stack_from_counts_is_the_stack_of_its_cost(method):
+    # field for field, with the EM start, the values, the gradients
+    # (exact's by stencil) and the Hessians of the cost at points of every kind
+    costs = _costs(method, 50, n=6, seed=7)
+    data, templates = _counts(costs)
+    rng = np.random.default_rng(8)
+    for t, cost in enumerate(costs):
+        stack = CostStack.from_counts(method, data[t : t + 1], templates[t : t + 1])
+        _assert_same_stack(stack, cost._stack)
+        assert _bits(default_start(stack)[0]) == _bits(default_start(cost))
+        if method == "exact":  # the points of its one fit
+            _assert_rows_equal_single_calls([cost] * 7, stack, _yield_rows([cost] * 7, rng))
+        else:
+            _assert_rows_equal_single_calls([cost], stack, _yield_rows([cost], rng))
+
+
+def test_an_exact_stack_holds_one_fit():
+    # a stack of any other number of exact rows is rejected; the one-row
+    # stack has the cost's parameters and fits as minimize fits the cost
+    costs = _costs("exact", 10000, n=3)
+    data, templates = _counts(costs)
+    for rows in (slice(0, 0), slice(0, 2), slice(None)):
+        with pytest.raises(ValueError, match="one fit"):
+            CostStack.from_counts("exact", data[rows], templates[rows])
+    stack = CostStack.from_counts("exact", data[1:2], templates[1:2])
+    cost = costs[1]
+    assert len(stack) == 1 and stack.ncomponents == 2
+    assert stack.nparams == cost.nparams > 2
+    assert _bits(stack.lower_bounds) == _bits(cost.lower_bounds)
+    assert_same_minimum(_fit_stack(stack, default_start(stack))[0], minimize(cost))
+
+
 def test_stack_from_counts_rejects_what_a_model_rejects():
     data, templates = _counts(_costs("approx", 50, n=3))
-    with pytest.raises(ValueError, match="stack"):
-        CostStack.from_counts("exact", data, templates)
     with pytest.raises(ValueError, match="expected"):
         CostStack.from_counts("approx", data[:2], templates)
     with pytest.raises(ValueError, match="expected"):

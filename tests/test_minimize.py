@@ -601,18 +601,8 @@ class TestHesse:
         # again, and counts every cost, gradient and Hessian pass
         points = []  # (kind, point) of every evaluation
 
-        # exact evaluates through the cost's own methods
-        class _Recording(CostFunction):
-            def __call__(self, params):
-                # a stencil stacks its points into one call; record each row
-                points.extend(("value", tuple(row)) for row in np.atleast_2d(params))
-                return super().__call__(params)
-
-            def hessian(self, params):
-                points.append(("hessian", tuple(params)))
-                return super().hessian(params)
-
-        # approx and conway on a one-row CostStack
+        # every method on a one-row CostStack; an exact stencil stacks its
+        # points into one call, whose every row is recorded
         for kind, name in (("value", "value_and_gradient"), ("hessian", "hessian")):
             def recording(stack, y, kind=kind, evaluate=getattr(CostStack, name)):
                 points.extend((kind, tuple(row)) for row in y)
@@ -622,7 +612,7 @@ class TestHesse:
 
         cfg = tf.ToyConfig(seed=4)
         model = tf.to_model(cfg, tf.draw(cfg, tf.rng_stream(4, 0)))
-        cost = _Recording(method, model)
+        cost = CostFunction(method, model)
         res = minimize(cost)
         assert res.converged
         assert res.n_evaluations == len(points)

@@ -1,11 +1,13 @@
-"""Stacked cost evaluation: one call on an ``(m, nparams)`` matrix.
+"""Stacked cost evaluation: many parameter vectors of one fit in one call on its stack.
 
-Every value of a stacked call must equal, bit for bit, the call on its row
-alone, whatever the other rows hold: out-of-domain rows, dead Conway bins
-or more rows than one stencil chunk.  The finite-difference gradient
-stencils of exact fits rely on this to keep every fit bit-identical, so
-fits keep their frozen evaluation counts and stacked calls stay under the
-element cap that bounds their temporaries.
+A cost function's one-row stack evaluates an ``(m, nparams)`` array of
+parameter vectors at once.  Every value must equal, bit for bit, the cost
+function's call on that vector alone, whatever the other rows hold:
+out-of-domain rows, dead Conway bins or more rows than one stencil chunk.
+The finite-difference gradient stencils of exact fits rely on this to
+keep every fit bit-identical, so fits keep their frozen evaluation counts
+and stacked calls stay under the element cap that bounds their
+temporaries.  The cost function itself takes one vector only.
 """
 
 import math
@@ -15,8 +17,8 @@ import numpy as np
 import pytest
 
 import templatefit as tf
-from templatefit import BinnedSample, CostFunction, TemplateModel, fit
-from templatefit.minimize import _STACK_ELEMENTS, _Counted
+from templatefit import BinnedSample, CostFunction, CostStack, TemplateModel, fit
+from templatefit.minimize import _GRAD_STEP, _STACK_ELEMENTS, _rows_per_call, _Stacked
 
 
 def _model(data, comps, data_w2=None, comp_w2=None):
@@ -80,6 +82,11 @@ def _hex(values):
     return [float.hex(float(v)) for v in values]
 
 
+def _values(cost, X):
+    """The values of the cost's one-row stack at the rows of ``X``."""
+    return cost._stack.value_and_gradient(X)[0]
+
+
 @pytest.mark.parametrize("method,weighted", COSTS)
 @pytest.mark.parametrize("m", [1, 2, 7, 40])
 def test_stacked_rows_match_single_calls(method, weighted, m):
@@ -87,7 +94,7 @@ def test_stacked_rows_match_single_calls(method, weighted, m):
     X = _rows(cost, m, seed=m)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stacked = cost(X)
+        stacked = _values(cost, X)
         single = [cost(x) for x in X]
     assert isinstance(stacked, np.ndarray) and stacked.shape == (m,)
     assert _hex(stacked) == _hex(single)
@@ -96,14 +103,13 @@ def test_stacked_rows_match_single_calls(method, weighted, m):
 @pytest.mark.parametrize("method,weighted", COSTS)
 def test_multi_chunk_stack_matches_single_calls(method, weighted):
     cost = _cost(method, weighted)
-    f = _Counted(cost)
-    X = _rows(cost, 3 * f.rows + 5, seed=11)
+    rows = _rows_per_call(cost.model.ncomponents * cost.nbins_active)
+    X = _rows(cost, 3 * rows + 5, seed=11)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        chunked = list(f.values(X))
-        whole = cost(X)
+        whole = _values(cost, X)
+        chunked = np.concatenate([_values(cost, X[i : i + rows]) for i in range(0, len(X), rows)])
         single = [cost(x) for x in X]
-    assert f.calls == len(X)
     assert _hex(chunked) == _hex(single)
     assert _hex(whole) == _hex(single)
 
@@ -113,13 +119,13 @@ def test_every_row_kind_is_covered(method, weighted):
     # the rows above must hit the domain check and, for Conway, both the
     # all-live path and the dead-bin path
     cost = _cost(method, weighted)
-    values = cost(_rows(cost, 7, seed=3))
+    values = _values(cost, _rows(cost, 7, seed=3))
     assert np.isinf(values[2:5]).all()
     assert np.isfinite(values[0])
     if method == "conway":
         assert values[1] == math.inf  # dead bin 3 holds data
         alive = _rows(cost, 1, seed=3)
-        assert math.isfinite(cost(alive)[0])
+        assert math.isfinite(_values(cost, alive)[0])
 
 
 def test_vector_gives_float_and_stack_gives_array():
@@ -127,7 +133,7 @@ def test_vector_gives_float_and_stack_gives_array():
     x = np.array([20.0, 30.0])
     assert type(cost(x)) is float
     assert type(cost(x.tolist())) is float
-    out = cost(x[None, :])
+    out = _values(cost, x[None, :])
     assert out.shape == (1,) and float.hex(float(out[0])) == float.hex(cost(x))
 
 
@@ -137,6 +143,57 @@ def test_stack_of_wrong_width_raises():
         cost(np.ones((3, 3)))
     with pytest.raises(ValueError):
         cost(np.ones((2, 2, 2)))
+
+
+@pytest.mark.parametrize("method", ["approx", "exact"])
+def test_a_stack_of_vectors_raises(method):
+    # the cost function takes one parameter vector; a stack of them is its
+    # stack's business
+    cost = _cost(method, False)
+    for m in (1, 3):
+        with pytest.raises(ValueError, match="parameters"):
+            cost(np.ones((m, cost.nparams)))
+
+
+def _reference_gradient(cost, x, f0):
+    """The stencil gradient at ``x`` from single calls, a point and a quotient at a time."""
+    lower = cost.lower_bounds
+    g = []
+    for i in range(x.size):
+        h = _GRAD_STEP * max(1.0, abs(x[i]))
+        xp = x.copy()
+        xp[i] = x[i] + h
+        h = xp[i] - x[i]
+        fp = cost(xp)
+        if x[i] - h >= lower[i]:
+            xm = x.copy()
+            xm[i] = x[i] - h
+            g.append((fp - cost(xm)) / (2.0 * h))
+        else:
+            g.append((fp - f0) / h)
+    return g
+
+
+def test_exact_stencil_matches_single_calls():
+    # a 100-bin stencil spans several calls; an amplitude factor on its
+    # bound takes a one-sided quotient, and every point counts as one
+    # evaluation
+    cfg = tf.ToyConfig(seed=4, nbins=100, n_mc=100)
+    cost = CostFunction("exact", tf.to_model(cfg, tf.draw(cfg, tf.rng_stream(4, 0))))
+    x = tf.default_start(cost)
+    x[cost.model.ncomponents] = cost.lower_bounds[-1]
+    f0 = cost(x)
+    assert math.isfinite(f0)
+    f = _Stacked(cost._stack)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = f.gradients(x[None], np.array([f0]), np.array([True]))
+        expected = _reference_gradient(cost, x, f0)
+    assert _hex(g[0]) == _hex(expected)
+    assert f.calls == 2 * cost.nparams - 1  # one-sided in the factor on its bound
+    assert f.calls > _rows_per_call(cost.model.ncomponents * cost.nbins_active)
+    # no stencil where no point is taken
+    assert np.isnan(f.gradients(x[None], np.array([f0]), np.array([False]))).all()
 
 
 def test_fit_evaluation_counts_frozen():
@@ -149,22 +206,19 @@ def test_fit_evaluation_counts_frozen():
     assert counts == {"approx": 9, "conway": 11, "exact": 1338}
 
 
-def test_stacked_calls_stay_under_the_element_cap():
-    class _Sizes(CostFunction):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.elements = []
+def test_stacked_calls_stay_under_the_element_cap(monkeypatch):
+    elements = []
+    evaluate = CostStack.value_and_gradient
 
-        def __call__(self, params):
-            p = np.asarray(params)
-            if p.ndim == 2:
-                self.elements.append(len(p) * self.model.ncomponents * self.nbins_active)
-            return super().__call__(params)
+    def sizing(stack, y):
+        elements.append(len(y) * stack.ncomponents * int(stack.nbins_active.max()))
+        return evaluate(stack, y)
 
+    monkeypatch.setattr(CostStack, "value_and_gradient", sizing)
     cfg = tf.ToyConfig(seed=4, nbins=100, n_mc=100)
     model = tf.to_model(cfg, tf.draw(cfg, tf.rng_stream(4, 0)))
-    cost = _Sizes("exact", model)
+    cost = CostFunction("exact", model)
     res = tf.minimize(cost)
     assert res.converged and cost.model.nbins == 100
-    assert max(cost.elements) > _STACK_ELEMENTS // 2  # a stencil fills a chunk
-    assert max(cost.elements) <= _STACK_ELEMENTS
+    assert max(elements) > _STACK_ELEMENTS // 2  # a stencil fills a chunk
+    assert max(elements) <= _STACK_ELEMENTS

@@ -89,21 +89,21 @@ class TestRunStudy:
             run_study(ToyConfig(seed=3), [100], 2, ["approx", "conway"])
 
     def test_exact_numeric_errors_recorded_and_bugs_propagate(self, monkeypatch):
-        # exact fits run one by one through minimize: a numeric error fails
-        # only its toy's record, any other error propagates
+        # each exact fit is a one-row stack fitted alone: a numeric error
+        # fails only its toy's record, any other error propagates
         cfg = ToyConfig(seed=3)
         clean = run_study(cfg, [100], 2, ["exact"])
         toy = dataclasses.replace(cfg, n_mc=100)
         poisoned = tf.to_model(toy, tf.draw(toy, tf.rng_stream(3, 1))).norms
-        minimize = study.minimize
         error = FloatingPointError
 
-        def overflowing(cost):
-            if (cost.model.norms == poisoned).all():
-                raise error("in the exact fit")
-            return minimize(cost)
+        class Overflowing(tf.CostStack):
+            def value_and_gradient(self, y):
+                if (self._norms == poisoned).all():
+                    raise error("in the exact fit")
+                return super().value_and_gradient(y)
 
-        monkeypatch.setattr(study, "minimize", overflowing)
+        monkeypatch.setattr(study, "CostStack", Overflowing)
         records = run_study(cfg, [100], 2, ["exact"])
         assert records[0] == clean[0] and clean[1].converged
         assert not records[1].converged and math.isnan(records[1].qmin)
