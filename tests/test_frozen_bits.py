@@ -8,11 +8,13 @@ the fit records built on them depend on every bit.
 
 To print the table for new cases, run ``python tests/test_frozen_bits.py``.
 
-The records of one ``run_study`` call are frozen too, by the SHA-256 of
-their CSV: every bit of the lockstep loop that fits them shows there.
-So are a weighted and an unweighted ``approx`` and ``conway`` fit of
-:func:`~templatefit.fit`: yields, errors, covariance, ``qmin``, status,
-evaluation count and the per-bin ``betas`` at the minimum.
+The records of two ``run_study`` calls are frozen too, one of ``approx``
+and ``conway`` and one of ``exact``, by the SHA-256 of their CSV: every
+bit of the lockstep loop that fits them shows there.  So are a weighted
+and an unweighted ``approx`` and ``conway`` fit of
+:func:`~templatefit.fit`, and an unweighted ``exact`` one: yields, errors,
+covariance, ``qmin``, status, evaluation count and the per-bin ``betas``
+at the minimum.
 """
 
 import hashlib
@@ -434,6 +436,40 @@ FROZEN_TOY_FITS = {
             "0x1.5564880a72876p-5 0x1.1261a39b7d37fp-1 0x1.0878626381679p+0"
         ),
     },
+    "exact": {
+        "yields": (
+            "0x1.aaa696bb7fcc2p+7 0x1.8dd65ffea3243p+9"
+        ),
+        "errors": (
+            "0x1.48a5d73f42a53p+5 0x1.625992b70162cp+6"
+        ),
+        "covariance": (
+            "0x1.a5e96301474e8p+10 -0x1.c4bd0c454361ap+9 -0x1.c4bd0c454361ap+9 "
+            "0x1.ea7bd91977295p+12"
+        ),
+        "qmin": "0x1.f5907693d16f6p+2",
+        "status": "converged",
+        "n_evaluations": 1338,
+        "beta": (
+            "nan 0x1.c4323cccfe112p-1 nan "
+            "0x1.10df001ef78ddp+0 nan 0x1.63c275d2f07acp+0 "
+            "nan 0x1.1a682a67e3622p+0 nan "
+            "0x1.7d6ec180e080ep+0 nan 0x1.ecedaf733044fp-1 "
+            "0x1.050747e9e01dap+0 0x1.0f215cc2a5ba3p+0 0x1.ff96bc7d27cd7p-1 "
+            "0x1.fecf513c70024p-1 0x1.eec7b01b1d91bp-1 0x1.d11ad5fe72632p-1 "
+            "0x1.1c1f60850c8d2p+0 0x1.66eb10427847dp+0 nan "
+            "0x1.1d06d5e98475bp-1 nan 0x1.9ac614ea5bd27p-1 "
+            "nan 0x1.2f30a6a9eb4e2p+0 nan "
+            "0x1.4c87f79bb6f1fp-1 nan 0x1.3ce1f0c29114ap-1"
+        ),
+        "contributions": (
+            "0x1.24cb2e334eeaap-2 0x1.7ffd8de22cc78p-5 0x1.14e01a46eb24cp+0 "
+            "0x1.6f26746fd68f0p-4 0x1.37cda796f5758p+0 0x1.07c075e61d640p-6 "
+            "0x1.02e7422f7a19ap-5 0x1.20a375cd350e0p-14 0x1.7148c0eb519a2p-4 "
+            "0x1.2c98ceff1bf5ap-1 0x1.29ac1d99b7b8cp+1 0x1.07cdb40a98a6bp-2 "
+            "0x1.a1c125ed1ed30p-4 0x1.1f8ef774005ffp-1 0x1.24a410da6c516p+0"
+        ),
+    },
 }
 
 
@@ -451,10 +487,19 @@ def test_toy_fit_bit_exact(method):
 STUDY = (ToyConfig(seed=101_000_000), (50, 10000), 10, ("approx", "conway"))
 STUDY_DIGEST = "026795276d4845ec6951c7a709af5e03e62bf08bea3c7361d4967dd38a4f5c5f"
 
+# batch 0 of its ensemble-exact workload: the same toy, one per template size
+EXACT_STUDY = (ToyConfig(seed=101_000_000), (50, 10000), 1, ("exact",))
+EXACT_STUDY_DIGEST = "9945f622c7642cb1b5cd4a787e3337019be1eca5597c12e4c910bc1114925087"
+
 
 def test_study_records_bit_exact():
     records = run_study(*STUDY)
     assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == STUDY_DIGEST
+
+
+def test_exact_study_records_bit_exact():
+    records = run_study(*EXACT_STUDY)
+    assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == EXACT_STUDY_DIGEST
 
 
 def _table() -> str:
@@ -473,9 +518,12 @@ def _table() -> str:
             lines.append("        ),")
         lines.append("    },")
     lines.append("}")
-    for table, evaluate in (("FROZEN_FITS", _fit), ("FROZEN_TOY_FITS", _toy_fit)):
+    for table, evaluate, methods in (
+        ("FROZEN_FITS", _fit, ("approx", "conway")),
+        ("FROZEN_TOY_FITS", _toy_fit, ("approx", "conway", "exact")),
+    ):
         lines.append(f"{table} = {{")
-        for method in ("approx", "conway"):
+        for method in methods:
             lines.append(f'    "{method}": {{')
             for key, value in evaluate(method).items():
                 words = value.split() if isinstance(value, str) else [value]
