@@ -231,7 +231,7 @@ class _PerBin:
 
     def _outside(self, p: np.ndarray) -> np.ndarray:
         """Which parameter vectors along the last axis lie outside the domain."""
-        return ~self._in_domain(p).all(axis=-1)
+        return ~np.logical_and.reduce(self._in_domain(p), axis=-1)
 
     def _inside(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """``p`` with a stand-in row inside the domain for each row outside, and where those were."""
@@ -422,8 +422,8 @@ class _PerBin:
         ``m`` is :meth:`_expectation`'s and is 1 where it vanishes;
         yield vectors that are not finite come back unchanged.
         """
-        finite = np.isfinite(y).all(axis=-1)[..., None]
-        if not finite.all():
+        finite = np.logical_and.reduce(np.isfinite(y), axis=-1)[..., None]
+        if np.count_nonzero(finite) < finite.size:
             # a stand-in of 0 keeps inf * 0 out of the step
             return np.where(finite, self._em_step(np.where(finite, y, 0.0)), y)
         m = self._expectation(y)
@@ -451,7 +451,7 @@ class _PerBin:
                 dw = np.where(live, dw, 0.0)
             gradient = self._bin_matvec(self._c, dm) - 2.0 * y * self._bin_matvec(self._d, dw)
         infinite = value == math.inf
-        if infinite.any():
+        if np.count_nonzero(infinite):
             gradient[infinite] = np.nan
         return value, gradient
 
@@ -523,7 +523,7 @@ class _PerBin:
                 + _diag(self._bin_matvec(self._d, F))
             )
         infinite = value == math.inf
-        if infinite.any():
+        if np.count_nonzero(infinite):
             H[infinite] = np.nan
         return H
 

@@ -295,10 +295,15 @@ class _Stacked:
         for j in rows.nonzero()[0]:
             points, h, taken = _stencil(x[j], self.lower)
             self.calls += len(points)
-            f = np.full(taken.shape, fx[j])
             chunks = range(0, len(points), size)
-            f[taken] = _joined([stack.value_and_gradient(points[i : i + size])[0] for i in chunks])
-            g[j] = (f[:, 0] - f[:, 1]) / np.where(taken[:, 1], 2.0 * h, h)
+            f = _joined([stack.value_and_gradient(points[i : i + size])[0] for i in chunks])
+            if taken is None:  # every lower point taken: the values pair up
+                f = f.reshape(-1, 2)
+                g[j] = (f[:, 0] - f[:, 1]) / (2.0 * h)
+            else:
+                pairs = np.full(taken.shape, fx[j])
+                pairs[taken] = f
+                g[j] = (pairs[:, 0] - pairs[:, 1]) / np.where(taken[:, 1], 2.0 * h, h)
         return g
 
     def hessian(self, x: np.ndarray, rows) -> np.ndarray:
@@ -320,9 +325,10 @@ class _Stacked:
         return _joined(out)
 
 
-def _stencil(x: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stencil(x: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The points of the gradient stencil at ``x``, the step of each parameter, and which
-    points are taken: ``(nparams, 2)``, the lower one only where it keeps its bound.
+    points are taken: ``(nparams, 2)``, the lower one only where it keeps its bound, or
+    ``None`` where every point is.
 
     Parameter ``i`` steps to ``x_i + h``, then to ``x_i - h``; the taken
     points come as one array, in that order.
@@ -330,13 +336,20 @@ def _stencil(x: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     n = x.size
     xp = x + _GRAD_STEP * np.maximum(1.0, np.abs(x))
     h = xp - x  # kill representation error in the step
-    points = np.tile(x, (n, 2, 1))
-    i = np.arange(n)
-    points[i, 0, i] = xp
-    points[i, 1, i] = x - h
+    xm = x - h
+    points = np.empty((2 * n, n))
+    points[...] = x
+    # point 2i moves parameter i up and point 2i + 1 moves it down: flat
+    # positions i (2n + 1) and i (2n + 1) + n
+    flat = points.reshape(-1)
+    flat[:: 2 * n + 1] = xp
+    flat[n :: 2 * n + 1] = xm
+    low = xm >= lower
+    if np.count_nonzero(low) == n:
+        return points, h, None
     taken = np.ones((n, 2), dtype=bool)
-    taken[:, 1] = x - h >= lower
-    return points[taken], h, taken
+    taken[:, 1] = low
+    return points[taken.reshape(-1)], h, taken
 
 
 def _at_bound(x: np.ndarray, lower: np.ndarray) -> np.ndarray:
@@ -371,7 +384,7 @@ def _directions(hinv: np.ndarray, g: np.ndarray, held: np.ndarray | None) -> np.
     """
     p = -_matvec(hinv, g)
     if held is not None:
-        for i in held.any(axis=-1).nonzero()[0]:
+        for i in np.logical_or.reduce(held, axis=-1).nonzero()[0]:
             p[i] = _direction(hinv[i], g[i], held[i])
     return p
 
@@ -432,9 +445,9 @@ def minimize(
     x = np.array(default_start(cost) if start is None else start, dtype=np.float64)
     if x.shape != (cost.nparams,):
         raise ValueError(f"start must have {cost.nparams} entries")
-    if not np.isfinite(x).all():
+    if np.count_nonzero(np.isfinite(x)) < x.size:
         raise ValueError("start point must be finite")
-    if (x < cost.lower_bounds).any():
+    if np.count_nonzero(x < cost.lower_bounds):
         raise ValueError("start point must lie within the bounds")
     _check_options(gtol, max_calls)
     f = _Stacked(cost._stack)
@@ -514,7 +527,7 @@ def _fit_rows(f, x: np.ndarray, gtol: float, max_calls: int) -> list:
     if not done:
         return ends
     X = np.array([ends[i][0] for i in done])
-    interior = ~_at_bound(X, lower).any(axis=-1)
+    interior = ~np.logical_or.reduce(_at_bound(X, lower), axis=-1)
     rows = [done[j] for j in interior.nonzero()[0]]
     covariances = {}
     if rows:  # minima on a bound have no covariance
@@ -867,7 +880,7 @@ def hesse(cost: CostFunction, at) -> np.ndarray | None:
     ``ValueError`` outside the domain.
     """
     x = cost.validate(at)
-    if _at_bound(x, cost.lower_bounds).any():
+    if np.count_nonzero(_at_bound(x, cost.lower_bounds)):
         return None
     return _covariances(cost.hessian(x)[None], cost.model.ncomponents)[0]
 

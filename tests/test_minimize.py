@@ -22,9 +22,11 @@ from templatefit import (
 )
 from templatefit.likelihood import _PerBin
 from templatefit.minimize import (
+    _bfgs,
     _covariances,
     _descend,
     _direction,
+    _directions,
     _initial_inverse_diag,
     _succeeds,
 )
@@ -404,6 +406,60 @@ class TestLockstepLoop:
         # failed; the wall row then takes its restart point and meets it too
         ends = _descend(_Rows(_slope, _wall), np.ones((2, 2)), np.full(2, -np.inf), 1e-4, 51)
         assert [end[2:] for end in ends] == [("budget", 51, 50, False), ("budget", 52, 0, True)]
+
+
+def _bfgs_reference(h, s, y):
+    """The BFGS update of one row's inverse curvature, from 1-D products; ``h`` itself
+    without positive curvature along the step."""
+    sy = s @ y
+    if not sy > 1e-10 * np.sqrt(s @ s) * np.sqrt(y @ y):
+        return h
+    rho = 1.0 / sy
+    hy = h @ y
+    ss = np.outer(s, s) * (rho * rho * (y @ hy) + rho)
+    return h + ss - (np.outer(hy, s) + np.outer(s, hy)) * rho
+
+
+def _curvature_rows(K, seed):
+    """Six rows of inverse curvatures, steps and gradient changes; rows 1 and 4 have
+    no positive curvature along their step."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(6, K, K))
+    hinv = A @ A.mT + np.eye(K)
+    s = rng.normal(size=(6, K))
+    y = s + 0.3 * rng.normal(size=(6, K))
+    y[1], y[4] = -s[1], -2.0 * s[4]
+    return hinv, s, y
+
+
+class TestStackedUpdates:
+    """The loop's per-row algebra on a stack equals each row's alone, bit for bit,
+    so a fit's end does not depend on the rows stepped with it."""
+
+    @pytest.mark.parametrize("K", [2, 20])
+    def test_bfgs_of_a_stack_is_each_rows_update(self, K):
+        hinv, s, y = _curvature_rows(K, seed=K)
+        for rows in (np.arange(6), np.array([0, 2, 3, 5])):  # with and without skipped rows
+            out = _bfgs(hinv[rows], s[rows], y[rows])
+            for t, row in enumerate(rows):
+                alone = _bfgs(hinv[row : row + 1], s[row : row + 1], y[row : row + 1])[0]
+                assert _bits(out[t]) == _bits(alone)
+                assert _bits(out[t]) == _bits(_bfgs_reference(hinv[row], s[row], y[row]))
+        kept = _bfgs(hinv, s, y)
+        assert _bits(kept[[1, 4]]) == _bits(hinv[[1, 4]])  # no positive curvature: kept
+        assert not np.array_equal(kept[0], hinv[0])
+
+    @pytest.mark.parametrize("K", [2, 20])
+    def test_directions_with_held_parameters_are_each_rows_direction(self, K):
+        hinv, _, g = _curvature_rows(K, seed=K + 1)
+        held = np.zeros((6, K), dtype=bool)
+        held[0, 0] = True
+        held[3, [0, K - 1]] = True
+        p = _directions(hinv, g, held)
+        for t in range(6):
+            assert _bits(p[t]) == _bits(_direction(hinv[t], g[t], held[t]))
+        assert p[0, 0] == 0.0 and p[3, 0] == 0.0 and p[3, -1] == 0.0
+        assert _bits(_directions(hinv, g, None)) == _bits(_directions(hinv, g, np.zeros_like(held)))
 
 
 def weighted_k4_model(seed: int, nbins: int) -> TemplateModel:

@@ -196,6 +196,38 @@ def test_exact_stencil_matches_single_calls():
     assert np.isnan(f.gradients(x[None], np.array([f0]), np.array([False]))).all()
 
 
+# every bin filled by both components, so a yield of 0 keeps the cost finite
+OVERLAP = _model([12, 30, 7, 19], [[9, 20, 1, 4], [2, 6, 3, 11]])
+
+
+@pytest.mark.parametrize("on_bound", [None, 0, 1])
+def test_exact_stencil_branches(on_bound, monkeypatch):
+    # a stencil that fits one call: every lower point taken, or a yield on
+    # its bound of 0, whose quotient is one-sided
+    cost = CostFunction("exact", OVERLAP)
+    x = tf.default_start(cost)
+    if on_bound is not None:
+        x[on_bound] = 0.0
+    f0 = cost(x)
+    assert math.isfinite(f0)
+    stacked = []
+    evaluate = CostStack.value_and_gradient
+
+    def counting(stack, y):
+        stacked.append(len(y))
+        return evaluate(stack, y)
+
+    monkeypatch.setattr(CostStack, "value_and_gradient", counting)
+    f = _Stacked(cost._stack)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = f.gradients(x[None], np.array([f0]), np.array([True]))
+        expected = _reference_gradient(cost, x, f0)
+    assert _hex(g[0]) == _hex(expected)
+    assert f.calls == 2 * cost.nparams - (on_bound is not None)
+    assert stacked == [f.calls]
+
+
 def test_fit_evaluation_counts_frozen():
     # exact gradient stencils count one evaluation per row; approx and
     # conway count one per value-and-gradient pass; every method counts one
