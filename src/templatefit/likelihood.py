@@ -128,13 +128,17 @@ class _Pass(NamedTuple):
     slot: np.ndarray | None
 
 
-def _qp_terms(n: np.ndarray, pos: np.ndarray, mu: np.ndarray, nlogn: np.ndarray) -> np.ndarray:
+def _qp_terms(
+    n: np.ndarray, pos: np.ndarray, mu: np.ndarray, nlogn: np.ndarray
+) -> tuple[np.ndarray, bool]:
     # vector of 2*(mu - n - n ln mu + n ln n), pos = n > 0; entries with
-    # n == 0 give 2*mu (n ln 1 = 0), entries with mu == 0 and n > 0 give +inf
-    if (
+    # n == 0 give 2*mu (n ln 1 = 0), entries with mu == 0 and n > 0 give +inf;
+    # and whether every mu is positive and finite
+    positive = bool(
         np.minimum.reduce(mu, axis=None, initial=math.inf) > 0.0
         and np.maximum.reduce(mu, axis=None, initial=0.0) < math.inf
-    ):
+    )
+    if positive:
         # every ln mu is finite, so n = 0 gives t = +-0, and mu - 0 - (+-0)
         # is mu, as with n ln 1: no bin needs the substitution
         t = n * np.log(mu)
@@ -145,7 +149,7 @@ def _qp_terms(n: np.ndarray, pos: np.ndarray, mu: np.ndarray, nlogn: np.ndarray)
         else:
             with np.errstate(divide="ignore"):
                 t = n * np.log(safe)
-    return np.maximum(0.0, 2.0 * (mu - n - t + nlogn))
+    return np.maximum(0.0, 2.0 * (mu - n - t + nlogn)), positive
 
 
 # a . b along the last axis and A @ v per stacked row: one BLAS dot or gemv
@@ -280,15 +284,16 @@ class _PerBin:
         scale = y / self._norms
         return self._expectation(y), np.add.reduce((scale * scale)[..., :, None] * self._v, axis=-2)
 
-    def _approx(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _approx(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
         """Factor ``(n + a)/(mu0 + a)``, data terms, ``beta - 1 - ln beta`` and ``m`` per bin,
-        ``m`` from :meth:`_expectation`."""
+        ``m`` from :meth:`_expectation`, and whether every ``beta mu0`` is positive and
+        finite."""
         m = self._expectation(y)
         mu0 = self._scaled(m)
         a = self._a_eff
         beta = self._na / (mu0 + a)
-        terms = _qp_terms(self._n, self._npos, beta * mu0, self._nlogn)
-        return beta, terms, beta - 1.0 - np.log(beta), m
+        terms, positive = _qp_terms(self._n, self._npos, beta * mu0, self._nlogn)
+        return beta, terms, beta - 1.0 - np.log(beta), m, positive
 
     def _conway(
         self, y: np.ndarray
@@ -333,18 +338,20 @@ class _PerBin:
             beta = np.where(pos, var * self._2n / np.where(pos, b + disc, 1.0), 0.5 * (disc - b))
         t = beta - 1.0
         tt = t * t
-        terms = _qp_terms(self._n, self._npos, beta * mu0, self._nlogn) + tt / var
+        terms = _qp_terms(self._n, self._npos, beta * mu0, self._nlogn)[0] + tt / var
         return live, beta, terms, mu0_raw, var, tt
 
-    def _exact(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _exact(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
         """Amplitude factor per (component, bin), 1 in slots without template content, data
-        terms per bin, ``beta - 1 - ln beta`` per amplitude slot and ``mu`` per bin."""
+        terms per bin, ``beta - 1 - ln beta`` per amplitude slot and ``mu`` per bin, and
+        whether every ``mu`` is positive and finite."""
         K = self.ncomponents
         betas = p[..., K:]
         B = np.ones(p.shape[:-1] + self._a.shape[-2:])
         B[(..., *self._slots)] = betas
         mu = self._expectation(p[..., :K], self._a * B)
-        return B, _qp_terms(self._n, self._npos, mu, self._nlogn), betas - 1.0 - np.log(betas), mu
+        terms, positive = _qp_terms(self._n, self._npos, mu, self._nlogn)
+        return B, terms, betas - 1.0 - np.log(betas), mu, positive
 
     # --- closed-form derivatives of the profiled costs -------------------------
     # Per bin, the cost L(y, beta) is minimal in the profiled beta, so the
@@ -365,14 +372,17 @@ class _PerBin:
         if self.method is Method.CONWAY:
             live, beta, terms, m, var, tt = self._conway(y)
             q = self._conway_total(live, terms)
+            positive = live is None  # every m > 0: the live mask is None exactly then
         elif self.method is Method.APPROX:
-            beta, terms, slot, m = self._approx(y)
+            beta, terms, slot, m, positive = self._approx(y)
             q = self._approx_total(terms, slot)
         else:
-            beta, terms, slot, m = self._exact(y)
+            beta, terms, slot, m, positive = self._exact(y)
             q = self._exact_total(terms, slot)
-        # NaN fails the test and takes the masked form, as it fails m > 0
-        if not np.minimum.reduce(m, axis=None, initial=math.inf) > 0.0:
+        # where every expectation beta s m (exact: m) is positive, so is every
+        # m, as beta >= 0 and s > 0; else NaN fails the test and takes the
+        # masked form, as it fails m > 0
+        if not positive and not np.minimum.reduce(m, axis=None, initial=math.inf) > 0.0:
             m = np.where(m > 0.0, m, 1.0)
         return _Pass(_nonneg(q), live, beta, m, var, tt, terms, slot)
 
@@ -788,6 +798,19 @@ class CostStack(_PerBin):
         out._domain_lo = np.zeros(K + slots)
         out._domain_lo[K:] = np.nextafter(0.0, 1.0)
         return out, active
+
+    def _as(self, method: Method) -> "CostStack":
+        """The stack of the same counts under the other profiled method.
+
+        ``approx`` and ``conway`` stacks of one set of counts have the same
+        fields, so the second shares the first's, which nothing writes, and
+        keeps the pass of its own last :meth:`value_and_gradient`.
+        """
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__)
+        out.__dict__.pop("_last", None)
+        out.method = method
+        return out
 
     def _set_counts(self, counts: np.ndarray) -> None:
         """Record each row's active-bin count, the padded width and the runs of rows.

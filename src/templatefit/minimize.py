@@ -533,6 +533,11 @@ def _fit_rows(f, x: np.ndarray, gtol: float, max_calls: int) -> list:
     if rows:  # minima on a bound have no covariance
         H = f.hessian(X if len(rows) == len(done) else X[interior], rows)
         covariances = dict(zip(rows, _covariances(H, K)))
+    errors = {}
+    have = [i for i in rows if covariances[i] is not None]
+    if have:  # every row's yield errors from one square root
+        d = np.diagonal(np.array([covariances[i] for i in have]), axis1=-2, axis2=-1)
+        errors = dict(zip(have, np.sqrt(d)))
     results = list(ends)
     for i in done:
         point, qmin, status, calls, iterations, restarted = ends[i]
@@ -543,7 +548,7 @@ def _fit_rows(f, x: np.ndarray, gtol: float, max_calls: int) -> list:
             status = "hessian_not_pd"
         results[i] = FitResult(
             yields=point[:K].copy(),
-            yield_errors=None if covariance is None else np.sqrt(np.diag(covariance)),
+            yield_errors=errors.get(i),
             covariance=covariance,
             qmin=qmin,
             ndof=f.ndof[i],
@@ -623,17 +628,27 @@ class _Rows:
         return len(self.rows)
 
     def stop(self, status: np.ndarray, calls: int, out: list) -> np.ndarray:
-        """End the rows with a nonzero ``status``; returns the positions of the others."""
-        for j in status.nonzero()[0]:
+        """End the rows with a nonzero ``status``; returns the positions of the others.
+
+        A row ends at its best point where its last point is worse.
+        """
+        ends = status.nonzero()[0]
+        if len(ends) == 1:  # as every direct fit ends: scalar reads beat index arrays
+            j = ends[0]
             at_best = self.fx[j] > self.best_f[j]
-            out[self.rows[j]] = (
-                (self.best_x if at_best else self.x)[j].copy(),
-                float((self.best_f if at_best else self.fx)[j]),
-                _STATUSES[status[j]],
-                calls,
-                int(self.iterations[j]) + self.steps,
-                bool(self.restarted[j]),
-            )
+            rows, codes = [self.rows[j]], [status[j]]
+            points = [(self.best_x if at_best else self.x)[j].copy()]
+            values = [float((self.best_f if at_best else self.fx)[j])]
+            iterations, restarted = [int(self.iterations[j])], [bool(self.restarted[j])]
+        else:  # one index per array for all of them
+            at_best = self.fx[ends] > self.best_f[ends]
+            rows, codes = self.rows[ends].tolist(), status[ends].tolist()
+            points = np.where(at_best[:, None], self.best_x[ends], self.x[ends])
+            values = np.where(at_best, self.best_f[ends], self.fx[ends]).tolist()
+            iterations = self.iterations[ends].tolist()
+            restarted = self.restarted[ends].tolist()
+        for i, code, point, value, its, rs in zip(rows, codes, points, values, iterations, restarted):
+            out[i] = (point, value, _STATUSES[code], calls, its + self.steps, rs)
         keep = (status == 0).nonzero()[0]
         self.rows = self.rows[keep]
         if not len(keep):

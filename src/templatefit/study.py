@@ -5,8 +5,9 @@ the identical toy and the records do not depend on the worker count or
 on which other methods were requested.  ``run_study`` draws the toys of a
 chunk as one array of counts and builds every ``CostStack`` straight from
 those counts.  For ``approx`` and ``conway`` that is one stack per method,
-and one lockstep loop steps the fits of both, whatever their active-bin
-counts (``minimize._minimize_stacks``).  A fit that stops stays in its
+both on the per-bin fields of one build, and one lockstep loop steps the
+fits of both, whatever their active-bin counts
+(``minimize._minimize_stacks``).  A fit that stops stays in its
 stack, its outputs dropped, until at most half of the stack still runs,
 and the stack is then narrowed to the running fits.  An ``exact`` stack
 holds one fit, so each toy's ``exact`` fit is a one-row stack fitted
@@ -173,8 +174,13 @@ def _fit_toys(args) -> list[PullRecord]:
     toys = toys[np.argsort(active[toys], kind="stable")]
     data, templates = data[toys], templates[toys]
     profiled = [m for m in methods if m != Method.EXACT.value]
-    stacks = [CostStack.from_counts(m, data, templates) for m in profiled]
-    fitted = dict(zip(profiled, _minimize_stacks(stacks, [default_start(s) for s in stacks])))
+    fitted = {}
+    if profiled:  # one build of the fields the approx and conway stacks share
+        stacks = [CostStack.from_counts(profiled[0], data, templates)]
+        stacks += [stacks[0]._as(Method(m)) for m in profiled[1:]]
+        # the start is the EM step of the fields alone: one for both
+        start = default_start(stacks[0])
+        fitted.update(zip(profiled, _minimize_stacks(stacks, [start] * len(stacks))))
     if Method.EXACT.value in methods:  # an exact stack holds one fit: one loop per toy
         fitted[Method.EXACT.value] = ends = []
         for row in zip(data[:, None], templates[:, None]):
@@ -198,8 +204,9 @@ def run_study(
     The toys are drawn and fitted in chunks of at most 512 (n_mc, toy
     index) pairs, one chunk per worker task when ``jobs > 1``.  A chunk's
     ``approx`` and ``conway`` fits each make one
-    :class:`~templatefit.likelihood.CostStack`, built from the drawn
-    counts, and one lockstep loop steps the rows of both; each of its
+    :class:`~templatefit.likelihood.CostStack`, both on the fields of one
+    build from the drawn counts, and one lockstep loop steps the rows of
+    both; each of its
     ``exact`` fits is a one-row stack of its own, fitted alone.  With
     ``jobs > 1`` the pool has at most one worker per chunk.  Returns
     ``len(methods) * len(n_mc_grid) * n_toys`` records sorted by (method,

@@ -23,7 +23,9 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from bisect import bisect_left
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -164,28 +166,54 @@ def _key(seed: int, toy_index: int) -> tuple[int, int]:
 
 _PTRS_SWITCH = 30.0
 _SPARE = 32  # uniforms a block draw takes beyond one attempt per mean, for rejections
+_INVERSION_CAP = 1100  # the sequential search's cap
 
 
-def _inversion(mu: float, u: float) -> int:
+@functools.lru_cache(maxsize=1024)
+def _inversion_table(mu: float) -> tuple[float, ...]:
+    """The running sums of the Poisson probabilities at ``mu`` that sequential-search
+    inversion compares its uniform with, for ``0 < mu < 30``.
+
+    Entry ``k`` is the sum over counts ``0..k``, formed with the search's
+    float operations in its order, so the draw of uniform ``u`` is the
+    first ``k`` with ``u <= table[k]``: ``bisect_left(table, u)``.  The
+    table ends where the sum reaches 1.0, above every uniform, or where
+    past the mode it stops changing: every later term is smaller still, so
+    the sum keeps its value up to the cap.  A uniform above the last entry
+    then runs the search to the cap, as it does in a table that ends there.
+    """
     p = math.exp(-mu)
     acc = p
+    table = [acc]
     k = 0
-    # cap guards against the accumulated cdf saturating just below u
-    while u > acc and k < 1100:
+    while acc < 1.0 and k < _INVERSION_CAP:
         k += 1
         p *= mu / k
+        if k > mu and acc + p == acc:
+            break
         acc += p
-    return k
+        table.append(acc)
+    return tuple(table)
 
 
-def _ptrs_constants(mu: float) -> tuple[float, float, float, float, float]:
-    # Hoermann's transformed rejection with squeeze, valid for mu >= 10
+class _Ptrs(NamedTuple):
+    """The constants of Hoermann's transformed rejection with squeeze at one mean."""
+
+    mu: float
+    a: float
+    b: float
+    inv_alpha: float
+    v_r: float
+
+
+def _ptrs_constants(mu: float) -> _Ptrs:
+    # valid for mu >= 10
     b = 0.931 + 2.53 * math.sqrt(mu)
     a = -0.059 + 0.02483 * b
-    return mu, a, b, 1.1239 + 1.1328 / (b - 3.4), 0.9277 - 3.6224 / (b - 2.0)
+    return _Ptrs(mu, a, b, 1.1239 + 1.1328 / (b - 3.4), 0.9277 - 3.6224 / (b - 2.0))
 
 
-def _ptrs_attempt(constants: tuple, u: float, v: float) -> int | None:
+def _ptrs_attempt(constants: _Ptrs, u: float, v: float) -> int | None:
     """The count of one rejection attempt with uniforms ``u`` and ``v``, or ``None``."""
     mu, a, b, inv_alpha, v_r = constants
     u -= 0.5
@@ -202,16 +230,22 @@ def _ptrs_attempt(constants: tuple, u: float, v: float) -> int | None:
     return None
 
 
-def _plan(means: list[float]) -> tuple[list, int]:
-    """Per mean its PTRS constants (``None`` where it is drawn by inversion),
-    and the number of uniforms taken by one attempt per mean."""
-    ptrs = [_ptrs_constants(mu) if mu >= _PTRS_SWITCH else None for mu in means]
-    first = sum(1 if c is None else 2 for mu, c in zip(means, ptrs) if mu > 0.0)
-    return ptrs, first
+@functools.lru_cache(maxsize=64)
+def _plan(means: tuple[float, ...]) -> tuple[tuple, int]:
+    """Per mean how it is drawn: ``None`` for a mean of 0, its inversion table
+    (:func:`_inversion_table`, a plain tuple) below 30 and its :class:`_Ptrs`
+    constants above; and the number of uniforms taken by one attempt per mean.
+    Cached, as every toy of a config shares its means."""
+    steps = tuple(
+        None if mu == 0.0 else _inversion_table(mu) if mu < _PTRS_SWITCH else _ptrs_constants(mu)
+        for mu in means
+    )
+    first = sum(1 if type(step) is tuple else 2 for step in steps if step is not None)
+    return steps, first
 
 
-def _poisson_block(rng: np.random.Generator, means: list[float], plan: tuple) -> list[int]:
-    """Poisson draws for ``means``, in order, from uniforms taken in one block.
+def _poisson_block(rng: np.random.Generator, plan: tuple) -> list[int]:
+    """Poisson draws for the means of ``plan``, in order, from uniforms taken in one block.
 
     Sequential-search inversion below mean 30 takes one uniform per draw,
     transformed rejection with squeeze above takes two per attempt.  Both
@@ -220,26 +254,27 @@ def _poisson_block(rng: np.random.Generator, means: list[float], plan: tuple) ->
     that one such sampler call per mean would read, in the same order; the
     block runs past the last uniform used, so a stream serves one block.
     The means are finite and nonnegative, as :func:`_means` gives them;
-    ``plan`` is ``_plan(means)``, made once for draws that share their means.
+    ``plan`` is ``_plan(means)``.
     """
-    ptrs, first = plan
+    steps, first = plan
     u = rng.random(first + _SPARE).tolist()
     i = 0  # the next uniform
     counts = []
-    for mu, constants in zip(means, ptrs):
-        if mu == 0.0:
+    for step in steps:
+        if step is None:
             counts.append(0)
             continue
-        if constants is None:
+        if type(step) is tuple:  # an inversion table, not _Ptrs
             if i == len(u):  # rejections used up the spare uniforms
                 u += rng.random(_SPARE).tolist()
-            counts.append(_inversion(mu, u[i]))
+            k = bisect_left(step, u[i])
+            counts.append(k if k < len(step) else _INVERSION_CAP)
             i += 1
             continue
         while True:
             while i + 2 > len(u):
                 u += rng.random(_SPARE).tolist()
-            k = _ptrs_attempt(constants, u[i], u[i + 1])
+            k = _ptrs_attempt(step, u[i], u[i + 1])
             i += 2
             if k is not None:
                 break
@@ -247,7 +282,7 @@ def _poisson_block(rng: np.random.Generator, means: list[float], plan: tuple) ->
     return counts
 
 
-def _means(config: ToyConfig) -> list[float]:
+def _means(config: ToyConfig) -> tuple[float, ...]:
     """Poisson means of a toy's bins in draw order: data signal, data background,
     signal template, background template."""
     p_sig, p_bkg = config._shapes()
@@ -259,7 +294,7 @@ def _means(config: ToyConfig) -> list[float]:
             config.n_mc * p_bkg,
         ]
     )
-    return means.tolist()
+    return tuple(means.tolist())
 
 
 def draw(config: ToyConfig, rng: np.random.Generator) -> ToyDraw:
@@ -272,8 +307,7 @@ def draw(config: ToyConfig, rng: np.random.Generator) -> ToyDraw:
     serves one draw.  :func:`draw_counts` gives the same counts for many
     toys as one array, without the containers.
     """
-    means = _means(config)
-    counts = np.array(_poisson_block(rng, means, _plan(means)), dtype=np.float64)
+    counts = np.array(_poisson_block(rng, _plan(_means(config))), dtype=np.float64)
     return ToyDraw.from_counts(counts.reshape(4, config.nbins))
 
 
@@ -286,8 +320,7 @@ def draw_counts(config: ToyConfig, toy_indices) -> np.ndarray:
     ``ToyDraw.from_counts(counts[t])`` equals the ``draw`` of toy
     ``t`` bit for bit.
     """
-    means = _means(config)
-    plan = _plan(means)
+    plan = _plan(_means(config))
     # one generator reset to each toy's fresh stream: constructing a Philox
     # draws operating-system entropy before its key replaces it
     bits = np.random.Philox(0)
@@ -297,7 +330,7 @@ def draw_counts(config: ToyConfig, toy_indices) -> np.ndarray:
     for i in toy_indices:
         fresh["state"]["key"] = np.array(_key(config.seed, i), dtype=np.uint64)
         bits.state = fresh
-        counts.append(_poisson_block(rng, means, plan))
+        counts.append(_poisson_block(rng, plan))
     return np.array(counts, dtype=np.float64).reshape(len(counts), 4, config.nbins)
 
 

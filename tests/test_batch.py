@@ -495,6 +495,64 @@ def _assert_same_stack(stack: CostStack, other: CostStack) -> None:
             assert type(a) is type(b) and a == b, name
 
 
+def _stack_bits(stack: CostStack, Y: np.ndarray) -> list:
+    """The hex of every value and the bits of the gradients and Hessians of ``stack`` at
+    ``Y``; the Hessians read the pass of the values."""
+    values, gradients = stack.value_and_gradient(Y)
+    return [[float.hex(v) for v in values.tolist()], _bits(gradients), _bits(stack.hessian(Y))]
+
+
+@pytest.mark.parametrize("first", PROFILED)
+@pytest.mark.parametrize("n_mc", [50, 10000])
+def test_two_stacks_of_one_build_equal_stacks_built_alone(first, n_mc):
+    # the second profiled stack shares the first's fields: each equals the
+    # stack from_counts builds for its method alone, in every field, value,
+    # gradient and Hessian, at points of every kind
+    costs = _costs(first, n_mc, n=30, seed=9)
+    counts = _counts(costs)
+    (second,) = set(PROFILED) - {first}
+    built = CostStack.from_counts(first, *counts)
+    shared = built._as(tf.Method(second))
+    Y = _yield_rows(costs, np.random.default_rng(10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stack, method in ((built, first), (shared, second)):
+            alone = CostStack.from_counts(method, *counts)
+            _assert_same_stack(stack, alone)
+            assert stack.method is tf.Method(method)
+            assert _stack_bits(stack, Y) == _stack_bits(alone, Y)
+    assert all(getattr(shared, name) is getattr(built, name) for name in CostStack._BIN_FIELDS)
+
+
+def test_a_stack_of_a_shared_build_keeps_its_own_pass(monkeypatch):
+    # at the same yields, each stack's Hessian reads the pass of its own last
+    # evaluation, whichever stack evaluated last, and a stack made after the
+    # first evaluated starts with no pass
+    costs = _costs("approx", 50, n=12, seed=11)
+    Y = _yield_rows(costs, np.random.default_rng(12))
+    approx = _stack(costs)
+    approx.value_and_gradient(Y)
+    conway = approx._as(tf.Method.CONWAY)
+    assert conway._last is None
+    fresh = {m: CostStack.from_counts(m, *_counts(costs)) for m in PROFILED}
+    want = {m: _bits(fresh[m].hessian(Y)) for m in PROFILED}
+    conway.value_and_gradient(Y)
+    passes = []
+    profile = CostStack._profile
+
+    def counting(self, y):
+        passes.append(self.method)
+        return profile(self, y)
+
+    monkeypatch.setattr(CostStack, "_profile", counting)
+    for _ in range(2):
+        assert _bits(approx.hessian(Y)) == want["approx"]
+        assert _bits(conway.hessian(Y)) == want["conway"]
+        approx.value_and_gradient(Y)
+    assert passes == [tf.Method.APPROX, tf.Method.APPROX]  # the evaluations alone
+    assert approx._last[1] is not conway._last[1]
+
+
 @pytest.mark.parametrize("method", PROFILED + ["exact"])
 def test_one_row_stack_from_counts_is_the_stack_of_its_cost(method):
     # field for field, with the EM start, the values, the gradients

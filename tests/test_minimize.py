@@ -21,6 +21,7 @@ from templatefit import (
     minimize,
 )
 from templatefit.likelihood import _PerBin
+from templatefit.minimize import _Rows as _LoopState
 from templatefit.minimize import (
     _bfgs,
     _covariances,
@@ -406,6 +407,32 @@ class TestLockstepLoop:
         # failed; the wall row then takes its restart point and meets it too
         ends = _descend(_Rows(_slope, _wall), np.ones((2, 2)), np.full(2, -np.inf), 1e-4, 51)
         assert [end[2:] for end in ends] == [("budget", 51, 50, False), ("budget", 52, 0, True)]
+
+    def test_rows_that_stop_in_one_round_end_as_each_alone(self, monkeypatch):
+        # at call 52 the wall rows have taken their restart points, which are
+        # worse than their starts, and the slope rows their last steps: every
+        # row meets the budget in that round, the wall rows at their best point
+        rows = (_slope, _wall, _wall, _slope, _wall)
+        x = np.array([[1.0, 1.0], [1.5, 1.0], [1.0, 1.0], [2.0, -3.0], [3.0, 2.0]])
+        lower = np.full(2, -np.inf)
+        stops = []
+        stop = _LoopState.stop
+
+        def spying(self, status, calls, out):
+            ends = status.nonzero()[0]
+            stops.append((len(ends), int(np.count_nonzero(self.fx[ends] > self.best_f[ends]))))
+            return stop(self, status, calls, out)
+
+        monkeypatch.setattr(_LoopState, "stop", spying)
+        ends = _descend(_Rows(*rows), x, lower, 1e-4, 52)
+        assert stops == [(5, 3)]
+        assert [end[2:4] for end in ends] == [("budget", 52)] * 5
+        for row, start, end in zip(rows, x, ends):
+            (alone,) = _descend(_Rows(row), start[None], lower, 1e-4, 52)
+            assert end[0].tobytes() == alone[0].tobytes()
+            assert float.hex(end[1]) == float.hex(alone[1]) and end[2:] == alone[2:]
+            if row is _wall:  # its best point: the start
+                assert end[0].tobytes() == start.tobytes() and end[1] == _wall(start)[0]
 
 
 def _bfgs_reference(h, s, y):

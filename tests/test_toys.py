@@ -16,12 +16,12 @@ from templatefit import (
     rng_stream,
     to_model,
 )
-from templatefit.toys import _plan, _poisson_block
+from templatefit.toys import _inversion_table, _plan, _poisson_block
 
 
 def _draws(rng, means: list[float]) -> list[int]:
     """Poisson draws for ``means`` from ``rng``, by the block sampler every toy draws with."""
-    return _poisson_block(rng, means, _plan(means))
+    return _poisson_block(rng, _plan(tuple(means)))
 
 
 class TestToyConfig:
@@ -377,3 +377,55 @@ def test_block_draw_reads_the_scalar_samplers_uniforms(monkeypatch, spare):
         stream = rng_stream(7, trial)
         expected = [_reference_poisson(stream, m) for m in mu]
         assert _draws(rng_stream(7, trial), mu) == expected
+
+
+class _Uniforms:
+    """A generator stand-in that returns the given uniforms in order, then 0.5."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def _next(self):
+        return self.values.pop(0) if self.values else 0.5
+
+    def random(self, size=None):
+        if size is None:
+            return self._next()
+        return np.array([self._next() for _ in range(size)])
+
+
+class TestInversionTables:
+    @pytest.mark.parametrize("mu", [1e-300, 0.4, 12.0, 29.999])
+    def test_table_draws_equal_the_search(self, mu):
+        # u = 0, every entry itself and the floats on both sides of it, and
+        # one above the last entry
+        table = _inversion_table(mu)
+        us = [0.0, 1.0]
+        for entry in table:
+            us += [entry, math.nextafter(entry, 0.0), math.nextafter(entry, 2.0)]
+        us += np.random.default_rng(5).random(200).tolist()
+        for u in us:
+            assert _draws(_Uniforms([u]), [mu]) == [_reference_poisson(_Uniforms([u]), mu)], u
+
+    @pytest.mark.parametrize("mu,u", [(10.0, 1.0), (12.0, 0.9999999999999999)])
+    def test_a_uniform_above_a_saturated_sum_draws_the_cap(self, mu, u):
+        # the sum stops short of u: the search runs to its cap
+        assert u > _inversion_table(mu)[-1]
+        assert _draws(_Uniforms([u]), [mu]) == [1100] == [_reference_poisson(_Uniforms([u]), mu)]
+
+    def test_tables_stay_short(self):
+        # without its stop, mu = 10's table would run to the cap: 1,101 entries
+        assert _inversion_table(10.0)[-1] == 0.9999999999999999
+        assert max(len(_inversion_table(mu)) for mu in np.linspace(0.01, 29.999, 300)) < 100
+
+    def test_draws_after_other_configs_filled_the_cache(self):
+        config = ToyConfig(seed=13, nbins=15, n_mc=70)
+        for n_mc in (0, 5, 70, 300, 10000):
+            draw_counts(ToyConfig(seed=2, nbins=15, n_mc=n_mc), range(3))
+        counts = draw_counts(config, range(20))
+        p_sig, p_bkg = config._shapes()
+        means = np.concatenate([250.0 * p_sig, 750.0 * p_bkg, 70.0 * p_sig, 70.0 * p_bkg])
+        for i, row in enumerate(counts):
+            stream = rng_stream(13, i)
+            expected = [_reference_poisson(stream, mu) for mu in means.tolist()]
+            assert row.reshape(-1).tolist() == expected
