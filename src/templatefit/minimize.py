@@ -630,25 +630,24 @@ class _Rows:
     def stop(self, status: np.ndarray, calls: int, out: list) -> np.ndarray:
         """End the rows with a nonzero ``status``; returns the positions of the others.
 
-        A row ends at its best point where its last point is worse.
+        A row ends at its best point where its last point is worse.  Each
+        array the ends read becomes a list once, so the rows read Python
+        scalars, not NumPy ones; an index per array would cost more than it
+        saves at the few rows that end together in most rounds.
         """
-        ends = status.nonzero()[0]
-        if len(ends) == 1:  # as every direct fit ends: scalar reads beat index arrays
-            j = ends[0]
-            at_best = self.fx[j] > self.best_f[j]
-            rows, codes = [self.rows[j]], [status[j]]
-            points = [(self.best_x if at_best else self.x)[j].copy()]
-            values = [float((self.best_f if at_best else self.fx)[j])]
-            iterations, restarted = [int(self.iterations[j])], [bool(self.restarted[j])]
-        else:  # one index per array for all of them
-            at_best = self.fx[ends] > self.best_f[ends]
-            rows, codes = self.rows[ends].tolist(), status[ends].tolist()
-            points = np.where(at_best[:, None], self.best_x[ends], self.x[ends])
-            values = np.where(at_best, self.best_f[ends], self.fx[ends]).tolist()
-            iterations = self.iterations[ends].tolist()
-            restarted = self.restarted[ends].tolist()
-        for i, code, point, value, its, rs in zip(rows, codes, points, values, iterations, restarted):
-            out[i] = (point, value, _STATUSES[code], calls, its + self.steps, rs)
+        fx, best_f, rows = self.fx.tolist(), self.best_f.tolist(), self.rows.tolist()
+        codes, iterations = status.tolist(), self.iterations.tolist()
+        restarted = self.restarted.tolist()
+        for j in status.nonzero()[0].tolist():
+            at_best = fx[j] > best_f[j]
+            out[rows[j]] = (
+                (self.best_x if at_best else self.x)[j].copy(),
+                best_f[j] if at_best else fx[j],
+                _STATUSES[codes[j]],
+                calls,
+                iterations[j] + self.steps,
+                restarted[j],
+            )
         keep = (status == 0).nonzero()[0]
         self.rows = self.rows[keep]
         if not len(keep):
